@@ -117,11 +117,17 @@ def select_lambda(
     losses = np.full((len(lams), len(splits)), np.nan)
     nonconverged = np.zeros(len(lams), dtype=bool)
     for fold, (train, val) in enumerate(splits):
-        assert set(train).isdisjoint(val), "train/validation overlap"
-        assert max(train) < min(val), "validation precedes training end"
+        if train.stop > val.start:
+            raise CvError(
+                f"fold {fold}: training rows [{train.start}, {train.stop}) reach "
+                f"validation start {val.start}"
+            )
         train_panel = panel.slice_rows(train.start, train.stop)
         std_train, stats = standardize(train_panel)
-        assert stats.n_series == panel.n_series
+        if stats.n_series != panel.n_series:
+            raise CvError(
+                f"fold {fold}: standardized {stats.n_series} series, panel has {panel.n_series}"
+            )
         embed = lag_embed(std_train, p)
         # all panel rows in training units; only rows < val.stop are touched,
         # and predictions for index t use rows t-p .. t-1 only
@@ -172,11 +178,7 @@ def _fgls_fold_losses(embed, lams, cfg, stats, values_std, val, actual, nonconve
     Y, Z = embed.Y, embed.Z
     K, n = Y.shape
     out = np.full(len(lams), np.nan)
-    warm_stage1 = None
-    for i, lam in enumerate(lams):
-        lam = float(lam)
-        A1, _, conv1, _ = _cd_solve(Y, Z, lam, cfg.tol, cfg.max_sweeps, warm_stage1)
-        warm_stage1 = A1
+    for i, (lam, A1, conv1, _) in enumerate(lasso_path(Y, Z, lams, cfg)):
         if not conv1:
             nonconverged[i] = True
             continue

@@ -162,16 +162,18 @@ def pds_granger(
     control_rows = [other_rows[j] for j in np.flatnonzero(union)]
     controls = [labels[j] for j in control_rows]
     dof = len(spec.causes) * spec.p
-    assert dof == Z_gc.shape[0], "tested block size must equal |causes| * p"
+    if dof != Z_gc.shape[0]:
+        raise GrangerError(
+            f"tested block has {Z_gc.shape[0]} regressors, expected |causes| * p = {dof}"
+        )
     if dof + len(control_rows) >= n:
         raise GrangerError(
             f"selected {len(control_rows)} controls plus {dof} tested regressors "
             f"reach the sample size {n}; raise the penalty floor (grid ratio)"
         )
 
-    X_full = np.vstack([Z_gc, embed.Z[control_rows]]) if control_rows else Z_gc
     # the tested block always enters the final regression, selected or not
-    assert X_full.shape[0] >= dof
+    X_full = np.vstack([Z_gc, embed.Z[control_rows]]) if control_rows else Z_gc
     full_labels = [labels[j] for j in gc_rows] + controls
     rank = np.linalg.matrix_rank(X_full)
     if rank < X_full.shape[0]:
@@ -272,10 +274,13 @@ def granger_network(
         if p_value < threshold:
             edges.append(CausalEdge(source=src, target=dst, p_value=p_value))
     # the edge list is exactly the sub-threshold subset of the matrix
-    below = np.argwhere(p_matrix < threshold)
-    assert {(names[j], names[i]) for i, j in below} == {
-        (e.source, e.target) for e in edges
-    }
+    below = {(names[j], names[i]) for i, j in np.argwhere(p_matrix < threshold)}
+    listed = {(e.source, e.target) for e in edges}
+    if below != listed:
+        raise GrangerError(
+            f"edge list disagrees with the p-value matrix: matrix only {sorted(below - listed)}, "
+            f"list only {sorted(listed - below)}"
+        )
     return NetworkResult(
         variables=names,
         p_matrix=p_matrix,

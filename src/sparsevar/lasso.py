@@ -209,6 +209,12 @@ def _check_regressors(Z: np.ndarray, names: list[str] | None = None) -> None:
         raise LassoError(f"regressor {label} is identically zero")
 
 
+def _check_descent(sweep: int, prev_obj: float, obj: float) -> None:
+    """Raise if a sweep raised the objective beyond rounding."""
+    if obj > prev_obj + 1e-12 * (1.0 + abs(prev_obj)):
+        raise LassoError(f"objective increased across sweep {sweep}: {prev_obj!r} -> {obj!r}")
+
+
 def _cd_solve(
     Y: np.ndarray,
     Z: np.ndarray,
@@ -217,10 +223,12 @@ def _cd_solve(
     max_sweeps: int,
     A0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, bool, list[float]]:
-    """Cyclic coordinate descent on all rows of A at once.
+    """Cyclic coordinate descent on all rows of A at once, residual form.
 
     Coordinates are visited in fixed lag-major order (the row order of Z);
     no randomization, so results are reproducible and schedule-independent.
+    Each update touches all N sample columns. Used for single-penalty fits;
+    ``lasso_path`` runs the same iteration in covariance form.
     Returns (A, sweeps, converged, per-sweep objective values).
     """
     K, n = Y.shape
@@ -252,15 +260,57 @@ def _cd_solve(
                     max_change = change
         # fresh residual for an exact objective (R accumulates drift otherwise)
         obj = objective_value(A, Y, Z, lam)
-        assert obj <= prev_obj + 1e-12 * (1.0 + abs(prev_obj)), (
-            f"objective increased across sweep {sweeps}: {prev_obj} -> {obj}"
-        )
+        _check_descent(sweeps, prev_obj, obj)
         prev_obj = obj
         history.append(obj)
         if max_change < tol:
             converged = True
             break
     return A, sweeps, converged, history
+
+
+def _cd_gram(
+    G: np.ndarray,
+    C: np.ndarray,
+    yy: float,
+    lam: float,
+    tol: float,
+    max_sweeps: int,
+    A: np.ndarray,
+) -> tuple[int, bool]:
+    """Covariance-form coordinate descent, updating A in place.
+
+    G = Z Z^T / N, C = Y Z^T / N and yy = ||Y||_F^2 / N carry everything the
+    residual form reads from the samples, so a sweep costs O(K m^2) whatever
+    N is. Coordinate order, update, threshold and stopping rule are those of
+    ``_cd_solve``. Returns (sweeps, converged).
+    """
+    m = G.shape[0]
+    diag = np.diagonal(G)
+    half_lam = lam / 2.0
+    prev_obj = np.inf
+    for sweep in range(1, max_sweeps + 1):
+        max_change = 0.0
+        for j in range(m):
+            gjj = diag[j]
+            if gjj == 0.0:
+                continue
+            old = A[:, j]
+            rho_j = C[:, j] - A @ G[:, j] + old * gjj
+            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / gjj
+            change = float(np.max(np.abs(new - old)))
+            if change > 0.0:
+                A[:, j] = new
+                if change > max_change:
+                    max_change = change
+        obj = float(
+            yy - 2.0 * np.sum(A * C) + np.sum((A @ G) * A) + lam * np.sum(np.abs(A))
+        )
+        _check_descent(sweep, prev_obj, obj)
+        prev_obj = obj
+        if max_change < tol:
+            return sweep, True
+    return max_sweeps, False
 
 
 def lambda_max(Y: np.ndarray, Z: np.ndarray) -> float:
@@ -284,11 +334,22 @@ def lasso_path(
     lams: np.ndarray,
     cfg: LassoConfig,
 ) -> Iterator[tuple[float, np.ndarray, bool, int]]:
-    """Warm-started fits along a descending penalty sequence."""
-    A_warm = None
+    """Warm-started fits along a descending penalty sequence.
+
+    The sample moments are formed once, on the first step; every penalty then
+    runs in covariance form. C is built one column at a time as Y @ Z[j] / N,
+    the same product the residual form takes on its first visit to j, so
+    near-ties at the top of the grid resolve as they do in ``_cd_solve``.
+    """
+    n = Y.shape[1]
+    G = Z @ Z.T / n
+    C = np.empty((Y.shape[0], Z.shape[0]))
+    for j in range(Z.shape[0]):
+        C[:, j] = (Y @ Z[j]) / n
+    yy = float(np.sum(Y * Y)) / n
+    A = np.zeros_like(C)
     for lam in lams:
-        A, sweeps, converged, _ = _cd_solve(Y, Z, float(lam), cfg.tol, cfg.max_sweeps, A_warm)
-        A_warm = A
+        sweeps, converged = _cd_gram(G, C, yy, float(lam), cfg.tol, cfg.max_sweeps, A)
         yield float(lam), A.copy(), converged, sweeps
 
 

@@ -22,8 +22,10 @@ from sparsevar.lasso import (
     objective_value,
     prais_winsten,
     soft_threshold,
+    _cd_solve,
+    _check_descent,
 )
-from sparsevar.panel import lag_embed, standardize
+from sparsevar.panel import LagEmbedding, lag_embed, standardize
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
 from conftest import daily_panel
 
@@ -158,6 +160,48 @@ class TestFitLassoVar:
         )
         with pytest.raises(LassoError, match="identically zero"):
             fit_lasso_var(emb, LassoConfig(lam=0.1))
+
+
+class TestPathEquivalence:
+    """lasso_path (covariance form) against warm-started residual-form solves."""
+
+    @pytest.mark.parametrize(
+        "rows,k,p,t,seed",
+        [
+            (1, 4, 5, 2005, 0),   # single response, m = 20, n = 2000
+            (1, 2, 1, 120, 1),    # single response, m = 2
+            (4, 4, 2, 302, 2),    # m = 8, n = 300
+            (4, 4, 5, 2005, 3),   # m = 20, n = 2000
+            (10, 10, 2, 1002, 4), # m = 20, n = 1000
+        ],
+    )
+    def test_matches_residual_form(self, rows, k, p, t, seed):
+        emb, _, _ = embed_from_seed(seed, k=k, p=p, t=t, density=0.3, magnitude=0.25)
+        Y, Z = emb.Y[:rows], emb.Z
+        m = Z.shape[0]
+        cfg = LassoConfig(grid=LassoGrid(n_points=30, ratio=1e-3))
+        lams = lambda_grid(lambda_max(Y, Z), cfg.grid)
+        # kkt_violation reads a VarModel; view the m regressors as m // rows lags
+        sub = LagEmbedding(Y=Y, Z=Z, p=m // rows, names=emb.names[:rows])
+        warm = None
+        for i, (lam, A, converged, sweeps) in enumerate(lasso_path(Y, Z, lams, cfg)):
+            ref, ref_sweeps, ref_converged, _ = _cd_solve(
+                Y, Z, lam, cfg.tol, cfg.max_sweeps, warm
+            )
+            warm = ref
+            assert lam == lams[i]
+            assert (converged, sweeps) == (ref_converged, ref_sweeps)
+            assert np.max(np.abs(A - ref)) <= 1e-12
+            np.testing.assert_array_equal(A == 0.0, ref == 0.0)
+            model = VarModel(
+                p=m // rows, names=sub.names, A=A, sigma_u=np.eye(rows), lam=lam
+            )
+            assert kkt_violation(model, sub) <= 100 * cfg.tol
+
+    def test_objective_increase_raises_typed_error(self):
+        _check_descent(2, 1.0, 1.0 + 1e-13)  # rounding-level rise is tolerated
+        with pytest.raises(LassoError, match=r"sweep 7: 1\.0 -> 1\.5"):
+            _check_descent(7, 1.0, 1.5)
 
 
 class TestKkt:
