@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--origins", help="forecast origins as START:END (ISO dates)")
         sp.add_argument("--threshold", type=float, help="edge p-value threshold")
         sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--threads", type=int, help="worker cap; output is identical for any value")
         sp.add_argument("--n-splits", type=int, help="walk-forward folds")
         sp.add_argument("--test-size", type=int, help="validation points per fold")
         sp.add_argument("--min-train", type=int, help="smallest training window")
@@ -108,6 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--panel", help="input panel CSV")
     sp.add_argument("--refit-policy", choices=["first", "per_origin"],
                     help="when to re-select the penalty")
+    sp.add_argument("--threads", type=int, help="worker cap; output is identical for any value")
 
     sp = common(sub.add_parser("evaluate", help="score forecast files"))
     sp.add_argument("--forecast", action="append", default=[], metavar="NAME=PATH",
@@ -411,10 +411,10 @@ def cmd_granger(cfg: dict) -> None:
         threshold=threshold,
         cfg=lcfg,
         robust=bool(cfg.get("robust", False)),
-        threads=int(cfg.get("threads", 1)),
     )
     granger.write_matrix_csv(net, os.path.join(out, "granger_matrix.csv"))
     granger.write_edges_csv(net, os.path.join(out, "granger_edges.csv"))
+    granger.write_failures_csv(net, os.path.join(out, "granger_failures.csv"))
     granger.write_network_dot(net, os.path.join(out, "granger_network.dot"))
 
 

@@ -7,12 +7,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import stats as sstats
 
 from sparsevar.lasso import LassoConfig, lambda_grid, lambda_max, lasso_path
-from sparsevar.panel import TimePanel, lag_embed, standardize
-from sparsevar.parallel import parallel_map
+from sparsevar.panel import LagEmbedding, TimePanel, lag_embed, standardize
 
 log = logging.getLogger("sparsevar.granger")
 
@@ -76,44 +73,115 @@ class NetworkResult:
     failures: tuple[tuple[str, str, str], ...] = ()
 
 
-def _bic_select(
-    y: np.ndarray, X: np.ndarray, cfg: LassoConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Penalty, support mask and coefficients minimizing single-equation BIC.
+def _bic_select(Y: np.ndarray, X: np.ndarray, cfg: LassoConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row penalty and support mask minimizing single-equation BIC.
 
-    BIC at each grid point is N ln(RSS/N) + s ln(N) evaluated at the LASSO
-    coefficients; ties break toward the larger penalty (the grid descends).
+    Each row of Y is its own regression on the regressors in the rows of X,
+    with its own grid descending from its own ``lambda_max``; all rows run in
+    one ``lasso_path`` on that per-row grid. BIC at each grid point is
+    N ln(RSS/N) + s ln(N) evaluated at the LASSO coefficients; ties break
+    toward the larger penalty (the grid descends). A row orthogonal to every
+    regressor gets the empty model at penalty 0. A penalty at which the
+    joint solve did not converge is skipped for every row.
+    Returns the penalties, shape (R,), and the support, shape (R, m).
     """
-    n = y.shape[0]
-    Y = y.reshape(1, -1)
-    lmax = lambda_max(Y, X)
-    if lmax == 0.0:
-        # target orthogonal to every regressor: empty model
-        return 0.0, np.zeros(X.shape[0], dtype=bool), np.zeros(X.shape[0])
-    lams = lambda_grid(lmax, cfg.grid)
-    best = None
-    for lam, A, converged, _ in lasso_path(Y, X, lams, cfg):
+    R, n = Y.shape
+    lams = np.zeros(R)
+    support = np.zeros((R, X.shape[0]), dtype=bool)
+    lmax = np.array([lambda_max(Y[r: r + 1], X) for r in range(R)])
+    live = np.flatnonzero(lmax != 0.0)
+    if live.size == 0:
+        return lams, support
+    Y_live = Y[live]
+    grid = np.column_stack([lambda_grid(lmax[r], cfg.grid) for r in live])
+    best = np.full(live.size, np.inf)
+    for lam, A, converged, _ in lasso_path(Y_live, X, grid, cfg):
         if not converged:
-            log.warning("BIC stage skipped non-converged penalty %g", lam)
+            log.warning("BIC stage skipped non-converged penalties %s", lam)
             continue
-        resid = y - A[0] @ X
-        rss = float(resid @ resid)
-        s = int(np.count_nonzero(A[0]))
-        bic = -np.inf if rss == 0.0 else n * np.log(rss / n) + s * np.log(n)
-        if best is None or bic < best[0]:
-            best = (bic, lam, A[0] != 0.0, A[0].copy())
-    if best is None:
+        resid = Y_live - A @ X
+        rss = np.einsum("rn,rn->r", resid, resid)
+        with np.errstate(divide="ignore"):
+            bic = n * np.log(rss / n) + np.count_nonzero(A, axis=1) * np.log(n)
+        better = bic < best
+        best[better] = bic[better]
+        lams[live[better]] = lam[better]
+        support[live[better]] = A[better] != 0.0
+    if np.all(best == np.inf):
         raise GrangerError("no converged fit on the BIC grid; raise max_sweeps")
-    return best[1], best[2], best[3]
+    return lams, support
 
 
 def _name_collinear(X: np.ndarray, labels: list[str]) -> list[str]:
     """Columns of X (regressors in rows) beyond its numerical rank, by QR pivoting."""
-    q, r, piv = sla.qr(X.T, mode="economic", pivoting=True)
+    from scipy import linalg  # deferred: scipy made up most of importing sparsevar.cli
+
+    q, r, piv = linalg.qr(X.T, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
     rank = int(np.sum(diag > tol))
     return sorted(labels[j] for j in piv[rank:])
+
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """Chi-squared upper tail probability, bit for bit ``scipy.stats.chi2.sf``
+    for x >= 0; a statistic rounded below 0 gets 1, as it does there."""
+    from scipy import special  # deferred: scipy made up most of importing sparsevar.cli
+
+    return float(special.chdtrc(dof, max(x, 0.0)))
+
+
+def _split_rows(K: int, p: int, cause_idx: list[int]) -> tuple[list[int], list[int]]:
+    """Embedding rows of the causes' lags (lag-major) and of every other regressor."""
+    gc_rows = [(lag - 1) * K + k for lag in range(1, p + 1) for k in sorted(cause_idx)]
+    tested = set(gc_rows)
+    return gc_rows, [j for j in range(K * p) if j not in tested]
+
+
+def _lm_test(
+    embed: LagEmbedding,
+    effect: int,
+    gc_rows: list[int],
+    control_rows: list[int],
+    robust: bool,
+) -> tuple[float, float, np.ndarray]:
+    """LM statistic, p-value and tested-block coefficients of the final
+    regression of the effect on the tested lags plus the selected controls."""
+    n = embed.n_cols
+    y = embed.Y[effect]
+    Z_gc = embed.Z[gc_rows]
+    dof = len(gc_rows)
+    if dof + len(control_rows) >= n:
+        raise GrangerError(
+            f"selected {len(control_rows)} controls plus {dof} tested regressors "
+            f"reach the sample size {n}; raise the penalty floor (grid ratio)"
+        )
+
+    # the tested block always enters the final regression, selected or not
+    X_full = np.vstack([Z_gc, embed.Z[control_rows]]) if control_rows else Z_gc
+    rank = np.linalg.matrix_rank(X_full)
+    if rank < X_full.shape[0]:
+        labels = embed.regressor_names()
+        bad = _name_collinear(X_full, [labels[j] for j in gc_rows + control_rows])
+        raise GrangerError(f"collinear regressors in final design: {bad}")
+
+    Xc = embed.Z[control_rows]
+    if control_rows:
+        beta_r, *_ = np.linalg.lstsq(Xc.T, y, rcond=None)
+        eps = y - beta_r @ Xc
+    else:
+        eps = y.copy()
+
+    beta_full, *_ = np.linalg.lstsq(X_full.T, y, rcond=None)
+    if robust:
+        lm = _robust_lm(eps, Z_gc, Xc)
+    else:
+        beta_aux, *_ = np.linalg.lstsq(X_full.T, eps, rcond=None)
+        resid_aux = eps - beta_aux @ X_full
+        tss = float(eps @ eps)
+        r2 = 0.0 if tss == 0.0 else 1.0 - float(resid_aux @ resid_aux) / tss
+        lm = n * r2
+    return float(lm), _chi2_sf(lm, dof), beta_full[:dof]
 
 
 def pds_granger(
@@ -126,7 +194,8 @@ def pds_granger(
 
     The panel is standardized internally. Selection runs twice: the effect on
     all non-block lag regressors, then each block lag regressor on the same
-    set, each with a BIC-tuned penalty. The union of regressors selected in
+    set, each with a BIC-tuned penalty (one ``_bic_select`` path of
+    1 + |causes| * p rows). The union of regressors selected in
     any stage conditions the final least-squares regression of the effect on
     block lags plus controls, and the block's joint nullity is scored by the
     auxiliary-regression LM statistic H * R^2 against chi-squared with one
@@ -138,81 +207,29 @@ def pds_granger(
         panel.index_of(name)  # raises with the offending name
     std_panel, _ = standardize(panel)
     embed = lag_embed(std_panel, spec.p)
+    effect = panel.index_of(spec.effect)
+    gc_rows, other_rows = _split_rows(
+        panel.n_series, spec.p, [panel.index_of(c) for c in spec.causes]
+    )
+    rows = np.vstack([embed.Y[effect: effect + 1], embed.Z[gc_rows]])
+    lams, support = _bic_select(rows, embed.Z[other_rows], cfg)
+    control_rows = [other_rows[j] for j in np.flatnonzero(support.any(axis=0))]
+    lm, p_value, gc_coef = _lm_test(embed, effect, gc_rows, control_rows, robust)
     labels = embed.regressor_names()
-    K = panel.n_series
-    n = embed.n_cols
-    y = embed.Y[panel.index_of(spec.effect)]
-
-    cause_idx = {panel.index_of(c) for c in spec.causes}
-    gc_rows = [
-        (lag - 1) * K + k for lag in range(1, spec.p + 1) for k in sorted(cause_idx)
-    ]
-    other_rows = [j for j in range(K * spec.p) if j not in set(gc_rows)]
-    Z_gc = embed.Z[gc_rows]
-    Z_other = embed.Z[other_rows]
-
-    lam_y, support_y, _ = _bic_select(y, Z_other, cfg)
-    union = support_y.copy()
-    lams_used = [lam_y]
-    for g in range(Z_gc.shape[0]):
-        lam_g, support_g, _ = _bic_select(Z_gc[g], Z_other, cfg)
-        union |= support_g
-        lams_used.append(lam_g)
-
-    control_rows = [other_rows[j] for j in np.flatnonzero(union)]
-    controls = [labels[j] for j in control_rows]
-    dof = len(spec.causes) * spec.p
-    if dof != Z_gc.shape[0]:
-        raise GrangerError(
-            f"tested block has {Z_gc.shape[0]} regressors, expected |causes| * p = {dof}"
-        )
-    if dof + len(control_rows) >= n:
-        raise GrangerError(
-            f"selected {len(control_rows)} controls plus {dof} tested regressors "
-            f"reach the sample size {n}; raise the penalty floor (grid ratio)"
-        )
-
-    # the tested block always enters the final regression, selected or not
-    X_full = np.vstack([Z_gc, embed.Z[control_rows]]) if control_rows else Z_gc
-    full_labels = [labels[j] for j in gc_rows] + controls
-    rank = np.linalg.matrix_rank(X_full)
-    if rank < X_full.shape[0]:
-        bad = _name_collinear(X_full, full_labels)
-        raise GrangerError(f"collinear regressors in final design: {bad}")
-
-    Xc = embed.Z[control_rows]
-    if control_rows:
-        beta_r, *_ = np.linalg.lstsq(Xc.T, y, rcond=None)
-        eps = y - beta_r @ Xc
-    else:
-        eps = y.copy()
-
-    beta_full, *_ = np.linalg.lstsq(X_full.T, y, rcond=None)
-    gc_coef = beta_full[:dof]
-
-    if robust:
-        lm, p_value = _robust_lm(eps, Z_gc, Xc, dof)
-    else:
-        beta_aux, *_ = np.linalg.lstsq(X_full.T, eps, rcond=None)
-        resid_aux = eps - beta_aux @ X_full
-        tss = float(eps @ eps)
-        r2 = 0.0 if tss == 0.0 else 1.0 - float(resid_aux @ resid_aux) / tss
-        lm = n * r2
-        p_value = float(sstats.chi2.sf(lm, dof))
     return GrangerResult(
         effect=spec.effect,
         causes=spec.causes,
-        lm_statistic=float(lm),
-        p_value=float(p_value),
-        dof=dof,
-        selected_controls=tuple(controls),
-        lambda_used=tuple(float(l) for l in lams_used),
+        lm_statistic=lm,
+        p_value=p_value,
+        dof=len(gc_rows),
+        selected_controls=tuple(labels[j] for j in control_rows),
+        lambda_used=tuple(float(l) for l in lams),
         gc_coefficients=gc_coef,
     )
 
 
-def _robust_lm(eps: np.ndarray, Z_gc: np.ndarray, Xc: np.ndarray, dof: int):
-    """Heteroskedasticity-robust score test: n - RSS from regressing 1 on
+def _robust_lm(eps: np.ndarray, Z_gc: np.ndarray, Xc: np.ndarray) -> float:
+    """Heteroskedasticity-robust score statistic: n - RSS from regressing 1 on
     the products of restricted residuals with the partialled-out tested block."""
     n = eps.shape[0]
     if Xc.shape[0] > 0:
@@ -224,8 +241,7 @@ def _robust_lm(eps: np.ndarray, Z_gc: np.ndarray, Xc: np.ndarray, dof: int):
     ones = np.ones(n)
     beta_w, *_ = np.linalg.lstsq(W.T, ones, rcond=None)
     resid = ones - beta_w @ W
-    lm = n - float(resid @ resid)
-    return lm, float(sstats.chi2.sf(lm, dof))
+    return n - float(resid @ resid)
 
 
 def granger_network(
@@ -235,44 +251,70 @@ def granger_network(
     cfg: LassoConfig | None = None,
     variables: tuple[str, ...] | None = None,
     robust: bool = False,
-    threads: int = 1,
 ) -> NetworkResult:
     """Run the pairwise test for every ordered (cause, effect) pair.
 
-    Each test conditions on the lags of all remaining panel variables. An
-    edge source -> target is emitted exactly when its p-value is below the
-    threshold; the full p-value matrix is always produced. Pairs whose test
-    errors are recorded and skipped without aborting the run.
+    Each test conditions on the lags of all remaining panel variables and is
+    ``pds_granger``'s test of that pair. The panel is standardized and
+    lag-embedded once. For a cause c, the selection
+    regressions of every effect and of the p lags of c all share the design
+    Z_other(c) (every lag but c's), so one BIC path per cause selects them
+    all: K paths instead of K (K - 1) (p + 1). Each pair then runs the final
+    LM test on its own controls.
+
+    An edge source -> target is emitted exactly when its p-value is below
+    the threshold; the full p-value matrix is always produced. Pairs whose
+    test errors are recorded in ``failures`` and skipped without aborting
+    the run; a selection error fails every pair of its cause, with one reason.
     """
     if not 0.0 <= threshold <= 1.0:
         raise GrangerError(f"threshold must be in [0, 1], got {threshold}")
+    if p < 1:
+        raise GrangerError(f"lag order must be >= 1, got {p}")
+    cfg = cfg or LassoConfig()
     names = tuple(variables) if variables is not None else panel.names
     for name in names:
         panel.index_of(name)
-    pairs = [(src, dst) for dst in names for src in names if src != dst]
+    std_panel, _ = standardize(panel)
+    embed = lag_embed(std_panel, p)
 
-    def run_pair(pair):
-        src, dst = pair
+    outcome: dict[tuple[str, str], tuple[float, str | None]] = {}
+    for src in names:
+        effects = [dst for dst in names if dst != src]
+        effect_idx = [panel.index_of(dst) for dst in effects]
+        gc_rows, other_rows = _split_rows(panel.n_series, p, [panel.index_of(src)])
+        rows = np.vstack([embed.Y[effect_idx], embed.Z[gc_rows]])
         try:
-            res = pds_granger(panel, GrangerSpec(effect=dst, causes=(src,), p=p), cfg, robust)
-            return res.p_value, None
+            _, support = _bic_select(rows, embed.Z[other_rows], cfg)
         except (GrangerError, np.linalg.LinAlgError) as exc:
-            return float("nan"), str(exc)
-
-    results = parallel_map(run_pair, pairs, threads)
+            outcome.update({(src, dst): (float("nan"), str(exc)) for dst in effects})
+            continue
+        lag_support = support[len(effects):].any(axis=0)
+        for i, dst in enumerate(effects):
+            union = support[i] | lag_support
+            control_rows = [other_rows[j] for j in np.flatnonzero(union)]
+            try:
+                _, p_value, _ = _lm_test(embed, effect_idx[i], gc_rows, control_rows, robust)
+                outcome[src, dst] = p_value, None
+            except (GrangerError, np.linalg.LinAlgError) as exc:
+                outcome[src, dst] = float("nan"), str(exc)
 
     index = {name: i for i, name in enumerate(names)}
     p_matrix = np.full((len(names), len(names)), np.nan)
     edges: list[CausalEdge] = []
     failures: list[tuple[str, str, str]] = []
-    for (src, dst), (p_value, err) in zip(pairs, results):
-        if err is not None:
-            log.warning("pair %s -> %s skipped: %s", src, dst, err)
-            failures.append((src, dst, err))
-            continue
-        p_matrix[index[dst], index[src]] = p_value
-        if p_value < threshold:
-            edges.append(CausalEdge(source=src, target=dst, p_value=p_value))
+    for dst in names:
+        for src in names:
+            if src == dst:
+                continue
+            p_value, err = outcome[src, dst]
+            if err is not None:
+                log.warning("pair %s -> %s skipped: %s", src, dst, err)
+                failures.append((src, dst, err))
+                continue
+            p_matrix[index[dst], index[src]] = p_value
+            if p_value < threshold:
+                edges.append(CausalEdge(source=src, target=dst, p_value=p_value))
     # the edge list is exactly the sub-threshold subset of the matrix
     below = {(names[j], names[i]) for i, j in np.argwhere(p_matrix < threshold)}
     listed = {(e.source, e.target) for e in edges}
@@ -310,6 +352,14 @@ def write_matrix_csv(net: NetworkResult, path) -> None:
                 v = net.p_matrix[i, j]
                 row.append("NA" if np.isnan(v) else "%.17g" % v)
             writer.writerow(row)
+
+
+def write_failures_csv(net: NetworkResult, path) -> None:
+    """``from,to,reason`` rows for every skipped pair; only the header if none."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["from", "to", "reason"])
+        writer.writerows(net.failures)
 
 
 def write_network_dot(net: NetworkResult, path) -> None:

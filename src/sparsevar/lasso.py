@@ -273,7 +273,7 @@ def _cd_gram(
     G: np.ndarray,
     C: np.ndarray,
     yy: float,
-    lam: float,
+    lam: float | np.ndarray,
     tol: float,
     max_sweeps: int,
     A: np.ndarray,
@@ -282,8 +282,10 @@ def _cd_gram(
 
     G = Z Z^T / N, C = Y Z^T / N and yy = ||Y||_F^2 / N carry everything the
     residual form reads from the samples, so a sweep costs O(K m^2) whatever
-    N is. Coordinate order, update, threshold and stopping rule are those of
-    ``_cd_solve``. Returns (sweeps, converged).
+    N is. lam is one penalty for every row or a vector of one per row.
+    Coordinate order, update, threshold and stopping rule are those of
+    ``_cd_solve``; the rule is joint, so every row sweeps until the largest
+    change over all rows is below tol. Returns (sweeps, converged).
     """
     m = G.shape[0]
     diag = np.diagonal(G)
@@ -303,9 +305,8 @@ def _cd_gram(
                 A[:, j] = new
                 if change > max_change:
                     max_change = change
-        obj = float(
-            yy - 2.0 * np.sum(A * C) + np.sum((A @ G) * A) + lam * np.sum(np.abs(A))
-        )
+        l1 = lam * np.sum(np.abs(A)) if np.ndim(lam) == 0 else lam @ np.sum(np.abs(A), axis=1)
+        obj = float(yy - 2.0 * np.sum(A * C) + np.sum((A @ G) * A) + l1)
         _check_descent(sweep, prev_obj, obj)
         prev_obj = obj
         if max_change < tol:
@@ -333,24 +334,39 @@ def lasso_path(
     Z: np.ndarray,
     lams: np.ndarray,
     cfg: LassoConfig,
-) -> Iterator[tuple[float, np.ndarray, bool, int]]:
+) -> Iterator[tuple[float | np.ndarray, np.ndarray, bool, int]]:
     """Warm-started fits along a descending penalty sequence.
+
+    ``lams`` is either one sequence shared by every row of Y, or an
+    (n_points, R) grid whose column r is row r's own sequence, typically
+    from row r's own ``lambda_max``; each yielded penalty is then the
+    length-R row of the grid. Rows are separate regressions on the shared Z
+    and run in one sweep; the stopping rule is joint, so ``converged`` and
+    ``sweeps`` describe all rows together.
 
     The sample moments are formed once, on the first step; every penalty then
     runs in covariance form. C is built one column at a time as Y @ Z[j] / N,
     the same product the residual form takes on its first visit to j, so
-    near-ties at the top of the grid resolve as they do in ``_cd_solve``.
+    near-ties at the top of the grid resolve as they do in ``_cd_solve``. With
+    a per-row grid C is also built one row at a time, as Y[r:r+1] @ Z[j] / N:
+    a product over all rows rounds some entries differently from row r's own
+    path and its own ``lambda_max``, which moves which coefficient enters at
+    the top of the grid.
     """
-    n = Y.shape[1]
+    lams = np.asarray(lams, dtype=float)
+    R, n = Y.shape
+    rows = [slice(r, r + 1) for r in range(R)] if lams.ndim == 2 else [slice(None)]
     G = Z @ Z.T / n
-    C = np.empty((Y.shape[0], Z.shape[0]))
+    C = np.empty((R, Z.shape[0]))
     for j in range(Z.shape[0]):
-        C[:, j] = (Y @ Z[j]) / n
+        for rs in rows:
+            C[rs, j] = (Y[rs] @ Z[j]) / n
     yy = float(np.sum(Y * Y)) / n
     A = np.zeros_like(C)
     for lam in lams:
-        sweeps, converged = _cd_gram(G, C, yy, float(lam), cfg.tol, cfg.max_sweeps, A)
-        yield float(lam), A.copy(), converged, sweeps
+        lam = lam if lam.ndim else float(lam)
+        sweeps, converged = _cd_gram(G, C, yy, lam, cfg.tol, cfg.max_sweeps, A)
+        yield lam, A.copy(), converged, sweeps
 
 
 def fit_lasso_var(
