@@ -1,72 +1,50 @@
 """Sparse VAR toolkit: panels, LASSO estimation, walk-forward tuning,
-recursive forecasting, forecast evaluation and Granger-causality networks."""
+recursive forecasting, forecast evaluation and Granger-causality networks.
 
-from sparsevar.panel import (
-    LagEmbedding,
-    PanelError,
-    StandardizationStats,
-    SummaryReport,
-    TimePanel,
-    destandardize,
-    lag_embed,
-    log_returns,
-    standardize,
-    summary_stats,
-)
-from sparsevar.lasso import (
-    LassoConfig,
-    LassoError,
-    LassoGrid,
-    VarModel,
-    bic_score,
-    fit_fgls_lasso_var,
-    fit_lasso_var,
-    fit_panel_var,
-    kkt_violation,
-    soft_threshold,
-)
-from sparsevar.cv import WalkForwardPlan, make_splits, select_lambda
-from sparsevar.forecasting import ForecastSet, iterate_forecast, recursive_exercise
-from sparsevar.evaluation import epa_test, evaluate_forecasts, mda, rmse, star_marks
-from sparsevar.granger import GrangerSpec, granger_network, pds_granger
-from sparsevar.synthetic import SyntheticSpec, make_sparse_var, simulate
+The names below are loaded on first use (PEP 562), so importing one module,
+say ``sparsevar.synthetic``, loads that module's own dependencies only.
+"""
 
-__all__ = [
-    "TimePanel",
-    "PanelError",
-    "StandardizationStats",
-    "LagEmbedding",
-    "SummaryReport",
-    "log_returns",
-    "standardize",
-    "destandardize",
-    "lag_embed",
-    "summary_stats",
-    "LassoConfig",
-    "LassoGrid",
-    "LassoError",
-    "VarModel",
-    "soft_threshold",
-    "fit_lasso_var",
-    "fit_fgls_lasso_var",
-    "fit_panel_var",
-    "kkt_violation",
-    "bic_score",
-    "WalkForwardPlan",
-    "make_splits",
-    "select_lambda",
-    "ForecastSet",
-    "iterate_forecast",
-    "recursive_exercise",
-    "rmse",
-    "mda",
-    "epa_test",
-    "star_marks",
-    "evaluate_forecasts",
-    "GrangerSpec",
-    "pds_granger",
-    "granger_network",
-    "SyntheticSpec",
-    "make_sparse_var",
-    "simulate",
-]
+import importlib
+
+_EXPORTS = {
+    "panel": (
+        "TimePanel",
+        "PanelError",
+        "StandardizationStats",
+        "LagEmbedding",
+        "SummaryReport",
+        "log_returns",
+        "standardize",
+        "destandardize",
+        "lag_embed",
+        "summary_stats",
+    ),
+    "lasso": (
+        "LassoConfig",
+        "LassoGrid",
+        "LassoError",
+        "VarModel",
+        "soft_threshold",
+        "fit_lasso_var",
+        "fit_fgls_lasso_var",
+        "fit_panel_var",
+        "kkt_violation",
+        "bic_score",
+    ),
+    "cv": ("WalkForwardPlan", "make_splits", "select_lambda"),
+    "forecasting": ("ForecastSet", "iterate_forecast", "recursive_exercise"),
+    "evaluation": ("rmse", "mda", "epa_test", "star_marks", "evaluate_forecasts"),
+    "granger": ("GrangerSpec", "pds_granger", "granger_network"),
+    "synthetic": ("SyntheticSpec", "make_sparse_var", "simulate"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module 'sparsevar' has no attribute {name!r}")
+    return getattr(importlib.import_module(f"sparsevar.{module}"), name)

@@ -107,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--panel", help="input panel CSV")
     sp.add_argument("--refit-policy", choices=["first", "per_origin"],
                     help="when to re-select the penalty")
-    sp.add_argument("--threads", type=int, help="worker cap; output is identical for any value")
 
     sp = common(sub.add_parser("evaluate", help="score forecast files"))
     sp.add_argument("--forecast", action="append", default=[], metavar="NAME=PATH",
@@ -125,16 +124,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args: argparse.Namespace) -> dict:
-    """Flat config dict: file values first, then any flag explicitly set."""
+    """Flat config dict: file values first, then any flag explicitly set.
+
+    The file's keys must be option names of the subcommand (``lam`` for
+    ``--lambda``, ``max_sweeps`` for ``--max-sweeps``); any other key is an error.
+    """
     merged: dict = {}
     if args.config:
         if not os.path.exists(args.config):
             raise ConfigError([f"config file not found: {args.config}"])
         with open(args.config, encoding="utf-8") as fh:
             try:
-                merged.update(json.load(fh))
+                loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError([f"config file is not valid JSON: {exc}"]) from None
+        if not isinstance(loaded, dict):
+            raise ConfigError(["config file must hold one JSON object"])
+        unknown = sorted(set(loaded) - (set(vars(args)) - {"config", "command"}))
+        if unknown:
+            raise ConfigError(
+                [f"config key {key!r} is not an option of {args.command}" for key in unknown]
+            )
+        merged.update(loaded)
     for key, value in vars(args).items():
         if key in ("config", "command"):
             continue
@@ -293,6 +304,11 @@ def cmd_cv(cfg: dict) -> None:
     _require(cfg, ["panel", "lag"], errors)
     _validate_paths(cfg, ["panel"], errors)
     lcfg = _lasso_config(cfg, errors)
+    estimator = cfg.get("estimator", "lasso")
+    if estimator not in ("lasso", "fgls-lasso"):
+        errors.append(
+            f"--estimator {estimator!r}: cv selects the penalty of lasso or fgls-lasso"
+        )
     if errors:
         raise ConfigError(errors)
     pnl = panel.read_panel_csv(cfg["panel"])
@@ -301,9 +317,7 @@ def cmd_cv(cfg: dict) -> None:
     plan = _plan(cfg, pnl.n_obs, p, plan_errors)
     if plan_errors:
         raise ConfigError(plan_errors)
-    estimator = cfg.get("estimator", "lasso")
-    cv_estimator = "fgls" if estimator == "fgls-lasso" else "lasso"
-    _, report = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=cv_estimator)
+    _, report = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=estimator)
     cv_mod.write_cv_report_csv(report, os.path.join(out, "cv_report.csv"))
 
 
@@ -323,8 +337,7 @@ def cmd_fit(cfg: dict) -> None:
         plan = _plan(cfg, pnl.n_obs, p, plan_errors)
         if plan_errors:
             raise ConfigError(plan_errors)
-        cv_estimator = "fgls" if estimator == "fgls-lasso" else "lasso"
-        lam, _ = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=cv_estimator)
+        lam, _ = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=estimator)
         lcfg = dc_replace(lcfg, lam=lam)
     model = lasso.fit_panel_var(pnl, p, lcfg, estimator)
     with open(os.path.join(out, "model.json"), "w", encoding="utf-8") as fh:
@@ -367,7 +380,6 @@ def cmd_forecast(cfg: dict) -> None:
         H=H,
         plan=plan,
         refit_policy=cfg.get("refit_policy", "first"),
-        threads=int(cfg.get("threads", 1)),
     )
     forecasting.write_forecast_csv(fs, os.path.join(out, "forecasts.csv"))
 

@@ -9,16 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsevar.lasso import (
-    LassoConfig,
-    LassoError,
-    lambda_grid,
-    lambda_max,
-    lasso_path,
-    prais_winsten,
-    _cd_solve,
-)
-from sparsevar.panel import PanelError, TimePanel, lag_embed, standardize
+from sparsevar.lasso import LassoConfig, _fgls_refit, lambda_grid, lambda_max, lasso_path
+from sparsevar.panel import TimePanel, lag_embed, standardize
 
 log = logging.getLogger("sparsevar.cv")
 
@@ -72,19 +64,6 @@ def make_splits(T: int, plan: WalkForwardPlan) -> list[tuple[range, range]]:
     return splits
 
 
-def _one_step_predictions(values_std, A, p, val_range):
-    """Standardized 1-step forecasts A @ z_t for every t in val_range.
-
-    z_t stacks the p rows before t, lag-1 first, from already-standardized data.
-    """
-    K = values_std.shape[1]
-    Z = np.empty((K * p, len(val_range)))
-    for col, t in enumerate(val_range):
-        for lag in range(1, p + 1):
-            Z[(lag - 1) * K: lag * K, col] = values_std[t - lag]
-    return A @ Z
-
-
 def select_lambda(
     panel: TimePanel,
     p: int,
@@ -100,8 +79,10 @@ def select_lambda(
     summed over all series, averaged over validation points, in the panel's
     original units. Ties break toward the larger (sparser) penalty. Penalties
     whose fit fails to converge in any fold are excluded with a warning.
+    estimator is "lasso" or "fgls-lasso"; the latter scores each path point
+    after its FGLS stage 2, the refit ``fit_fgls_lasso_var`` makes.
     """
-    if estimator not in ("lasso", "fgls", "fgls-lasso"):
+    if estimator not in ("lasso", "fgls-lasso"):
         raise CvError(f"unknown estimator {estimator!r}")
     if plan.min_train <= p:
         raise CvError(f"min_train = {plan.min_train} must exceed lag order p = {p}")
@@ -129,23 +110,20 @@ def select_lambda(
                 f"fold {fold}: standardized {stats.n_series} series, panel has {panel.n_series}"
             )
         embed = lag_embed(std_train, p)
-        # all panel rows in training units; only rows < val.stop are touched,
-        # and predictions for index t use rows t-p .. t-1 only
-        values_std = stats.transform(panel.values)
+        # validation design in training units: rows val.start - p .. val.stop - 1,
+        # so the prediction for t uses rows t-p .. t-1 only
+        window = panel.slice_rows(val.start - p, val.stop)
+        window = TimePanel(window.dates, window.names, stats.transform(window.values))
+        val_Z = lag_embed(window, p).Z
         actual = panel.values[val.start: val.stop]
-        if estimator == "lasso":
-            for i, (lam, A, converged, _) in enumerate(lasso_path(embed.Y, embed.Z, lams, cfg)):
-                if not converged:
-                    nonconverged[i] = True
-                    continue
-                preds_std = _one_step_predictions(values_std, A, p, val)
-                preds = stats.inverse(preds_std.T)
-                err = preds - actual
-                losses[i, fold] = float(np.mean(np.sum(err * err, axis=1)))
-        else:
-            losses[:, fold] = _fgls_fold_losses(
-                embed, lams, cfg, stats, values_std, val, actual, nonconverged
-            )
+        for i, (lam, A, converged, _) in enumerate(lasso_path(embed.Y, embed.Z, lams, cfg)):
+            if converged and estimator == "fgls-lasso":
+                A, _, _, converged, _ = _fgls_refit(embed.Y, embed.Z, A, lam, cfg)
+            if not converged:
+                nonconverged[i] = True
+                continue
+            err = stats.inverse((A @ val_Z).T) - actual
+            losses[i, fold] = float(np.mean(np.sum(err * err, axis=1)))
 
     excluded = [float(lams[i]) for i in range(len(lams)) if nonconverged[i]]
     for lam in excluded:
@@ -171,37 +149,6 @@ def select_lambda(
         excluded=tuple(excluded),
     )
     return lambda_star, report
-
-
-def _fgls_fold_losses(embed, lams, cfg, stats, values_std, val, actual, nonconverged):
-    """Validation losses for the FGLS estimator along the penalty path."""
-    Y, Z = embed.Y, embed.Z
-    K, n = Y.shape
-    out = np.full(len(lams), np.nan)
-    for i, (lam, A1, conv1, _) in enumerate(lasso_path(Y, Z, lams, cfg)):
-        if not conv1:
-            nonconverged[i] = True
-            continue
-        resid = Y - A1 @ Z
-        A = np.empty_like(A1)
-        converged = True
-        for k in range(K):
-            u = resid[k] - resid[k].mean()
-            denom = float(u @ u)
-            rho = 0.0 if denom == 0.0 else float(np.clip(u[1:] @ u[:-1] / denom, -0.99, 0.99))
-            yw = prais_winsten(Y[k: k + 1], rho)
-            Zw = prais_winsten(Z, rho)
-            row, _, conv, _ = _cd_solve(yw, Zw, lam, cfg.tol, cfg.max_sweeps, A1[k: k + 1].copy())
-            A[k] = row[0]
-            converged = converged and conv
-        if not converged:
-            nonconverged[i] = True
-            continue
-        preds_std = _one_step_predictions(values_std, A, embed.p, val)
-        preds = stats.inverse(preds_std.T)
-        err = preds - actual
-        out[i] = float(np.mean(np.sum(err * err, axis=1)))
-    return out
 
 
 def write_cv_report_csv(report: CvReport, path) -> None:

@@ -11,8 +11,7 @@ import numpy as np
 
 from sparsevar.cv import WalkForwardPlan, select_lambda
 from sparsevar.lasso import LassoConfig, VarModel, fit_panel_var
-from sparsevar.panel import PanelError, TimePanel
-from sparsevar.parallel import parallel_map
+from sparsevar.panel import PanelError, TimePanel, stack_state
 
 
 class ForecastError(ValueError):
@@ -44,11 +43,6 @@ class ForecastSet:
                 f"values/actuals shape must be {shape}, got "
                 f"{self.values.shape}/{self.actuals.shape}"
             )
-
-
-def stack_state(history: np.ndarray) -> np.ndarray:
-    """Stack the last p observations (rows oldest-first) into z = [y_t; ...; y_{t-p+1}]."""
-    return np.concatenate(history[::-1], axis=0)
 
 
 def iterate_forecast(
@@ -98,7 +92,6 @@ def recursive_exercise(
     plan: WalkForwardPlan | None = None,
     refit_policy: str = "first",
     allow_nonconverged: bool = False,
-    threads: int = 1,
 ) -> ForecastSet:
     """Expanding-window forecast exercise.
 
@@ -124,50 +117,38 @@ def recursive_exercise(
             f"insufficient history at {start_origin}: {i0 + 1} rows, "
             f"need >= {p + min_train}"
         )
-    cv_estimator = "fgls" if estimator == "fgls-lasso" else "lasso"
 
     lam_first = None
     if plan is not None and refit_policy == "first" and estimator != "ols":
         lam_first, _ = select_lambda(
-            panel.slice_rows(0, i0 + 1), p, cfg, plan, estimator=cv_estimator
+            panel.slice_rows(0, i0 + 1), p, cfg, plan, estimator=estimator
         )
 
-    positions = list(range(i0, i1 + 1))
-
-    def run_origin(idx: int):
-        train = panel.slice_rows(0, idx + 1)
-        if estimator == "ols":
-            local_cfg = cfg
-        elif plan is not None and refit_policy == "per_origin":
-            lam, _ = select_lambda(train, p, cfg, plan, estimator=cv_estimator)
-            local_cfg = dc_replace(cfg, lam=lam)
-        elif lam_first is not None:
-            local_cfg = dc_replace(cfg, lam=lam_first)
-        else:
-            local_cfg = cfg
-        model = fit_panel_var(train, p, local_cfg, estimator)
-        history = train.values[-p:]
-        preds = iterate_forecast(model, history, H)
-        return model.converged, preds
-
-    results = parallel_map(run_origin, positions, threads)
-
+    positions = range(i0, i1 + 1)
     K = panel.n_series
-    n_origins = len(positions)
-    values = np.empty((n_origins, H, K))
-    actuals = np.full((n_origins, H, K), np.nan)
+    values = np.empty((len(positions), H, K))
+    actuals = np.full((len(positions), H, K), np.nan)
     target_dates: list[tuple[date, ...]] = []
     nonconverged: list[date] = []
     last_date = panel.dates[-1]
-    for o, (idx, (converged, preds)) in enumerate(zip(positions, results)):
-        if not converged:
+    for o, idx in enumerate(positions):
+        train = panel.slice_rows(0, idx + 1)
+        local_cfg = cfg
+        if estimator != "ols":
+            if plan is not None and refit_policy == "per_origin":
+                lam, _ = select_lambda(train, p, cfg, plan, estimator=estimator)
+                local_cfg = dc_replace(cfg, lam=lam)
+            elif lam_first is not None:
+                local_cfg = dc_replace(cfg, lam=lam_first)
+        model = fit_panel_var(train, p, local_cfg, estimator)
+        if not model.converged:
             if not allow_nonconverged:
                 raise ForecastError(
                     f"fit did not converge at origin {panel.dates[idx]}; "
                     "pass allow_nonconverged=True to keep going"
                 )
             nonconverged.append(panel.dates[idx])
-        values[o] = preds
+        values[o] = iterate_forecast(model, train.values[-p:], H)
         dates_o = []
         for h in range(1, H + 1):
             t = idx + h

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsevar.lasso import LassoConfig, lambda_grid, lambda_max, lasso_path
+from sparsevar.lasso import LassoConfig, _bic, lambda_grid, lambda_max, lasso_path
 from sparsevar.panel import LagEmbedding, TimePanel, lag_embed, standardize
 
 log = logging.getLogger("sparsevar.granger")
@@ -101,8 +101,7 @@ def _bic_select(Y: np.ndarray, X: np.ndarray, cfg: LassoConfig) -> tuple[np.ndar
             continue
         resid = Y_live - A @ X
         rss = np.einsum("rn,rn->r", resid, resid)
-        with np.errstate(divide="ignore"):
-            bic = n * np.log(rss / n) + np.count_nonzero(A, axis=1) * np.log(n)
+        bic = _bic(rss, np.count_nonzero(A, axis=1), n)
         better = bic < best
         best[better] = bic[better]
         lams[live[better]] = lam[better]

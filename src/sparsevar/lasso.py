@@ -424,6 +424,39 @@ def prais_winsten(M: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
+def _fgls_refit(
+    Y: np.ndarray,
+    Z: np.ndarray,
+    A1: np.ndarray,
+    lam: float,
+    cfg: LassoConfig,
+) -> tuple[np.ndarray, np.ndarray, int, bool, list[float]]:
+    """FGLS stage 2 from stage-1 coefficients A1 at penalty lam.
+
+    Each equation's rho is the lag-1 autocorrelation of its stage-1 residuals
+    (clipped to |rho| <= 0.99); its target and regressors are Prais-Winsten
+    quasi-differenced and the penalty re-applied, warm-started from A1.
+    Returns (A, rho, sweeps, converged, history) of the K whitened solves:
+    the most sweeps any took, whether all converged, and their objectives.
+    """
+    K = Y.shape[0]
+    resid = Y - A1 @ Z
+    rho = np.clip([_lag1_autocorr(resid[k]) for k in range(K)], -0.99, 0.99)
+    A = np.empty_like(A1)
+    sweeps = 0
+    converged = True
+    history: list[float] = []
+    for k in range(K):
+        yw = prais_winsten(Y[k: k + 1], rho[k])
+        Zw = prais_winsten(Z, rho[k])
+        row, sw, conv, hist = _cd_solve(yw, Zw, lam, cfg.tol, cfg.max_sweeps, A1[k: k + 1].copy())
+        A[k] = row[0]
+        sweeps = max(sweeps, sw)
+        converged = converged and conv
+        history.extend(hist)
+    return A, rho, sweeps, converged, history
+
+
 def fit_fgls_lasso_var(
     embed: LagEmbedding,
     cfg: LassoConfig,
@@ -431,32 +464,16 @@ def fit_fgls_lasso_var(
 ) -> VarModel:
     """Two-stage fit allowing AR(1) serial correlation in the errors.
 
-    Stage 1 is the homoskedastic fit; each equation's rho is the lag-1
-    autocorrelation of its stage-1 residuals (clipped to |rho| <= 0.99), the
-    Toeplitz AR(1) structure is removed by a Prais-Winsten quasi-difference of
-    that equation's target and regressors, and the penalty is re-applied on
-    the whitened data. Coefficients map original regressors to original
-    targets throughout.
+    Stage 1 is the homoskedastic fit; stage 2 (``_fgls_refit``) removes each
+    equation's Toeplitz AR(1) structure by a Prais-Winsten quasi-difference
+    and re-applies the penalty on the whitened data. Coefficients map
+    original regressors to original targets throughout.
     """
     stage1 = fit_lasso_var(embed, cfg, stats=stats)
     Y, Z = embed.Y, embed.Z
     K, n = Y.shape
-    resid = Y - stage1.A @ Z
-    rho = np.clip([_lag1_autocorr(resid[k]) for k in range(K)], -0.99, 0.99)
-    A = np.empty_like(stage1.A)
-    sweeps = stage1.sweeps
-    converged = stage1.converged
-    history = list(stage1.objective_history)
-    for k in range(K):
-        yw = prais_winsten(Y[k: k + 1], rho[k])
-        Zw = prais_winsten(Z, rho[k])
-        row, sw, conv, hist = _cd_solve(
-            yw, Zw, cfg.lam, cfg.tol, cfg.max_sweeps, stage1.A[k: k + 1].copy()
-        )
-        A[k] = row[0]
-        sweeps = max(sweeps, sw)
-        converged = converged and conv
-        history.extend(hist)
+    A, rho, sweeps, converged, history = _fgls_refit(Y, Z, stage1.A, cfg.lam, cfg)
+    converged = stage1.converged and converged
     if not converged:
         log.warning("FGLS refit hit max_sweeps=%d at lambda=%g", cfg.max_sweeps, cfg.lam)
     resid = Y - A @ Z
@@ -468,13 +485,13 @@ def fit_fgls_lasso_var(
         names=names,
         A=A,
         sigma_u=sigma_u,
-        rho=np.asarray(rho),
+        rho=rho,
         stats=stats,
         lam=cfg.lam,
-        sweeps=sweeps,
+        sweeps=max(stage1.sweeps, sweeps),
         converged=converged,
         estimator="fgls-lasso",
-        objective_history=tuple(history),
+        objective_history=stage1.objective_history + tuple(history),
     )
 
 
@@ -505,6 +522,12 @@ def kkt_violation(model: VarModel, embed: LagEmbedding, lam: float | None = None
     return worst
 
 
+def _bic(rss: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
+    """Single-equation BIC n ln(RSS / n) + s ln(n); RSS = 0 gives -inf."""
+    with np.errstate(divide="ignore"):
+        return n * np.log(rss / n) + s * np.log(n)
+
+
 def bic_score(model: VarModel, embed: LagEmbedding) -> BicScore:
     """Per-equation N ln(RSS_k / N) + s_k ln(N) and the total across equations.
 
@@ -514,16 +537,10 @@ def bic_score(model: VarModel, embed: LagEmbedding) -> BicScore:
     Y, Z = embed.Y, embed.Z
     if model.A.shape != (Y.shape[0], Z.shape[0]):
         raise LassoError("model does not match embedding dimensions")
-    n = Y.shape[1]
     resid = Y - model.A @ Z
     rss = np.einsum("kn,kn->k", resid, resid)
-    s = np.count_nonzero(model.A, axis=1)
     noiseless = rss == 0.0
-    per_eq = np.empty(Y.shape[0])
-    with np.errstate(divide="ignore"):
-        per_eq[:] = n * np.log(rss / n, where=~noiseless, out=np.full_like(per_eq, -np.inf))
-    per_eq = per_eq + s * np.log(n)
-    per_eq[noiseless] = -np.inf
+    per_eq = _bic(rss, np.count_nonzero(model.A, axis=1), Y.shape[1])
     total = float(per_eq.sum()) if not noiseless.any() else float("-inf")
     return BicScore(per_equation=per_eq, total=total, noiseless=noiseless)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -69,13 +70,7 @@ class TimePanel:
 
     def position(self, d: date) -> int:
         # dates are sorted; binary search keeps lookups cheap on long panels
-        lo, hi = 0, len(self.dates)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.dates[mid] < d:
-                lo = mid + 1
-            else:
-                hi = mid
+        lo = bisect_left(self.dates, d)
         if lo < len(self.dates) and self.dates[lo] == d:
             return lo
         raise PanelError(f"date {d} not in panel")
@@ -222,6 +217,12 @@ def lag_embed(panel: TimePanel, p: int) -> LagEmbedding:
     Y.setflags(write=False)
     Z.setflags(write=False)
     return LagEmbedding(Y=Y, Z=Z, p=p, names=panel.names, target_dates=panel.dates[p:])
+
+
+def stack_state(history: np.ndarray) -> np.ndarray:
+    """Stack the last p observations (rows oldest-first) into z = [y_t; ...; y_{t-p+1}],
+    the layout of one column of ``lag_embed``'s Z."""
+    return np.concatenate(history[::-1], axis=0)
 
 
 def adf_stat(y: np.ndarray, lags: int = 1, constant: bool = True) -> float:

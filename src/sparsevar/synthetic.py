@@ -8,8 +8,7 @@ from datetime import date, timedelta
 
 import numpy as np
 
-from sparsevar.forecasting import stack_state
-from sparsevar.panel import TimePanel
+from sparsevar.panel import TimePanel, stack_state
 
 
 class SyntheticError(ValueError):

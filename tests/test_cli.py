@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -24,13 +25,93 @@ def test_import_does_not_load_scipy(module):
     assert done.stdout.strip() == "[]"
 
 
-def test_threads_is_a_forecast_option_only():
-    parser = build_parser()
-    assert parser.parse_args(["forecast", "--threads", "2"]).threads == 2
-    for command in ("granger", "cv", "fit", "simulate"):
+def test_synthetic_does_not_load_the_estimation_stack():
+    code = ("import importlib.util, sys, sparsevar.synthetic; "
+            "print(sorted(m for m in ('sparsevar.forecasting', 'sparsevar.cv', "
+            "'sparsevar.lasso') if m in sys.modules), "
+            "importlib.util.find_spec('sparsevar.parallel'))")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[] None"
+
+
+def test_package_names_load_on_first_use():
+    import sparsevar
+    from sparsevar import cv, simulate, synthetic
+
+    assert simulate is synthetic.simulate
+    assert sparsevar.select_lambda is cv.select_lambda
+    with pytest.raises(AttributeError):
+        sparsevar.parallel_map
+
+
+def config_messages(capsys, argv):
+    assert main(argv) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    return err["messages"]
+
+
+@pytest.fixture
+def panel_csv(tmp_path):
+    spec = SyntheticSpec(k=2, p=1, t=120,
+                         recipe=SparseRecipe(density=0.5, magnitude=0.3, seed=3), seed=3)
+    path = tmp_path / "panel.csv"
+    write_panel_csv(simulate(spec)[0], path)
+    return str(path)
+
+
+class TestConfigErrors:
+    def test_cv_rejects_ols_with_the_other_problems(self, tmp_path, capsys):
+        messages = config_messages(capsys, ["cv", "--estimator", "ols",
+                                            "--out", str(tmp_path / "out")])
+        assert any("--estimator 'ols'" in m for m in messages)
+        assert any("missing required option --panel" in m for m in messages)
+        assert not (tmp_path / "out" / "cv_report.csv").exists()
+
+    def test_cv_rejects_unknown_estimator_from_config(self, tmp_path, capsys, panel_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"estimator": "fgls"}))
+        messages = config_messages(capsys, ["cv", "--config", str(config), "--panel", panel_csv,
+                                            "--lag", "1", "--out", str(tmp_path / "out")])
+        assert messages == ["--estimator 'fgls': cv selects the penalty of lasso or fgls-lasso"]
+
+    def test_unknown_config_key_is_named(self, tmp_path, capsys, panel_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lamda": 0.1, "lag": 1, "seeed": 3}))
+        messages = config_messages(capsys, ["cv", "--config", str(config), "--panel", panel_csv,
+                                            "--out", str(tmp_path / "out")])
+        assert messages == ["config key 'lamda' is not an option of cv",
+                            "config key 'seeed' is not an option of cv"]
+        assert not (tmp_path / "out").exists()
+
+    def test_threads_is_no_longer_an_option(self, tmp_path, capsys, panel_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threads": 2}))
+        messages = config_messages(capsys, [
+            "forecast", "--config", str(config), "--panel", panel_csv, "--lag", "1",
+            "--estimator", "ols", "--origins", "2018-04-01:2018-04-05",
+            "--out", str(tmp_path / "out")])
+        assert messages == ["config key 'threads' is not an option of forecast"]
         with pytest.raises(SystemExit) as exc:
-            parser.parse_args([command, "--threads", "2"])
+            build_parser().parse_args(["forecast", "--threads", "2"])
         assert exc.value.code == 2
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([["lam", 0.1]]))
+        assert config_messages(capsys, ["cv", "--config", str(config)]) == [
+            "config file must hold one JSON object"]
+
+    def test_known_config_keys_are_used(self, tmp_path, panel_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lag": 1, "lam": 0.05, "estimator": "lasso"}))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(config), "--panel", panel_csv,
+                     "--out", str(out)]) == 0
+        model = json.loads((out / "model.json").read_text())
+        assert model["p"] == 1 and model["solver"]["lambda"] == 0.05
 
 
 def read_csv(path):

@@ -145,7 +145,7 @@ class TestSelectLambda:
         pnl, _ = sparse_panel(7, t=400)
         plan = WalkForwardPlan(n_splits=2, test_size=40, min_train=200)
         cfg = LassoConfig(tol=1e-6, grid=LassoGrid(n_points=15))
-        lam, report = select_lambda(pnl, 1, cfg, plan, estimator="fgls")
+        lam, report = select_lambda(pnl, 1, cfg, plan, estimator="fgls-lasso")
         assert lam in report.lams
         assert np.isfinite(report.mean_loss[np.where(report.lams == lam)][0])
 
@@ -159,6 +159,56 @@ class TestSelectLambda:
         lam, report = select_lambda(pnl, 1, cfg, plan)
         ties = report.mean_loss == report.mean_loss[np.where(report.lams == lam)][0]
         assert lam == report.lams[ties].max()
+
+
+def ar1_panel():
+    spec = SyntheticSpec(
+        k=3, p=1, t=260,
+        recipe=SparseRecipe(density=0.4, magnitude=0.35, seed=11),
+        error="ar1", rho=0.5, seed=11,
+    )
+    return simulate(spec)[0]
+
+
+GOLDEN_LAMS = [
+    1.622276907881733, 0.6458400696510732, 0.2571135627588623,
+    0.1023587529808597, 0.0407497535305944, 0.01622276907881733,
+]
+
+
+class TestGoldenLossTables:
+    """Loss tables recorded before CV and the FGLS fit shared one code path;
+    any change to the path, the whitening or the validation design shows here."""
+
+    plan = WalkForwardPlan(n_splits=2, test_size=30, min_train=180)
+    cfg = LassoConfig(tol=1e-8, grid=LassoGrid(n_points=6, ratio=0.01))
+
+    def check(self, estimator, losses, lam_star):
+        lam, report = select_lambda(ar1_panel(), 1, self.cfg, self.plan, estimator=estimator)
+        np.testing.assert_array_equal(report.lams, GOLDEN_LAMS)
+        np.testing.assert_array_equal(report.losses, losses)
+        assert lam == lam_star
+        assert report.excluded == ()
+
+    def test_fgls_lasso(self):
+        self.check("fgls-lasso", [
+            [7.147458393476305, 4.839913418706302],
+            [6.899074802899974, 4.658856564562105],
+            [3.3793756989461365, 3.2527329888339427],
+            [3.0500792119988085, 3.1058272132929963],
+            [3.029717787313369, 3.0941481387736336],
+            [3.047256602027388, 3.0985244210199436],
+        ], 0.0407497535305944)
+
+    def test_lasso(self):
+        self.check("lasso", [
+            [7.147458393476305, 4.839913418706302],
+            [3.7001167463807563, 3.655349938155368],
+            [2.9799457964732636, 3.2561070333504434],
+            [2.9213377384671784, 3.183160373331765],
+            [2.9578225068124326, 3.1724993501803245],
+            [2.984920021354925, 3.1684910916514384],
+        ], 0.1023587529808597)
 
 
 class TestReportCsv:

@@ -197,12 +197,6 @@ class TestRecursiveExercise:
         )
         assert fs.values.shape == (5, 2, 3)
 
-    def test_threads_do_not_change_results(self):
-        pnl, _ = noisy_panel(seed=4)
-        fs1 = self.exercise(pnl, n_origins=8, threads=1)
-        fs4 = self.exercise(pnl, n_origins=8, threads=4)
-        np.testing.assert_array_equal(fs1.values, fs4.values)
-        np.testing.assert_array_equal(fs1.actuals, fs4.actuals)
 
 
 class TestForecastCsv:
