@@ -58,13 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, estimators=("ols", "lasso", "fgls-lasso")):
         sp.add_argument("--config", help="JSON config file; flags override its keys")
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--lag", type=int, help="VAR lag order p")
-        sp.add_argument(
-            "--estimator", choices=["ols", "lasso", "fgls-lasso"], help="fit flavor"
-        )
+        sp.add_argument("--estimator", choices=estimators, help="fit flavor")
         sp.add_argument("--lambda", dest="lam", type=float, help="fixed penalty")
         sp.add_argument("--grid", help="penalty grid as N,RATIO")
         sp.add_argument("--tol", type=float, help="solver tolerance")
@@ -97,7 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, help="sentiment normalization constant")
     sp.add_argument("--fill", choices=["zero", "carry"], help="empty-day policy")
 
-    sp = common(sub.add_parser("cv", help="select the penalty by walk-forward loss"))
+    # cmd_cv checks the estimator itself, so it is reported with every other problem
+    sp = common(sub.add_parser("cv", help="select the penalty by walk-forward loss"),
+                estimators=None)
     sp.add_argument("--panel", help="input panel CSV")
 
     sp = common(sub.add_parser("fit", help="fit a model and write it as JSON"))
@@ -106,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("forecast", help="run the expanding-origin exercise"))
     sp.add_argument("--panel", help="input panel CSV")
     sp.add_argument("--refit-policy", choices=["first", "per_origin"],
-                    help="when to re-select the penalty")
+                    help="penalty selection policy; the walk-forward plan fixes the "
+                         "folds, so both select the penalty once")
 
     sp = common(sub.add_parser("evaluate", help="score forecast files"))
     sp.add_argument("--forecast", action="append", default=[], metavar="NAME=PATH",
@@ -120,14 +121,21 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--robust", action="store_true", default=None,
                     help="heteroskedasticity-robust score test")
 
+    # config-file values skip argparse, so _merge_config checks them against these
+    parser.option_choices = {
+        name: {a.dest: a.choices for a in sp._actions if a.choices is not None}
+        for name, sp in sub.choices.items()
+    }
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _merge_config(args: argparse.Namespace, choices: dict) -> dict:
     """Flat config dict: file values first, then any flag explicitly set.
 
     The file's keys must be option names of the subcommand (``lam`` for
-    ``--lambda``, ``max_sweeps`` for ``--max-sweeps``); any other key is an error.
+    ``--lambda``, ``max_sweeps`` for ``--max-sweeps``), and the value of an
+    option with ``choices`` must be one of them; one ConfigError lists every
+    key that breaks either rule.
     """
     merged: dict = {}
     if args.config:
@@ -141,10 +149,15 @@ def _merge_config(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise ConfigError(["config file must hold one JSON object"])
         unknown = sorted(set(loaded) - (set(vars(args)) - {"config", "command"}))
-        if unknown:
-            raise ConfigError(
-                [f"config key {key!r} is not an option of {args.command}" for key in unknown]
-            )
+        errors = [f"config key {key!r} is not an option of {args.command}" for key in unknown]
+        errors += [
+            f"config key {key!r}: {loaded[key]!r} is not one of "
+            + ", ".join(repr(c) for c in choices[key])
+            for key in sorted(set(loaded) & set(choices))
+            if loaded[key] not in choices[key]
+        ]
+        if errors:
+            raise ConfigError(errors)
         merged.update(loaded)
     for key, value in vars(args).items():
         if key in ("config", "command"):
@@ -189,7 +202,8 @@ def _lasso_config(cfg: dict, errors: list[str]) -> lasso.LassoConfig:
         return lasso.LassoConfig()
 
 
-def _plan(cfg: dict, T: int, p: int, errors: list[str]) -> cv_mod.WalkForwardPlan:
+def _plan(cfg: dict, T: int, p: int) -> cv_mod.WalkForwardPlan:
+    """The walk-forward plan of the config, defaults sized to T; raises ConfigError."""
     n_splits = int(cfg.get("n_splits", 3))
     test_size = cfg.get("test_size")
     test_size = int(test_size) if test_size is not None else max(1, T // 10)
@@ -198,10 +212,9 @@ def _plan(cfg: dict, T: int, p: int, errors: list[str]) -> cv_mod.WalkForwardPla
     try:
         plan = cv_mod.WalkForwardPlan(n_splits=n_splits, test_size=test_size, min_train=min_train)
     except cv_mod.CvError as exc:
-        errors.append(str(exc))
-        return cv_mod.WalkForwardPlan()
+        raise ConfigError([str(exc)]) from None
     if min_train <= p:
-        errors.append(f"walk-forward min_train {min_train} must exceed lag order {p}")
+        raise ConfigError([f"walk-forward min_train {min_train} must exceed lag order {p}"])
     return plan
 
 
@@ -313,10 +326,7 @@ def cmd_cv(cfg: dict) -> None:
         raise ConfigError(errors)
     pnl = panel.read_panel_csv(cfg["panel"])
     p = int(cfg["lag"])
-    plan_errors: list[str] = []
-    plan = _plan(cfg, pnl.n_obs, p, plan_errors)
-    if plan_errors:
-        raise ConfigError(plan_errors)
+    plan = _plan(cfg, pnl.n_obs, p)
     _, report = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=estimator)
     cv_mod.write_cv_report_csv(report, os.path.join(out, "cv_report.csv"))
 
@@ -333,10 +343,7 @@ def cmd_fit(cfg: dict) -> None:
     p = int(cfg["lag"])
     estimator = cfg["estimator"]
     if estimator != "ols" and cfg.get("lam") is None:
-        plan_errors: list[str] = []
-        plan = _plan(cfg, pnl.n_obs, p, plan_errors)
-        if plan_errors:
-            raise ConfigError(plan_errors)
+        plan = _plan(cfg, pnl.n_obs, p)
         lam, _ = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=estimator)
         lcfg = dc_replace(lcfg, lam=lam)
     model = lasso.fit_panel_var(pnl, p, lcfg, estimator)
@@ -366,10 +373,7 @@ def cmd_forecast(cfg: dict) -> None:
     plan = None
     if estimator != "ols" and cfg.get("lam") is None:
         start_pos = pnl.position(origins[0])
-        plan_errors: list[str] = []
-        plan = _plan(cfg, start_pos + 1, p, plan_errors)
-        if plan_errors:
-            raise ConfigError(plan_errors)
+        plan = _plan(cfg, start_pos + 1, p)
     fs = forecasting.recursive_exercise(
         pnl,
         p,
@@ -446,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        cfg = _merge_config(args, parser.option_choices[args.command])
         COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "messages": exc.messages}), file=sys.stderr)

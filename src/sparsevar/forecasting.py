@@ -98,10 +98,12 @@ def recursive_exercise(
     For every panel date from start_origin through end_origin the model is
     re-fitted on all data up to and including that origin and iterated over
     horizons 1..H. When a walk-forward plan is given, the penalty is selected
-    by cross-validation at the first origin and held fixed (refit_policy
-    "first") or re-selected at every origin ("per_origin"); otherwise
-    cfg.lam is used as-is. Origins whose fit does not converge raise unless
-    ``allow_nonconverged`` is set, in which case they are recorded.
+    once by cross-validation on the data up to the first origin and used at
+    every origin; otherwise cfg.lam is used as-is. The plan fixes the folds,
+    so a selection at any later origin reads the same rows and returns the
+    same penalty: refit_policy "first" and "per_origin" both select once.
+    Origins whose fit does not converge raise unless ``allow_nonconverged``
+    is set, in which case they are recorded.
     """
     if H < 1:
         raise ForecastError(f"H must be >= 1, got {H}")
@@ -118,11 +120,9 @@ def recursive_exercise(
             f"need >= {p + min_train}"
         )
 
-    lam_first = None
-    if plan is not None and refit_policy == "first" and estimator != "ols":
-        lam_first, _ = select_lambda(
-            panel.slice_rows(0, i0 + 1), p, cfg, plan, estimator=estimator
-        )
+    if plan is not None and estimator != "ols":
+        lam, _ = select_lambda(panel.slice_rows(0, i0 + 1), p, cfg, plan, estimator=estimator)
+        cfg = dc_replace(cfg, lam=lam)
 
     positions = range(i0, i1 + 1)
     K = panel.n_series
@@ -133,14 +133,7 @@ def recursive_exercise(
     last_date = panel.dates[-1]
     for o, idx in enumerate(positions):
         train = panel.slice_rows(0, idx + 1)
-        local_cfg = cfg
-        if estimator != "ols":
-            if plan is not None and refit_policy == "per_origin":
-                lam, _ = select_lambda(train, p, cfg, plan, estimator=estimator)
-                local_cfg = dc_replace(cfg, lam=lam)
-            elif lam_first is not None:
-                local_cfg = dc_replace(cfg, lam=lam_first)
-        model = fit_panel_var(train, p, local_cfg, estimator)
+        model = fit_panel_var(train, p, cfg, estimator)
         if not model.converged:
             if not allow_nonconverged:
                 raise ForecastError(

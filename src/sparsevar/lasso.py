@@ -231,6 +231,8 @@ def _cd_solve(
     ``lasso_path`` runs the same iteration in covariance form.
     Returns (A, sweeps, converged, per-sweep objective values).
     """
+    if lam < 0:
+        raise LassoError(f"lambda must be >= 0, got {lam}")
     K, n = Y.shape
     m = Z.shape[0]
     norms = np.einsum("jn,jn->j", Z, Z) / n
@@ -249,13 +251,14 @@ def _cd_solve(
             if nj == 0.0:
                 continue
             zj = Z[j]
-            rho_j = (R @ zj) / n + A[:, j] * nj
-            new = soft_threshold(rho_j, half_lam) / nj
-            delta = new - A[:, j]
-            if np.any(delta != 0.0):
-                R -= np.outer(delta, zj)
+            old = A[:, j]
+            rho_j = (R @ zj) / n + old * nj
+            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / nj
+            delta = new - old
+            if (delta != 0.0).any():
+                R -= delta[:, None] * zj
                 A[:, j] = new
-                change = float(np.max(np.abs(delta)))
+                change = float(np.abs(delta).max())
                 if change > max_change:
                     max_change = change
         # fresh residual for an exact objective (R accumulates drift otherwise)

@@ -113,6 +113,35 @@ class TestConfigErrors:
         model = json.loads((out / "model.json").read_text())
         assert model["p"] == 1 and model["solver"]["lambda"] == 0.05
 
+    def test_fit_rejects_bad_estimator_from_config(self, tmp_path, capsys, panel_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"estimator": "fgls"}))
+        messages = config_messages(capsys, ["fit", "--config", str(config), "--panel", panel_csv,
+                                            "--lag", "1", "--out", str(tmp_path / "out")])
+        assert messages == [
+            "config key 'estimator': 'fgls' is not one of 'ols', 'lasso', 'fgls-lasso'"]
+        assert not (tmp_path / "out").exists()
+
+    def test_forecast_rejects_bad_refit_policy_from_config(self, tmp_path, capsys, panel_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"refit_policy": "never"}))
+        messages = config_messages(capsys, [
+            "forecast", "--config", str(config), "--panel", panel_csv, "--lag", "1",
+            "--estimator", "lasso", "--origins", "2018-04-01:2018-04-05",
+            "--out", str(tmp_path / "out")])
+        assert messages == [
+            "config key 'refit_policy': 'never' is not one of 'first', 'per_origin'"]
+
+    def test_every_bad_config_value_is_listed(self, tmp_path, capsys, panel_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"refit_policy": "never", "estimator": "ridge", "lag": 1}))
+        messages = config_messages(capsys, [
+            "forecast", "--config", str(config), "--panel", panel_csv,
+            "--origins", "2018-04-01:2018-04-05", "--out", str(tmp_path / "out")])
+        assert messages == [
+            "config key 'estimator': 'ridge' is not one of 'ols', 'lasso', 'fgls-lasso'",
+            "config key 'refit_policy': 'never' is not one of 'first', 'per_origin'"]
+
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
@@ -161,3 +190,36 @@ class TestGrangerCommand:
                                       cfg=LassoConfig(grid=LassoGrid(20, 1e-3)))
         assert net.failures
         assert rows == [["from", "to", "reason"], *[list(f) for f in net.failures]]
+
+
+def test_pipeline_end_to_end(tmp_path):
+    """simulate -> cv -> fit -> forecast (three estimators) -> evaluate -> granger."""
+    out = tmp_path
+    panel = str(out / "sim" / "panel.csv")
+    common = ["--panel", panel, "--lag", "2", "--grid", "10,0.01"]
+    plan = ["--n-splits", "2", "--test-size", "20"]
+    origins = ["--origins", "2018-07-07:2018-07-17", "--horizons", "2"]
+    steps = [
+        ["simulate", "--k", "3", "--t", "200", "--lag", "2", "--seed", "5",
+         "--out", str(out / "sim")],
+        ["cv", *common, *plan, "--out", str(out / "cv")],
+        ["fit", *common, *plan, "--estimator", "lasso", "--out", str(out / "fit")],
+        ["forecast", *common, *plan, *origins, "--estimator", "lasso",
+         "--refit-policy", "per_origin", "--out", str(out / "lasso")],
+        ["forecast", *common, *plan, *origins, "--estimator", "fgls-lasso",
+         "--refit-policy", "first", "--out", str(out / "fgls")],
+        ["forecast", *common, *origins, "--estimator", "ols", "--out", str(out / "ols")],
+        ["evaluate", *[f"--forecast={m}={out / m / 'forecasts.csv'}"
+                       for m in ("lasso", "fgls", "ols")],
+         "--benchmark", "ols", "--out", str(out / "eval")],
+        ["granger", *common, "--out", str(out / "granger")],
+    ]
+    assert [main(argv) for argv in steps] == [0] * len(steps)
+    for rel in ["sim/panel.csv", "sim/truth.json", "cv/cv_report.csv", "fit/model.json",
+                "lasso/forecasts.csv", "fgls/forecasts.csv", "ols/forecasts.csv",
+                "eval/evaluation.csv", "granger/granger_matrix.csv",
+                "granger/granger_edges.csv", "granger/granger_failures.csv",
+                "granger/granger_network.dot"]:
+        assert (out / rel).is_file(), rel
+    forecasts = read_csv(out / "lasso" / "forecasts.csv")
+    assert len(forecasts) == 1 + 11 * 2 * 3

@@ -3,7 +3,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
-from sparsevar.cv import WalkForwardPlan
+from sparsevar import forecasting
+from sparsevar.cv import WalkForwardPlan, select_lambda
 from sparsevar.forecasting import (
     ForecastError,
     ForecastSet,
@@ -12,7 +13,7 @@ from sparsevar.forecasting import (
     recursive_exercise,
     write_forecast_csv,
 )
-from sparsevar.lasso import LassoConfig, VarModel
+from sparsevar.lasso import LassoConfig, LassoGrid, VarModel
 from sparsevar.panel import StandardizationStats, TimePanel
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
 
@@ -197,6 +198,58 @@ class TestRecursiveExercise:
         )
         assert fs.values.shape == (5, 2, 3)
 
+
+class TestSelectionPolicies:
+    """The walk-forward plan fixes the folds, so selecting the penalty at every
+    origin reads the same rows as selecting it at the first; both policies run
+    one selection and give the forecasts recorded when ``per_origin`` still
+    re-selected at every origin."""
+
+    plan = WalkForwardPlan(n_splits=2, test_size=20, min_train=120)
+    cfg = LassoConfig(tol=1e-8, grid=LassoGrid(n_points=10, ratio=0.01))
+
+    def run(self, estimator, policy, monkeypatch):
+        spec = SyntheticSpec(k=2, p=2, t=200,
+                             recipe=SparseRecipe(density=0.5, magnitude=0.3, seed=4), seed=4)
+        pnl, _ = simulate(spec)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].n_obs)
+            return select_lambda(*args, **kwargs)
+
+        monkeypatch.setattr(forecasting, "select_lambda", counted)
+        fs = recursive_exercise(pnl, 2, self.cfg, estimator, pnl.dates[-6], pnl.dates[-4],
+                                H=2, plan=self.plan, refit_policy=policy)
+        assert calls == [pnl.n_obs - 5]
+        return fs
+
+    @pytest.mark.parametrize("estimator,recorded", [
+        ("lasso", [
+            [[-0.3856487156259918, 0.10675020801734086],
+             [-0.06153691440222181, 0.037355350235940984]],
+            [[-0.0635758604519272, -0.16953453648223996],
+             [-0.2513759579573742, 0.06567921670366778]],
+            [[-0.2647779533273496, 0.05944982757878611],
+             [-0.0805458834427606, -0.0522584577184322]],
+        ]),
+        ("fgls-lasso", [
+            [[-0.387520898657706, 0.10535033279232327],
+             [-0.06200073760246346, 0.035950401794778604]],
+            [[-0.06398381210444207, -0.16283101587530935],
+             [-0.2514859690518819, 0.06825946145728352]],
+            [[-0.26490165272044236, 0.06801714403040882],
+             [-0.08103686709790436, -0.050734383839505195]],
+        ]),
+    ])
+    def test_per_origin_equals_first(self, estimator, recorded, monkeypatch):
+        per_origin = self.run(estimator, "per_origin", monkeypatch)
+        first = self.run(estimator, "first", monkeypatch)
+        np.testing.assert_array_equal(per_origin.values, np.array(recorded))
+        np.testing.assert_array_equal(first.values, per_origin.values)
+        np.testing.assert_array_equal(first.actuals, per_origin.actuals)
+        assert first.origins == per_origin.origins
+        assert first.target_dates == per_origin.target_dates
 
 
 class TestForecastCsv:
