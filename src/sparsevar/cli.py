@@ -126,16 +126,21 @@ def build_parser() -> argparse.ArgumentParser:
         name: {a.dest: a.choices for a in sp._actions if a.choices is not None}
         for name, sp in sub.choices.items()
     }
+    parser.option_types = {
+        name: {a.dest: a.type for a in sp._actions if a.type is not None}
+        for name, sp in sub.choices.items()
+    }
     return parser
 
 
-def _merge_config(args: argparse.Namespace, choices: dict) -> dict:
+def _merge_config(args: argparse.Namespace, choices: dict, types: dict) -> dict:
     """Flat config dict: file values first, then any flag explicitly set.
 
     The file's keys must be option names of the subcommand (``lam`` for
-    ``--lambda``, ``max_sweeps`` for ``--max-sweeps``), and the value of an
-    option with ``choices`` must be one of them; one ConfigError lists every
-    key that breaks either rule.
+    ``--lambda``, ``max_sweeps`` for ``--max-sweeps``). A value of an option
+    with a ``type`` is converted as its flag text would be, and the value of
+    an option with ``choices`` must be one of them; one ConfigError lists
+    every key that breaks a rule.
     """
     merged: dict = {}
     if args.config:
@@ -150,6 +155,13 @@ def _merge_config(args: argparse.Namespace, choices: dict) -> dict:
             raise ConfigError(["config file must hold one JSON object"])
         unknown = sorted(set(loaded) - (set(vars(args)) - {"config", "command"}))
         errors = [f"config key {key!r} is not an option of {args.command}" for key in unknown]
+        for key in sorted(set(loaded) & set(types)):
+            if loaded[key] is not None:
+                try:
+                    loaded[key] = types[key](str(loaded[key]))
+                except (TypeError, ValueError):
+                    errors.append(f"config key {key!r}: {loaded[key]!r} is not a valid "
+                                  + types[key].__name__)
         errors += [
             f"config key {key!r}: {loaded[key]!r} is not one of "
             + ", ".join(repr(c) for c in choices[key])
@@ -450,7 +462,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args, parser.option_choices[args.command])
+        cfg = _merge_config(args, parser.option_choices[args.command],
+                            parser.option_types[args.command])
         COMMANDS[args.command](cfg)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "messages": exc.messages}), file=sys.stderr)

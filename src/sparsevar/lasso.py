@@ -4,7 +4,10 @@ The fitted objective is (1/N) ||A Z - Y||_F^2 + lambda ||A||_1 with the
 entrywise L1 norm and N the number of embedding columns. The loss and penalty
 both separate across rows of A, so the K equations are solved independently;
 the implementation updates one regressor coordinate at a time for all
-equations at once, which is exactly per-equation cyclic descent.
+equations at once, which is exactly per-equation cyclic descent. Every fit
+runs one covariance-form core, ``_cd_gram``, on the sample moments
+G = Z Z^T / N, C = Y Z^T / N and ||Y||^2 / N (Friedman, Hastie & Tibshirani,
+2010): fixed-penalty fits, OLS at lambda = 0, each lambda path and FGLS stage 2.
 """
 
 from __future__ import annotations
@@ -123,9 +126,6 @@ class VarModel:
     def n_series(self) -> int:
         return self.A.shape[0]
 
-    def nonzero_counts(self) -> np.ndarray:
-        return np.count_nonzero(self.A, axis=1)
-
     def support(self) -> np.ndarray:
         return self.A != 0
 
@@ -144,6 +144,7 @@ class VarModel:
                 "sweeps": self.sweeps,
                 "converged": self.converged,
                 "estimator": self.estimator,
+                "objective_history": list(self.objective_history),
             },
         }
         return json.dumps(doc, indent=2)
@@ -166,15 +167,8 @@ class VarModel:
             sweeps=int(solver.get("sweeps", 0)),
             converged=bool(solver.get("converged", True)),
             estimator=str(solver.get("estimator", "lasso")),
+            objective_history=tuple(float(v) for v in solver.get("objective_history", ())),
         )
-
-
-@dataclass(frozen=True)
-class FglsState:
-    """AR(1) error parameters and a description of the applied whitening."""
-
-    rho: np.ndarray
-    whitening: str
 
 
 @dataclass(frozen=True)
@@ -194,13 +188,6 @@ def soft_threshold(z, gamma):
     return float(out) if np.isscalar(z) else out
 
 
-def objective_value(A: np.ndarray, Y: np.ndarray, Z: np.ndarray, lam: float) -> float:
-    """(1/N) ||A Z - Y||_F^2 + lam * sum |A|."""
-    resid = Y - A @ Z
-    n = Y.shape[1]
-    return float(np.sum(resid * resid) / n + lam * np.sum(np.abs(A)))
-
-
 def _check_regressors(Z: np.ndarray, names: list[str] | None = None) -> None:
     norms = np.einsum("jn,jn->j", Z, Z)
     if np.any(norms == 0):
@@ -215,63 +202,6 @@ def _check_descent(sweep: int, prev_obj: float, obj: float) -> None:
         raise LassoError(f"objective increased across sweep {sweep}: {prev_obj!r} -> {obj!r}")
 
 
-def _cd_solve(
-    Y: np.ndarray,
-    Z: np.ndarray,
-    lam: float,
-    tol: float,
-    max_sweeps: int,
-    A0: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, bool, list[float]]:
-    """Cyclic coordinate descent on all rows of A at once, residual form.
-
-    Coordinates are visited in fixed lag-major order (the row order of Z);
-    no randomization, so results are reproducible and schedule-independent.
-    Each update touches all N sample columns. Used for single-penalty fits;
-    ``lasso_path`` runs the same iteration in covariance form.
-    Returns (A, sweeps, converged, per-sweep objective values).
-    """
-    if lam < 0:
-        raise LassoError(f"lambda must be >= 0, got {lam}")
-    K, n = Y.shape
-    m = Z.shape[0]
-    norms = np.einsum("jn,jn->j", Z, Z) / n
-    A = np.zeros((K, m)) if A0 is None else np.array(A0, dtype=float)
-    R = Y - A @ Z if A0 is not None else Y.copy()
-    half_lam = lam / 2.0
-    history: list[float] = []
-    prev_obj = np.inf
-    converged = False
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        sweeps = sweep + 1
-        max_change = 0.0
-        for j in range(m):
-            nj = norms[j]
-            if nj == 0.0:
-                continue
-            zj = Z[j]
-            old = A[:, j]
-            rho_j = (R @ zj) / n + old * nj
-            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / nj
-            delta = new - old
-            if (delta != 0.0).any():
-                R -= delta[:, None] * zj
-                A[:, j] = new
-                change = float(np.abs(delta).max())
-                if change > max_change:
-                    max_change = change
-        # fresh residual for an exact objective (R accumulates drift otherwise)
-        obj = objective_value(A, Y, Z, lam)
-        _check_descent(sweeps, prev_obj, obj)
-        prev_obj = obj
-        history.append(obj)
-        if max_change < tol:
-            converged = True
-            break
-    return A, sweeps, converged, history
-
-
 def _cd_gram(
     G: np.ndarray,
     C: np.ndarray,
@@ -280,19 +210,23 @@ def _cd_gram(
     tol: float,
     max_sweeps: int,
     A: np.ndarray,
-) -> tuple[int, bool]:
-    """Covariance-form coordinate descent, updating A in place.
+) -> tuple[int, bool, list[float]]:
+    """Covariance-form coordinate descent, updating A (the warm start) in place.
 
-    G = Z Z^T / N, C = Y Z^T / N and yy = ||Y||_F^2 / N carry everything the
-    residual form reads from the samples, so a sweep costs O(K m^2) whatever
-    N is. lam is one penalty for every row or a vector of one per row.
-    Coordinate order, update, threshold and stopping rule are those of
-    ``_cd_solve``; the rule is joint, so every row sweeps until the largest
-    change over all rows is below tol. Returns (sweeps, converged).
+    G = Z Z^T / N, C = Y Z^T / N and yy = ||Y||_F^2 / N carry everything a
+    residual-form sweep reads from the samples, so a sweep costs O(K m^2)
+    whatever N is. lam is one penalty for every row or a vector of one per
+    row. Coordinates are visited in fixed lag-major order (the row order of
+    G), so results are reproducible. The stopping rule is joint: every row
+    sweeps until the largest change over all rows is below tol. Returns
+    (sweeps, converged, per-sweep objective values).
     """
+    if np.min(lam) < 0:
+        raise LassoError(f"lambda must be >= 0, got {lam}")
     m = G.shape[0]
     diag = np.diagonal(G)
     half_lam = lam / 2.0
+    history: list[float] = []
     prev_obj = np.inf
     for sweep in range(1, max_sweeps + 1):
         max_change = 0.0
@@ -312,9 +246,10 @@ def _cd_gram(
         obj = float(yy - 2.0 * np.sum(A * C) + np.sum((A @ G) * A) + l1)
         _check_descent(sweep, prev_obj, obj)
         prev_obj = obj
+        history.append(obj)
         if max_change < tol:
-            return sweep, True
-    return max_sweeps, False
+            return sweep, True, history
+    return max_sweeps, False, history
 
 
 def lambda_max(Y: np.ndarray, Z: np.ndarray) -> float:
@@ -349,12 +284,10 @@ def lasso_path(
 
     The sample moments are formed once, on the first step; every penalty then
     runs in covariance form. C is built one column at a time as Y @ Z[j] / N,
-    the same product the residual form takes on its first visit to j, so
-    near-ties at the top of the grid resolve as they do in ``_cd_solve``. With
-    a per-row grid C is also built one row at a time, as Y[r:r+1] @ Z[j] / N:
-    a product over all rows rounds some entries differently from row r's own
-    path and its own ``lambda_max``, which moves which coefficient enters at
-    the top of the grid.
+    and with a per-row grid also one row at a time, as Y[r:r+1] @ Z[j] / N.
+    A single product Y @ Z.T rounds some entries differently, which moves
+    which coefficient enters at near-ties at the top of the grid; the Granger
+    p-values are pinned bitwise to this rounding, so the path keeps it.
     """
     lams = np.asarray(lams, dtype=float)
     R, n = Y.shape
@@ -368,7 +301,7 @@ def lasso_path(
     A = np.zeros_like(C)
     for lam in lams:
         lam = lam if lam.ndim else float(lam)
-        sweeps, converged = _cd_gram(G, C, yy, lam, cfg.tol, cfg.max_sweeps, A)
+        sweeps, converged, _ = _cd_gram(G, C, yy, lam, cfg.tol, cfg.max_sweeps, A)
         yield lam, A.copy(), converged, sweeps
 
 
@@ -376,23 +309,27 @@ def fit_lasso_var(
     embed: LagEmbedding,
     cfg: LassoConfig,
     stats: StandardizationStats | None = None,
-    warm: np.ndarray | None = None,
     estimator: str = "lasso",
 ) -> VarModel:
     """Fit all K equations at the configured penalty (lambda = 0 gives OLS).
 
-    Non-convergence within max_sweeps is reported through the model's
-    converged flag, never silently.
+    Coordinate descent starts from zero on the sample moments of the whole
+    embedding. Non-convergence within max_sweeps is reported through the
+    model's converged flag, never silently.
     """
     Y, Z = embed.Y, embed.Z
     _check_regressors(Z, embed.regressor_names())
-    A, sweeps, converged, history = _cd_solve(Y, Z, cfg.lam, cfg.tol, cfg.max_sweeps, warm)
+    n = Y.shape[1]
+    A = np.zeros((Y.shape[0], Z.shape[0]))
+    sweeps, converged, history = _cd_gram(
+        Z @ Z.T / n, Y @ Z.T / n, float(np.sum(Y * Y)) / n, cfg.lam, cfg.tol, cfg.max_sweeps, A
+    )
     if not converged:
         log.warning(
             "coordinate descent hit max_sweeps=%d at lambda=%g", cfg.max_sweeps, cfg.lam
         )
     resid = Y - A @ Z
-    sigma_u = resid @ resid.T / Y.shape[1]
+    sigma_u = resid @ resid.T / n
     sigma_u = (sigma_u + sigma_u.T) / 2
     names = embed.names or tuple(f"y{k + 1}" for k in range(Y.shape[0]))
     return VarModel(
@@ -438,22 +375,26 @@ def _fgls_refit(
 
     Each equation's rho is the lag-1 autocorrelation of its stage-1 residuals
     (clipped to |rho| <= 0.99); its target and regressors are Prais-Winsten
-    quasi-differenced and the penalty re-applied, warm-started from A1.
-    Returns (A, rho, sweeps, converged, history) of the K whitened solves:
-    the most sweeps any took, whether all converged, and their objectives.
+    quasi-differenced and the penalty re-applied on their moments, one
+    equation per solve (so each stops on its own changes), warm-started from
+    A1. Returns (A, rho, sweeps, converged, history) of the K whitened
+    solves: the most sweeps any took, whether all converged, and their
+    objectives.
     """
-    K = Y.shape[0]
+    K, n = Y.shape
     resid = Y - A1 @ Z
     rho = np.clip([_lag1_autocorr(resid[k]) for k in range(K)], -0.99, 0.99)
-    A = np.empty_like(A1)
+    A = np.array(A1, dtype=float)
     sweeps = 0
     converged = True
     history: list[float] = []
     for k in range(K):
         yw = prais_winsten(Y[k: k + 1], rho[k])
         Zw = prais_winsten(Z, rho[k])
-        row, sw, conv, hist = _cd_solve(yw, Zw, lam, cfg.tol, cfg.max_sweeps, A1[k: k + 1].copy())
-        A[k] = row[0]
+        sw, conv, hist = _cd_gram(
+            Zw @ Zw.T / n, yw @ Zw.T / n, float(np.sum(yw * yw)) / n,
+            lam, cfg.tol, cfg.max_sweeps, A[k: k + 1],
+        )
         sweeps = max(sweeps, sw)
         converged = converged and conv
         history.extend(hist)

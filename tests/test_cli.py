@@ -142,6 +142,26 @@ class TestConfigErrors:
             "config key 'estimator': 'ridge' is not one of 'ols', 'lasso', 'fgls-lasso'",
             "config key 'refit_policy': 'never' is not one of 'first', 'per_origin'"]
 
+    def test_config_value_of_wrong_type_is_a_config_error(self, tmp_path, capsys, panel_csv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n_splits": "two", "lag": 1}))
+        messages = config_messages(capsys, ["cv", "--config", str(config), "--panel", panel_csv,
+                                            "--out", str(tmp_path / "out")])
+        assert messages == ["config key 'n_splits': 'two' is not a valid int"]
+        assert not (tmp_path / "out").exists()
+
+    def test_every_bad_config_type_is_listed(self, tmp_path, capsys, panel_csv):
+        # 1.5 is not an int on the command line, so it is not truncated to 1 here
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lag": 1.5, "lam": "big", "estimator": "ridge",
+                                      "tol": 1e-9, "max_sweeps": "200"}))
+        messages = config_messages(capsys, ["fit", "--config", str(config), "--panel", panel_csv,
+                                            "--out", str(tmp_path / "out")])
+        assert messages == [
+            "config key 'lag': 1.5 is not a valid int",
+            "config key 'lam': 'big' is not a valid float",
+            "config key 'estimator': 'ridge' is not one of 'ols', 'lasso', 'fgls-lasso'"]
+
 
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:

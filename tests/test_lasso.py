@@ -19,11 +19,11 @@ from sparsevar.lasso import (
     lambda_grid,
     lambda_max,
     lasso_path,
-    objective_value,
     prais_winsten,
     soft_threshold,
-    _cd_solve,
+    _cd_gram,
     _check_descent,
+    _fgls_refit,
 )
 from sparsevar.panel import LagEmbedding, lag_embed, standardize
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
@@ -39,6 +39,92 @@ def embed_from_seed(seed, k=3, p=1, t=300, density=0.5, magnitude=0.3):
     pnl, truth = simulate(spec)
     std, stats = standardize(pnl)
     return lag_embed(std, p), stats, truth
+
+
+# Residual-form coordinate descent, the reference that the covariance-form
+# core lasso._cd_gram is checked against: same coordinate order, update,
+# threshold and stopping rule, with the objective read from a fresh residual.
+
+
+def objective_value(A: np.ndarray, Y: np.ndarray, Z: np.ndarray, lam: float) -> float:
+    """(1/N) ||A Z - Y||_F^2 + lam * sum |A|."""
+    resid = Y - A @ Z
+    n = Y.shape[1]
+    return float(np.sum(resid * resid) / n + lam * np.sum(np.abs(A)))
+
+
+def _cd_solve(
+    Y: np.ndarray,
+    Z: np.ndarray,
+    lam: float,
+    tol: float,
+    max_sweeps: int,
+    A0: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, bool, list[float]]:
+    """Cyclic coordinate descent on all rows of A at once, residual form.
+
+    Coordinates are visited in fixed lag-major order (the row order of Z);
+    no randomization, so results are reproducible and schedule-independent.
+    Each update touches all N sample columns. ``lasso._cd_gram`` runs the
+    same iteration in covariance form.
+    Returns (A, sweeps, converged, per-sweep objective values).
+    """
+    if lam < 0:
+        raise LassoError(f"lambda must be >= 0, got {lam}")
+    K, n = Y.shape
+    m = Z.shape[0]
+    norms = np.einsum("jn,jn->j", Z, Z) / n
+    A = np.zeros((K, m)) if A0 is None else np.array(A0, dtype=float)
+    R = Y - A @ Z if A0 is not None else Y.copy()
+    half_lam = lam / 2.0
+    history: list[float] = []
+    prev_obj = np.inf
+    converged = False
+    sweeps = 0
+    for sweep in range(max_sweeps):
+        sweeps = sweep + 1
+        max_change = 0.0
+        for j in range(m):
+            nj = norms[j]
+            if nj == 0.0:
+                continue
+            zj = Z[j]
+            old = A[:, j]
+            rho_j = (R @ zj) / n + old * nj
+            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / nj
+            delta = new - old
+            if (delta != 0.0).any():
+                R -= delta[:, None] * zj
+                A[:, j] = new
+                change = float(np.abs(delta).max())
+                if change > max_change:
+                    max_change = change
+        # fresh residual for an exact objective (R accumulates drift otherwise)
+        obj = objective_value(A, Y, Z, lam)
+        _check_descent(sweeps, prev_obj, obj)
+        prev_obj = obj
+        history.append(obj)
+        if max_change < tol:
+            converged = True
+            break
+    return A, sweeps, converged, history
+
+
+def residual_stage2(Y, Z, A1, lam, cfg, rho):
+    """FGLS stage 2 at the given rho: one residual-form solve per equation on
+    its Prais-Winsten whitened data, warm-started from A1. Returns (A, the
+    sweeps of each solve, whether all converged)."""
+    A = np.empty_like(A1)
+    sweeps = []
+    converged = True
+    for k in range(Y.shape[0]):
+        yw = prais_winsten(Y[k: k + 1], rho[k])
+        Zw = prais_winsten(Z, rho[k])
+        row, sw, conv, _ = _cd_solve(yw, Zw, lam, cfg.tol, cfg.max_sweeps, A1[k: k + 1].copy())
+        A[k] = row[0]
+        sweeps.append(sw)
+        converged = converged and conv
+    return A, sweeps, converged
 
 
 def ista_oracle(Y, Z, lam, iters=200_000, tol=1e-14):
@@ -163,7 +249,8 @@ class TestFitLassoVar:
 
 
 class TestPathEquivalence:
-    """lasso_path (covariance form) against warm-started residual-form solves."""
+    """The covariance form (lasso paths, fixed-penalty fits, FGLS stage 2)
+    against the residual-form reference ``_cd_solve``."""
 
     @pytest.mark.parametrize(
         "rows,k,p,t,seed",
@@ -197,6 +284,56 @@ class TestPathEquivalence:
                 p=m // rows, names=sub.names, A=A, sigma_u=np.eye(rows), lam=lam
             )
             assert kkt_violation(model, sub) <= 100 * cfg.tol
+
+    @pytest.mark.parametrize("seed,k,p,t", [(0, 3, 1, 300), (1, 4, 2, 402), (2, 10, 2, 502)])
+    @pytest.mark.parametrize("frac", [0.5, 0.1, 0.01, 0.0])
+    def test_fixed_penalty_fit_matches_residual_form(self, seed, k, p, t, frac):
+        emb, _, _ = embed_from_seed(seed, k=k, p=p, t=t, density=0.3, magnitude=0.25)
+        cfg = LassoConfig(lam=frac * lambda_max(emb.Y, emb.Z), max_sweeps=5000)
+        model = fit_lasso_var(emb, cfg)
+        ref, ref_sweeps, ref_converged, ref_history = _cd_solve(
+            emb.Y, emb.Z, cfg.lam, cfg.tol, cfg.max_sweeps
+        )
+        assert (model.converged, model.sweeps) == (ref_converged, ref_sweeps)
+        np.testing.assert_allclose(model.objective_history, ref_history, rtol=1e-12, atol=1e-12)
+        assert np.max(np.abs(model.A - ref)) <= 1e-12
+        np.testing.assert_array_equal(model.A == 0.0, ref == 0.0)
+
+    @pytest.mark.parametrize("k,seed", [(1, 5), (4, 6), (10, 7)])
+    def test_fgls_stage2_matches_residual_form(self, k, seed):
+        spec = SyntheticSpec(
+            k=k, p=2, t=402, recipe=SparseRecipe(density=0.3, magnitude=0.25, seed=seed),
+            error="ar1", rho=0.5, seed=seed,
+        )
+        pnl, _ = simulate(spec)
+        std, _ = standardize(pnl)
+        emb = lag_embed(std, 2)
+        Y, Z = emb.Y, emb.Z
+        cfg = LassoConfig(grid=LassoGrid(n_points=8, ratio=1e-2))
+        lams = lambda_grid(lambda_max(Y, Z), cfg.grid)
+        for lam, A1, converged, _ in lasso_path(Y, Z, lams, cfg):
+            assert converged
+            A, rho, sweeps, conv, history = _fgls_refit(Y, Z, A1, lam, cfg)
+            ref, ref_sweeps, ref_conv = residual_stage2(Y, Z, A1, lam, cfg, rho)
+            assert (conv, sweeps, len(history)) == (ref_conv, max(ref_sweeps), sum(ref_sweeps))
+            assert np.max(np.abs(A - ref)) <= 1e-12
+            np.testing.assert_array_equal(A == 0.0, ref == 0.0)
+            for r in range(k):
+                # one equation alone: its own sweep count, at its own rho
+                # (a one-row residual product may round rho differently)
+                row, rho_r, sw, conv, _ = _fgls_refit(Y[r:r + 1], Z, A1[r:r + 1], lam, cfg)
+                ref, ref_sweeps, ref_conv = residual_stage2(
+                    Y[r:r + 1], Z, A1[r:r + 1], lam, cfg, rho_r
+                )
+                assert (conv, [sw]) == (ref_conv, ref_sweeps)
+                assert np.max(np.abs(row - ref)) <= 1e-12
+                np.testing.assert_array_equal(row == 0.0, ref == 0.0)
+
+    def test_negative_penalty_rejected(self):
+        G, C = np.eye(2), np.ones((2, 2))
+        for lam in (-0.1, np.array([0.1, -0.1])):
+            with pytest.raises(LassoError, match="lambda must be >= 0"):
+                _cd_gram(G, C, 2.0, lam, 1e-8, 10, np.zeros((2, 2)))
 
     def test_objective_increase_raises_typed_error(self):
         _check_descent(2, 1.0, 1.0 + 1e-13)  # rounding-level rise is tolerated
@@ -382,6 +519,8 @@ class TestModelSerialization:
         assert back.lam == model.lam
         assert back.names == model.names
         assert back.estimator == model.estimator
+        assert len(model.objective_history) > model.sweeps  # both stages, all rows
+        assert back.objective_history == model.objective_history
         doc = json.loads(text)
         assert set(doc) == {"p", "names", "A", "sigma_u", "rho", "stats", "solver"}
 
