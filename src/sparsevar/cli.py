@@ -30,13 +30,19 @@ def _setup_logging() -> None:
 
 
 def _parse_grid(text: str) -> lasso.LassoGrid:
-    n, ratio = text.split(",")
-    return lasso.LassoGrid(n_points=int(n), ratio=float(ratio))
+    try:
+        n, ratio = text.split(",")
+        return lasso.LassoGrid(n_points=int(n), ratio=float(ratio))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected N,RATIO, N >= 1, 0 < RATIO < 1: {text!r}")
 
 
 def _parse_origins(text: str) -> tuple[date, date]:
-    start, end = text.split(":")
-    return date.fromisoformat(start), date.fromisoformat(end)
+    try:
+        start, end = text.split(":")
+        return date.fromisoformat(start), date.fromisoformat(end)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected START:END ISO dates: {text!r}")
 
 
 def _parse_named(pairs: list[str], flag: str) -> dict[str, str]:
@@ -58,25 +64,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, estimators=("ols", "lasso", "fgls-lasso")):
+    options = {
+        "--lag": dict(type=int, help="VAR lag order p"),
+        "--estimator": dict(choices=("ols", "lasso", "fgls-lasso"), help="fit flavor"),
+        "--lambda": dict(dest="lam", type=float, help="fixed penalty"),
+        "--grid": dict(type=_parse_grid, help="penalty grid as N,RATIO"),
+        "--tol": dict(type=float, help="solver tolerance"),
+        "--max-sweeps": dict(type=int, help="solver sweep cap"),
+        "--horizons": dict(type=int, help="max forecast horizon H"),
+        "--origins": dict(type=_parse_origins, help="forecast origins as START:END (ISO dates)"),
+        "--threshold": dict(type=float, help="edge p-value threshold"),
+        "--seed": dict(type=int, help="random seed"),
+        "--n-splits": dict(type=int, help="walk-forward folds"),
+        "--test-size": dict(type=int, help="validation points per fold"),
+        "--min-train": dict(type=int, help="smallest training window"),
+    }
+    tuning = ("--grid", "--tol", "--max-sweeps", "--n-splits", "--test-size", "--min-train")
+
+    def common(sp, *flags):
         sp.add_argument("--config", help="JSON config file; flags override its keys")
         sp.add_argument("--out", help="output directory")
-        sp.add_argument("--lag", type=int, help="VAR lag order p")
-        sp.add_argument("--estimator", choices=estimators, help="fit flavor")
-        sp.add_argument("--lambda", dest="lam", type=float, help="fixed penalty")
-        sp.add_argument("--grid", help="penalty grid as N,RATIO")
-        sp.add_argument("--tol", type=float, help="solver tolerance")
-        sp.add_argument("--max-sweeps", type=int, help="solver sweep cap")
-        sp.add_argument("--horizons", type=int, help="max forecast horizon H")
-        sp.add_argument("--origins", help="forecast origins as START:END (ISO dates)")
-        sp.add_argument("--threshold", type=float, help="edge p-value threshold")
-        sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--n-splits", type=int, help="walk-forward folds")
-        sp.add_argument("--test-size", type=int, help="validation points per fold")
-        sp.add_argument("--min-train", type=int, help="smallest training window")
+        for flag in flags:
+            sp.add_argument(flag, **options[flag])
         return sp
 
-    sp = common(sub.add_parser("simulate", help="write a synthetic panel plus ground truth"))
+    sp = common(sub.add_parser("simulate", help="write a synthetic panel plus ground truth"),
+                "--lag", "--seed")
     sp.add_argument("--k", type=int, help="number of series")
     sp.add_argument("--t", type=int, help="sample length")
     sp.add_argument("--density", type=float, help="coefficient density")
@@ -95,15 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--alpha", type=float, help="sentiment normalization constant")
     sp.add_argument("--fill", choices=["zero", "carry"], help="empty-day policy")
 
-    # cmd_cv checks the estimator itself, so it is reported with every other problem
     sp = common(sub.add_parser("cv", help="select the penalty by walk-forward loss"),
-                estimators=None)
+                "--lag", *tuning)
+    # cmd_cv checks the estimator itself, so it is reported with every other problem
+    sp.add_argument("--estimator", help="lasso or fgls-lasso")
     sp.add_argument("--panel", help="input panel CSV")
 
-    sp = common(sub.add_parser("fit", help="fit a model and write it as JSON"))
+    sp = common(sub.add_parser("fit", help="fit a model and write it as JSON"),
+                "--lag", "--estimator", "--lambda", *tuning)
     sp.add_argument("--panel", help="input panel CSV")
 
-    sp = common(sub.add_parser("forecast", help="run the expanding-origin exercise"))
+    sp = common(sub.add_parser("forecast", help="run the expanding-origin exercise"),
+                "--lag", "--estimator", "--lambda", *tuning, "--horizons", "--origins")
     sp.add_argument("--panel", help="input panel CSV")
     sp.add_argument("--refit-policy", choices=["first", "per_origin"],
                     help="penalty selection policy; the walk-forward plan fixes the "
@@ -116,7 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mda-form", choices=["consecutive", "origin"],
                     help="directional accuracy form")
 
-    sp = common(sub.add_parser("granger", help="all-pairs causality network"))
+    sp = common(sub.add_parser("granger", help="all-pairs causality network"),
+                "--lag", "--grid", "--tol", "--max-sweeps", "--threshold")
     sp.add_argument("--panel", help="input panel CSV")
     sp.add_argument("--robust", action="store_true", default=None,
                     help="heteroskedasticity-robust score test")
@@ -159,6 +176,8 @@ def _merge_config(args: argparse.Namespace, choices: dict, types: dict) -> dict:
             if loaded[key] is not None:
                 try:
                     loaded[key] = types[key](str(loaded[key]))
+                except argparse.ArgumentTypeError as exc:
+                    errors.append(f"config key {key!r}: {exc}")
                 except (TypeError, ValueError):
                     errors.append(f"config key {key!r}: {loaded[key]!r} is not a valid "
                                   + types[key].__name__)
@@ -193,20 +212,8 @@ def _validate_paths(cfg: dict, keys: list[str], errors: list[str]) -> None:
 
 
 def _lasso_config(cfg: dict, errors: list[str]) -> lasso.LassoConfig:
-    kwargs = {}
-    if cfg.get("lam") is not None:
-        kwargs["lam"] = float(cfg["lam"])
-    if cfg.get("tol") is not None:
-        kwargs["tol"] = float(cfg["tol"])
-    if cfg.get("max_sweeps") is not None:
-        kwargs["max_sweeps"] = int(cfg["max_sweeps"])
-    if cfg.get("grid") is not None:
-        try:
-            kwargs["grid"] = (
-                cfg["grid"] if isinstance(cfg["grid"], lasso.LassoGrid) else _parse_grid(cfg["grid"])
-            )
-        except (ValueError, lasso.LassoError) as exc:
-            errors.append(f"--grid: {exc}")
+    # _merge_config has already converted each value with its option's type
+    kwargs = {k: cfg[k] for k in ("lam", "tol", "max_sweeps", "grid") if cfg.get(k) is not None}
     try:
         return lasso.LassoConfig(**kwargs)
     except lasso.LassoError as exc:
@@ -370,18 +377,13 @@ def cmd_forecast(cfg: dict) -> None:
     _require(cfg, ["panel", "lag", "estimator", "origins"], errors)
     _validate_paths(cfg, ["panel"], errors)
     lcfg = _lasso_config(cfg, errors)
-    origins = None
-    if cfg.get("origins") is not None:
-        try:
-            origins = _parse_origins(cfg["origins"])
-        except ValueError:
-            errors.append(f"--origins: expected START:END ISO dates, got {cfg['origins']!r}")
     if errors:
         raise ConfigError(errors)
     pnl = panel.read_panel_csv(cfg["panel"])
     p = int(cfg["lag"])
     estimator = cfg["estimator"]
     H = int(cfg.get("horizons", 4))
+    origins = cfg["origins"]
     plan = None
     if estimator != "ols" and cfg.get("lam") is None:
         start_pos = pnl.position(origins[0])

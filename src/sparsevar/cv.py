@@ -116,13 +116,14 @@ def select_lambda(
         window = TimePanel(window.dates, window.names, stats.transform(window.values))
         val_Z = lag_embed(window, p).Z
         actual = panel.values[val.start: val.stop]
-        for i, (lam, A, converged, _) in enumerate(lasso_path(embed.Y, embed.Z, lams, cfg)):
-            if converged and estimator == "fgls-lasso":
-                A, _, _, converged, _ = _fgls_refit(embed.Y, embed.Z, A, lam, cfg)
-            if not converged:
-                nonconverged[i] = True
-                continue
-            err = stats.inverse((A @ val_Z).T) - actual
+        _, fits, ok, _ = map(np.array, zip(*lasso_path(embed.Y, embed.Z, lams, cfg)))
+        if estimator == "fgls-lasso" and ok.any():
+            # one stage 2 for all of the fold's converged points
+            fits[ok], _, _, converged, _ = _fgls_refit(embed.Y, embed.Z, fits[ok], lams[ok], cfg)
+            ok[ok] = converged.all(axis=1)
+        nonconverged |= ~ok
+        for i in np.flatnonzero(ok):
+            err = stats.inverse((fits[i] @ val_Z).T) - actual
             losses[i, fold] = float(np.mean(np.sum(err * err, axis=1)))
 
     excluded = [float(lams[i]) for i in range(len(lams)) if nonconverged[i]]

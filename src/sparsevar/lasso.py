@@ -5,9 +5,10 @@ entrywise L1 norm and N the number of embedding columns. The loss and penalty
 both separate across rows of A, so the K equations are solved independently;
 the implementation updates one regressor coordinate at a time for all
 equations at once, which is exactly per-equation cyclic descent. Every fit
-runs one covariance-form core, ``_cd_gram``, on the sample moments
-G = Z Z^T / N, C = Y Z^T / N and ||Y||^2 / N (Friedman, Hastie & Tibshirani,
-2010): fixed-penalty fits, OLS at lambda = 0, each lambda path and FGLS stage 2.
+runs in covariance form on the sample moments G = Z Z^T / N, C = Y Z^T / N and
+||Y||^2 / N (Friedman, Hastie & Tibshirani, 2010): fixed-penalty fits, OLS at
+lambda = 0 and each lambda path in ``_cd_gram``; FGLS stage 2, whose rows each
+have their own whitened moments, for a whole stack of path points in ``_cd_rows``.
 """
 
 from __future__ import annotations
@@ -237,13 +238,13 @@ def _cd_gram(
             old = A[:, j]
             rho_j = C[:, j] - A @ G[:, j] + old * gjj
             new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / gjj
-            change = float(np.max(np.abs(new - old)))
+            change = float(np.abs(new - old).max())
             if change > 0.0:
                 A[:, j] = new
                 if change > max_change:
                     max_change = change
-        l1 = lam * np.sum(np.abs(A)) if np.ndim(lam) == 0 else lam @ np.sum(np.abs(A), axis=1)
-        obj = float(yy - 2.0 * np.sum(A * C) + np.sum((A @ G) * A) + l1)
+        l1 = lam * np.abs(A).sum() if np.ndim(lam) == 0 else lam @ np.abs(A).sum(axis=1)
+        obj = float(yy - 2.0 * (A * C).sum() + ((A @ G) * A).sum() + l1)
         _check_descent(sweep, prev_obj, obj)
         prev_obj = obj
         history.append(obj)
@@ -328,15 +329,12 @@ def fit_lasso_var(
         log.warning(
             "coordinate descent hit max_sweeps=%d at lambda=%g", cfg.max_sweeps, cfg.lam
         )
-    resid = Y - A @ Z
-    sigma_u = resid @ resid.T / n
-    sigma_u = (sigma_u + sigma_u.T) / 2
     names = embed.names or tuple(f"y{k + 1}" for k in range(Y.shape[0]))
     return VarModel(
         p=embed.p,
         names=names,
         A=A,
-        sigma_u=sigma_u,
+        sigma_u=_residual_cov(Y, Z, A),
         rho=None,
         stats=stats,
         lam=cfg.lam,
@@ -345,6 +343,12 @@ def fit_lasso_var(
         estimator=estimator,
         objective_history=tuple(history),
     )
+
+
+def _residual_cov(Y: np.ndarray, Z: np.ndarray, A: np.ndarray) -> np.ndarray:
+    resid = Y - A @ Z
+    sigma_u = resid @ resid.T / Y.shape[1]
+    return (sigma_u + sigma_u.T) / 2
 
 
 def _lag1_autocorr(u: np.ndarray) -> float:
@@ -364,41 +368,85 @@ def prais_winsten(M: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-def _fgls_refit(
-    Y: np.ndarray,
-    Z: np.ndarray,
-    A1: np.ndarray,
-    lam: float,
-    cfg: LassoConfig,
-) -> tuple[np.ndarray, np.ndarray, int, bool, list[float]]:
-    """FGLS stage 2 from stage-1 coefficients A1 at penalty lam.
+def _whitened_moments(Y: np.ndarray, Z: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+    """G, C and yy of each (point, equation) row of rho (P, K) on ``prais_winsten`` data.
+
+    Whitening is linear: with X = [Y; Z], S0 = X X^T, S1 = sum_t x_t x_{t-1}^T and
+    D = S0 - x_0 x_0^T - x_{n-1} x_{n-1}^T, n S_w(rho) = S0 - rho (S1 + S1^T) + rho^2 D.
+    """
+    (K, n), m = Y.shape, Z.shape[0]
+    X = np.vstack([Y, Z])
+    S0, S1, x0, xl = X @ X.T, X[:, 1:] @ X[:, :-1].T, X[:, 0], X[:, -1]
+    basis = np.stack([S0, -(S1 + S1.T), S0 - np.outer(x0, x0) - np.outer(xl, xl)]) / n
+    coef = np.stack([np.ones_like(rho), rho, rho * rho], axis=-1)
+    G = (coef.reshape(-1, 3) @ basis[:, K:, K:].reshape(3, -1)).reshape(-1, m, m)
+    C = np.einsum("pkc,ckm->pkm", coef, basis[:, :K, K:]).reshape(-1, m)
+    yy = np.einsum("pkc,ckk->pk", coef, basis[:, :K, :K]).ravel()
+    return G, C, yy
+
+
+def _cd_rows(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol: float,
+             max_sweeps: int, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """``_cd_gram`` on R independent one-row problems, updating A (R, m) in place.
+
+    Row r has its own symmetric G[r] (so column j of every Gram is G[:, j, :]),
+    C[r], yy[r] and lam[r]. Each row stops after its own first sweep with change
+    < tol and keeps its own objective history; stopped rows leave the working
+    arrays once half have stopped. Returns per-row (sweeps, converged, histories).
+    """
+    R, m = C.shape
+    sweeps, converged = np.full(R, max_sweeps), np.zeros(R, dtype=bool)
+    history: list[list[float]] = [[] for _ in range(R)]
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    # a zero regressor's coefficient starts and stays at 0
+    work = (np.arange(R), A.copy(), G, C, yy, lam, np.where(diag > 0, diag, 1.0))
+    live = np.ones(R, dtype=bool)
+    for sweep in range(1, max_sweeps + 1):
+        rows, W, Gw, Cw, yyw, lamw, dw = work
+        half_lam = lamw / 2.0
+        change = np.zeros(len(rows))
+        for j in range(m):
+            old = W[:, j]
+            rho_j = Cw[:, j] - np.einsum("rm,rm->r", W, Gw[:, j, :]) + old * dw[:, j]
+            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / dw[:, j]
+            np.maximum(change, np.abs(new - old), out=change)
+            W[:, j] = new
+        obj = (yyw - 2.0 * np.einsum("rm,rm->r", W, Cw)
+               + np.einsum("rm,rmn,rn->r", W, Gw, W) + lamw * np.abs(W).sum(axis=1))
+        for r, o in zip(rows[live].tolist(), obj[live].tolist()):
+            _check_descent(sweep, history[r][-1] if history[r] else np.inf, o)
+            history[r].append(o)
+        done = live & (change < tol)
+        A[rows[done]] = W[done]
+        sweeps[rows[done]] = sweep
+        converged[rows[done]] = True
+        live &= ~done
+        if not live.any():
+            break
+        if 2 * np.count_nonzero(live) <= len(live):
+            work = tuple(a[live] for a in work)
+            live = live[live]
+    A[work[0][live]] = work[1][live]
+    return sweeps, converged, history
+
+
+def _fgls_refit(Y: np.ndarray, Z: np.ndarray, A1: np.ndarray, lams, cfg: LassoConfig) -> tuple:
+    """FGLS stage 2 for a stack of P stage-1 points A1 (P, K, m) at penalties lams (P,).
 
     Each equation's rho is the lag-1 autocorrelation of its stage-1 residuals
-    (clipped to |rho| <= 0.99); its target and regressors are Prais-Winsten
-    quasi-differenced and the penalty re-applied on their moments, one
-    equation per solve (so each stops on its own changes), warm-started from
-    A1. Returns (A, rho, sweeps, converged, history) of the K whitened
-    solves: the most sweeps any took, whether all converged, and their
-    objectives.
+    (clipped to |rho| <= 0.99); the penalty is re-applied on its Prais-Winsten
+    whitened moments (``_whitened_moments``), warm-started from its own stage-1
+    row, so all P K solves are independent and run in one ``_cd_rows`` loop.
+    Returns A (P, K, m); rho, sweeps and converged (P, K); and per point its
+    objectives, equations in row order.
     """
-    K, n = Y.shape
-    resid = Y - A1 @ Z
-    rho = np.clip([_lag1_autocorr(resid[k]) for k in range(K)], -0.99, 0.99)
-    A = np.array(A1, dtype=float)
-    sweeps = 0
-    converged = True
-    history: list[float] = []
-    for k in range(K):
-        yw = prais_winsten(Y[k: k + 1], rho[k])
-        Zw = prais_winsten(Z, rho[k])
-        sw, conv, hist = _cd_gram(
-            Zw @ Zw.T / n, yw @ Zw.T / n, float(np.sum(yw * yw)) / n,
-            lam, cfg.tol, cfg.max_sweeps, A[k: k + 1],
-        )
-        sweeps = max(sweeps, sw)
-        converged = converged and conv
-        history.extend(hist)
-    return A, rho, sweeps, converged, history
+    P, K, m = A1.shape
+    rho = np.clip([[_lag1_autocorr(u) for u in Y - a @ Z] for a in A1], -0.99, 0.99)
+    A = np.array(A1, dtype=float).reshape(P * K, m)
+    sweeps, converged, hist = _cd_rows(*_whitened_moments(Y, Z, rho), np.repeat(lams, K),
+                                       cfg.tol, cfg.max_sweeps, A)
+    history = [[v for h in hist[i * K:(i + 1) * K] for v in h] for i in range(P)]
+    return A.reshape(P, K, m), rho, sweeps.reshape(P, K), converged.reshape(P, K), history
 
 
 def fit_fgls_lasso_var(
@@ -415,28 +463,14 @@ def fit_fgls_lasso_var(
     """
     stage1 = fit_lasso_var(embed, cfg, stats=stats)
     Y, Z = embed.Y, embed.Z
-    K, n = Y.shape
-    A, rho, sweeps, converged, history = _fgls_refit(Y, Z, stage1.A, cfg.lam, cfg)
-    converged = stage1.converged and converged
+    A, rho, sweeps, converged, history = _fgls_refit(Y, Z, stage1.A[None], [cfg.lam], cfg)
+    converged = stage1.converged and bool(converged.all())
     if not converged:
         log.warning("FGLS refit hit max_sweeps=%d at lambda=%g", cfg.max_sweeps, cfg.lam)
-    resid = Y - A @ Z
-    sigma_u = resid @ resid.T / n
-    sigma_u = (sigma_u + sigma_u.T) / 2
-    names = embed.names or tuple(f"y{k + 1}" for k in range(K))
-    return VarModel(
-        p=embed.p,
-        names=names,
-        A=A,
-        sigma_u=sigma_u,
-        rho=rho,
-        stats=stats,
-        lam=cfg.lam,
-        sweeps=max(stage1.sweeps, sweeps),
-        converged=converged,
-        estimator="fgls-lasso",
-        objective_history=stage1.objective_history + tuple(history),
-    )
+    return replace(stage1, A=A[0], sigma_u=_residual_cov(Y, Z, A[0]), rho=rho[0],
+                   sweeps=max(stage1.sweeps, int(sweeps.max())), converged=converged,
+                   estimator="fgls-lasso",
+                   objective_history=stage1.objective_history + tuple(history[0]))
 
 
 def kkt_violation(model: VarModel, embed: LagEmbedding, lam: float | None = None) -> float:

@@ -163,6 +163,38 @@ class TestConfigErrors:
             "config key 'estimator': 'ridge' is not one of 'ols', 'lasso', 'fgls-lasso'"]
 
 
+    @pytest.mark.parametrize("command,key,value,expected", [
+        ("cv", "grid", 10, "expected N,RATIO, N >= 1, 0 < RATIO < 1: '10'"),
+        ("cv", "grid", [50, 0.001],
+         "expected N,RATIO, N >= 1, 0 < RATIO < 1: '[50, 0.001]'"),
+        ("forecast", "origins", 5, "expected START:END ISO dates: '5'"),
+    ])
+    def test_grid_and_origins_of_wrong_json_type(self, tmp_path, capsys, panel_csv,
+                                                 command, key, value, expected):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value, "lag": 1}))
+        messages = config_messages(capsys, [
+            command, "--config", str(config), "--panel", panel_csv,
+            "--estimator", "lasso", "--out", str(tmp_path / "out")])
+        assert messages == [f"config key {key!r}: {expected}"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["simulate", "--threshold", "0.1"],
+                                      ["evaluate", "--lag", "2"]])
+    def test_subcommand_rejects_options_it_does_not_read(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+        config = tmp_path / "config.json"
+        key = argv[1].lstrip("-")
+        config.write_text(json.dumps({key: float(argv[2])}))
+        messages = config_messages(capsys, [argv[0], "--config", str(config),
+                                            "--out", str(tmp_path / "out")])
+        assert messages == [f"config key {key!r} is not an option of {argv[0]}"]
+        assert not (tmp_path / "out").exists()
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))

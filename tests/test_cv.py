@@ -180,7 +180,9 @@ class TestGoldenLossTables:
     """Loss tables recorded before CV and the FGLS fit shared one code path;
     any change to the path, the whitening or the validation design shows here.
     The fgls-lasso table was re-recorded when FGLS stage 2 moved to the
-    covariance form: losses moved by at most 1.4e-15, lambda* did not."""
+    covariance form (losses moved by at most 1.4e-15) and again when it became
+    one batched solve on whitened moments from shared cross-products (5 cells
+    moved, by at most 1.8e-15); lambda* did not move."""
 
     plan = WalkForwardPlan(n_splits=2, test_size=30, min_train=180)
     cfg = LassoConfig(tol=1e-8, grid=LassoGrid(n_points=6, ratio=0.01))
@@ -196,10 +198,10 @@ class TestGoldenLossTables:
         self.check("fgls-lasso", [
             [7.147458393476305, 4.839913418706302],
             [6.899074802899974, 4.658856564562104],
-            [3.3793756989461357, 3.2527329888339427],
-            [3.050079211998807, 3.1058272132929963],
-            [3.029717787313368, 3.094148138773634],
-            [3.047256602027387, 3.098524421019944],
+            [3.379375698946137, 3.2527329888339427],
+            [3.050079211998809, 3.1058272132929963],
+            [3.0297177873133694, 3.094148138773633],
+            [3.0472566020273875, 3.098524421019944],
         ], 0.0407497535305944)
 
     def test_lasso(self):

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from sparsevar.lasso import (
     _cd_gram,
     _check_descent,
     _fgls_refit,
+    _whitened_moments,
 )
 from sparsevar.panel import LagEmbedding, lag_embed, standardize
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
@@ -113,18 +115,33 @@ def _cd_solve(
 def residual_stage2(Y, Z, A1, lam, cfg, rho):
     """FGLS stage 2 at the given rho: one residual-form solve per equation on
     its Prais-Winsten whitened data, warm-started from A1. Returns (A, the
-    sweeps of each solve, whether all converged)."""
+    sweeps and convergence of each solve, their objectives in row order)."""
     A = np.empty_like(A1)
-    sweeps = []
-    converged = True
+    sweeps, converged, history = [], [], []
     for k in range(Y.shape[0]):
         yw = prais_winsten(Y[k: k + 1], rho[k])
         Zw = prais_winsten(Z, rho[k])
-        row, sw, conv, _ = _cd_solve(yw, Zw, lam, cfg.tol, cfg.max_sweeps, A1[k: k + 1].copy())
+        row, sw, conv, hist = _cd_solve(yw, Zw, lam, cfg.tol, cfg.max_sweeps, A1[k: k + 1].copy())
         A[k] = row[0]
         sweeps.append(sw)
-        converged = converged and conv
-    return A, sweeps, converged
+        converged.append(conv)
+        history.extend(hist)
+    return A, sweeps, converged, history
+
+
+def ar1_stage1_path(k, seed, cfg):
+    """Standardized p = 2 embedding of a simulate() AR(1)-error panel and its
+    converged stage-1 path: (Y, Z, stacked A (P, K, m), per-point penalties)."""
+    spec = SyntheticSpec(
+        k=k, p=2, t=402, recipe=SparseRecipe(density=0.3, magnitude=0.25, seed=seed),
+        error="ar1", rho=0.5, seed=seed,
+    )
+    pnl, _ = simulate(spec)
+    std, _ = standardize(pnl)
+    emb = lag_embed(std, 2)
+    path = list(lasso_path(emb.Y, emb.Z, lambda_grid(lambda_max(emb.Y, emb.Z), cfg.grid), cfg))
+    assert all(converged for _, _, converged, _ in path)
+    return emb.Y, emb.Z, np.stack([A for _, A, _, _ in path]), np.array([lam for lam, *_ in path])
 
 
 def ista_oracle(Y, Z, lam, iters=200_000, tol=1e-14):
@@ -301,33 +318,53 @@ class TestPathEquivalence:
 
     @pytest.mark.parametrize("k,seed", [(1, 5), (4, 6), (10, 7)])
     def test_fgls_stage2_matches_residual_form(self, k, seed):
-        spec = SyntheticSpec(
-            k=k, p=2, t=402, recipe=SparseRecipe(density=0.3, magnitude=0.25, seed=seed),
-            error="ar1", rho=0.5, seed=seed,
-        )
-        pnl, _ = simulate(spec)
-        std, _ = standardize(pnl)
-        emb = lag_embed(std, 2)
-        Y, Z = emb.Y, emb.Z
+        # one stacked stage 2 for 8 path points, each point with its own penalty
         cfg = LassoConfig(grid=LassoGrid(n_points=8, ratio=1e-2))
-        lams = lambda_grid(lambda_max(Y, Z), cfg.grid)
-        for lam, A1, converged, _ in lasso_path(Y, Z, lams, cfg):
-            assert converged
-            A, rho, sweeps, conv, history = _fgls_refit(Y, Z, A1, lam, cfg)
-            ref, ref_sweeps, ref_conv = residual_stage2(Y, Z, A1, lam, cfg, rho)
-            assert (conv, sweeps, len(history)) == (ref_conv, max(ref_sweeps), sum(ref_sweeps))
-            assert np.max(np.abs(A - ref)) <= 1e-12
-            np.testing.assert_array_equal(A == 0.0, ref == 0.0)
-            for r in range(k):
-                # one equation alone: its own sweep count, at its own rho
-                # (a one-row residual product may round rho differently)
-                row, rho_r, sw, conv, _ = _fgls_refit(Y[r:r + 1], Z, A1[r:r + 1], lam, cfg)
-                ref, ref_sweeps, ref_conv = residual_stage2(
-                    Y[r:r + 1], Z, A1[r:r + 1], lam, cfg, rho_r
-                )
-                assert (conv, [sw]) == (ref_conv, ref_sweeps)
-                assert np.max(np.abs(row - ref)) <= 1e-12
-                np.testing.assert_array_equal(row == 0.0, ref == 0.0)
+        Y, Z, A1, lams = ar1_stage1_path(k, seed, cfg)
+        A, rho, sweeps, converged, history = _fgls_refit(Y, Z, A1, lams, cfg)
+        assert A.shape == A1.shape
+        assert rho.shape == sweeps.shape == converged.shape == (len(lams), k)
+        for i, lam in enumerate(lams):
+            ref, ref_sweeps, ref_conv, ref_history = residual_stage2(Y, Z, A1[i], lam, cfg, rho[i])
+            assert (list(sweeps[i]), list(converged[i])) == (ref_sweeps, ref_conv)
+            assert len(history[i]) == len(ref_history)
+            np.testing.assert_allclose(history[i], ref_history, rtol=1e-12, atol=1e-12)
+            assert np.max(np.abs(A[i] - ref)) <= 1e-12
+            np.testing.assert_array_equal(A[i] == 0.0, ref == 0.0)
+
+    def test_fgls_stage2_capped_row_leaves_the_others_unchanged(self):
+        cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
+        Y, Z, A1, lams = ar1_stage1_path(4, 6, cfg)
+        A, _, sweeps, converged, history = _fgls_refit(Y, Z, A1, lams, cfg)
+        cap = int(sweeps.max()) - 1
+        capped = replace(cfg, max_sweeps=cap)
+        A_c, _, sweeps_c, converged_c, history_c = _fgls_refit(Y, Z, A1, lams, capped)
+        hit = sweeps > cap
+        assert hit.any() and (~hit).any() and converged.all()
+        np.testing.assert_array_equal(A_c[~hit], A[~hit])
+        np.testing.assert_array_equal(sweeps_c, np.minimum(sweeps, cap))
+        np.testing.assert_array_equal(converged_c, ~hit)
+        for i in range(len(lams)):
+            per_row = np.minimum(sweeps[i], cap)
+            assert len(history_c[i]) == per_row.sum()
+            kept = np.concatenate([history[i][s0: s0 + n] for s0, n in
+                                   zip(np.cumsum(sweeps[i]) - sweeps[i], per_row)])
+            np.testing.assert_array_equal(history_c[i], kept)
+
+    @pytest.mark.parametrize("rho", [-0.99, 0.0, 0.5, 0.99])
+    def test_whitened_moments_match_prais_winsten_products(self, rho):
+        cfg = LassoConfig(grid=LassoGrid(n_points=2, ratio=1e-2))
+        Y, Z, _, _ = ar1_stage1_path(4, 6, cfg)
+        K, n = Y.shape
+        rhos = np.array([[rho] * K, [rho, 0.3, -0.7, 0.9]])
+        G, C, yy = _whitened_moments(Y, Z, rhos)
+        for r, (i, k) in enumerate(np.ndindex(rhos.shape)):
+            Xw = prais_winsten(np.vstack([Y[k: k + 1], Z]), rhos[i, k])
+            S = Xw @ Xw.T / n
+            scale = np.abs(S).max()
+            assert np.abs(G[r] - S[1:, 1:]).max() <= 1e-13 * scale
+            assert np.abs(C[r] - S[0, 1:]).max() <= 1e-13 * scale
+            assert abs(yy[r] - S[0, 0]) <= 1e-13 * scale
 
     def test_negative_penalty_rejected(self):
         G, C = np.eye(2), np.ones((2, 2))
