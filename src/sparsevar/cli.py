@@ -348,6 +348,7 @@ def cmd_cv(cfg: dict) -> None:
     plan = _plan(cfg, pnl.n_obs, p)
     _, report = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=estimator)
     cv_mod.write_cv_report_csv(report, os.path.join(out, "cv_report.csv"))
+    cv_mod.write_cv_excluded_csv(report, os.path.join(out, "cv_excluded.csv"))
 
 
 def cmd_fit(cfg: dict) -> None:

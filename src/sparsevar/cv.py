@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsevar.lasso import LassoConfig, _fgls_refit, lambda_grid, lambda_max, lasso_path
+from sparsevar.lasso import LassoConfig, _fgls_refit, _path_moments, lambda_grid, lambda_max
+from sparsevar.lasso import lasso_path, lasso_paths  # noqa: F401 (the bench traces cv.lasso_path)
 from sparsevar.panel import TimePanel, lag_embed, standardize
 
 log = logging.getLogger("sparsevar.cv")
@@ -47,6 +48,7 @@ class CvReport:
     mean_loss: np.ndarray       # n_lams, NaN where excluded
     lambda_star: float
     excluded: tuple[float, ...]
+    reasons: tuple[str, ...] = ()  # why each excluded penalty was excluded
 
 
 def make_splits(T: int, plan: WalkForwardPlan) -> list[tuple[range, range]]:
@@ -78,9 +80,15 @@ def select_lambda(
     the validation window without refitting. The loss is the squared error
     summed over all series, averaged over validation points, in the panel's
     original units. Ties break toward the larger (sparser) penalty. Penalties
-    whose fit fails to converge in any fold are excluded with a warning.
-    estimator is "lasso" or "fgls-lasso"; the latter scores each path point
-    after its FGLS stage 2, the refit ``fit_fgls_lasso_var`` makes.
+    whose fit fails to converge in any fold are excluded with a warning and
+    their folds named in ``CvReport.reasons``.
+
+    Every fold's path runs in lockstep with the others in one ``lasso_paths``
+    call on the shared grid, from the fold's moments alone; each fold stops on
+    its own, so its path is the one it has alone, and a fold that runs out of
+    sweeps excludes only the penalties where it did. estimator is "lasso" or
+    "fgls-lasso"; the latter scores each path point after its FGLS stage 2,
+    the refit ``fit_fgls_lasso_var`` makes, one ``_fgls_refit`` per fold.
     """
     if estimator not in ("lasso", "fgls-lasso"):
         raise CvError(f"unknown estimator {estimator!r}")
@@ -95,8 +103,7 @@ def select_lambda(
     embed_anchor = lag_embed(std_anchor, p)
     lams = lambda_grid(lambda_max(embed_anchor.Y, embed_anchor.Z), cfg.grid)
 
-    losses = np.full((len(lams), len(splits)), np.nan)
-    nonconverged = np.zeros(len(lams), dtype=bool)
+    folds, moments = [], []
     for fold, (train, val) in enumerate(splits):
         if train.stop > val.start:
             raise CvError(
@@ -110,25 +117,41 @@ def select_lambda(
                 f"fold {fold}: standardized {stats.n_series} series, panel has {panel.n_series}"
             )
         embed = lag_embed(std_train, p)
+        moments.append(_path_moments(embed.Y, embed.Z))
         # validation design in training units: rows val.start - p .. val.stop - 1,
         # so the prediction for t uses rows t-p .. t-1 only
         window = panel.slice_rows(val.start - p, val.stop)
         window = TimePanel(window.dates, window.names, stats.transform(window.values))
         val_Z = lag_embed(window, p).Z
         actual = panel.values[val.start: val.stop]
-        _, fits, ok, _ = map(np.array, zip(*lasso_path(embed.Y, embed.Z, lams, cfg)))
-        if estimator == "fgls-lasso" and ok.any():
+        # the lasso needs only the moments; FGLS stage 2 re-reads the samples
+        folds.append((embed if estimator == "fgls-lasso" else None, stats, val_Z, actual))
+
+    # every fold's path in lockstep: fits (n_lams, n_folds, K, m), ok (n_lams, n_folds)
+    G, C, yy = (np.stack(parts) for parts in zip(*moments))
+    points = list(lasso_paths(G, C, yy, lams, cfg))
+    fits = np.array([A for _, A, _, _, _ in points])
+    ok = np.array([converged for _, _, converged, _, _ in points])
+    losses = np.full((len(lams), len(splits)), np.nan)
+    for fold, (embed, stats, val_Z, actual) in enumerate(folds):
+        fold_fits, fold_ok = fits[:, fold], ok[:, fold]
+        if embed is not None and fold_ok.any():
             # one stage 2 for all of the fold's converged points
-            fits[ok], _, _, converged, _ = _fgls_refit(embed.Y, embed.Z, fits[ok], lams[ok], cfg)
-            ok[ok] = converged.all(axis=1)
-        nonconverged |= ~ok
-        for i in np.flatnonzero(ok):
-            err = stats.inverse((fits[i] @ val_Z).T) - actual
+            fold_fits[fold_ok], _, _, converged, _ = _fgls_refit(
+                embed.Y, embed.Z, fold_fits[fold_ok], lams[fold_ok], cfg)
+            fold_ok[fold_ok] = converged.all(axis=1)
+        for i in np.flatnonzero(fold_ok):
+            err = stats.inverse((fold_fits[i] @ val_Z).T) - actual
             losses[i, fold] = float(np.mean(np.sum(err * err, axis=1)))
 
+    nonconverged = ~ok.all(axis=1)
+    reasons = [
+        "fit did not converge in fold " + ", ".join(map(str, np.flatnonzero(~ok[i])))
+        for i in np.flatnonzero(nonconverged)
+    ]
     excluded = [float(lams[i]) for i in range(len(lams)) if nonconverged[i]]
-    for lam in excluded:
-        msg = f"penalty {lam:g} excluded: fit did not converge in at least one fold"
+    for lam, reason in zip(excluded, reasons):
+        msg = f"penalty {lam:g} excluded: {reason}"
         log.warning(msg)
         warnings.warn(msg, stacklevel=2)
     losses[nonconverged, :] = np.nan
@@ -148,6 +171,7 @@ def select_lambda(
         mean_loss=mean_loss,
         lambda_star=lambda_star,
         excluded=tuple(excluded),
+        reasons=tuple(reasons),
     )
     return lambda_star, report
 
@@ -164,3 +188,12 @@ def write_cv_report_csv(report: CvReport, path) -> None:
                     ["%.17g" % lam, fold, "" if np.isnan(loss) else "%.17g" % loss]
                 )
         fh.write("# lambda_star = %.17g\n" % report.lambda_star)
+
+
+def write_cv_excluded_csv(report: CvReport, path) -> None:
+    """``lambda,reason`` rows for every excluded penalty; only the header if none."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["lambda", "reason"])
+        writer.writerows(["%.17g" % lam, reason]
+                         for lam, reason in zip(report.excluded, report.reasons))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsevar.lasso import LassoConfig, _bic, lambda_grid, lambda_max, lasso_path
+from sparsevar.lasso import LassoConfig, _bic, _path_moments, lambda_grid, lambda_max, lasso_paths
 from sparsevar.panel import LagEmbedding, TimePanel, lag_embed, standardize
 
 log = logging.getLogger("sparsevar.granger")
@@ -73,42 +73,56 @@ class NetworkResult:
     failures: tuple[tuple[str, str, str], ...] = ()
 
 
-def _bic_select(Y: np.ndarray, X: np.ndarray, cfg: LassoConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row penalty and support mask minimizing single-equation BIC.
+NO_CONVERGED_FIT = "no converged fit on the BIC grid; raise max_sweeps"
 
-    Each row of Y is its own regression on the regressors in the rows of X,
-    with its own grid descending from its own ``lambda_max``; all rows run in
-    one ``lasso_path`` on that per-row grid. BIC at each grid point is
-    N ln(RSS/N) + s ln(N) evaluated at the LASSO coefficients; ties break
-    toward the larger penalty (the grid descends). A row orthogonal to every
-    regressor gets the empty model at penalty 0. A penalty at which the
-    joint solve did not converge is skipped for every row.
-    Returns the penalties, shape (R,), and the support, shape (R, m).
+
+def _bic_select(
+    D: np.ndarray, rows: list[list[int]], cols: list[list[int]], cfg: LassoConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row penalty and support minimizing single-equation BIC, for g designs.
+
+    Design i regresses each row D[rows[i][r]] (of N samples) on the regressors
+    D[cols[i]]. Each row has its own grid descending from its own
+    ``lambda_max``, and the g designs' paths run in lockstep in one
+    ``lasso_paths`` call; each design stops on its own, so it selects exactly
+    what it selects alone. A design's samples are gathered from D only while
+    it is in use, so one design's copy is held at a time. BIC at each grid
+    point is N ln(RSS/N) + s ln(N) evaluated at the LASSO coefficients; ties
+    break toward the larger penalty (the grid descends). A row orthogonal to
+    every regressor gets the empty model at penalty 0: a zero row of C keeps
+    it at zero. A penalty at which a design's joint solve did not converge is
+    skipped for every row of that design only. Returns the penalties (g, R),
+    the support (g, R, m) and whether each design had a converged fit on its
+    grid; one that had none selects nothing (``NO_CONVERGED_FIT``).
     """
-    R, n = Y.shape
-    lams = np.zeros(R)
-    support = np.zeros((R, X.shape[0]), dtype=bool)
-    lmax = np.array([lambda_max(Y[r: r + 1], X) for r in range(R)])
-    live = np.flatnonzero(lmax != 0.0)
-    if live.size == 0:
-        return lams, support
-    Y_live = Y[live]
-    grid = np.column_stack([lambda_grid(lmax[r], cfg.grid) for r in live])
-    best = np.full(live.size, np.inf)
-    for lam, A, converged, _ in lasso_path(Y_live, X, grid, cfg):
-        if not converged:
-            log.warning("BIC stage skipped non-converged penalties %s", lam)
-            continue
-        resid = Y_live - A @ X
-        rss = np.einsum("rn,rn->r", resid, resid)
-        bic = _bic(rss, np.count_nonzero(A, axis=1), n)
-        better = bic < best
-        best[better] = bic[better]
-        lams[live[better]] = lam[better]
-        support[live[better]] = A[better] != 0.0
-    if np.all(best == np.inf):
-        raise GrangerError("no converged fit on the BIC grid; raise max_sweeps")
-    return lams, support
+    rows, cols, n = np.asarray(rows), np.asarray(cols), D.shape[1]
+    lmax, moments = np.zeros(rows.shape), []
+    for i, (y, x) in enumerate((D[r], D[c]) for r, c in zip(rows, cols)):
+        lmax[i] = [lambda_max(y[r: r + 1], x) for r in range(len(y))]
+        moments.append(_path_moments(y, x, per_row=True))
+    live = lmax != 0.0
+    lams = np.zeros(lmax.shape)
+    support = np.zeros(live.shape + cols.shape[1:], dtype=bool)
+    ok = ~live.any(axis=1)
+    grid = np.zeros((cfg.grid.n_points,) + lmax.shape)
+    for i, r in zip(*np.nonzero(live)):
+        grid[:, i, r] = lambda_grid(lmax[i, r], cfg.grid)
+    G, C, yy = (np.stack(parts) for parts in zip(*moments))
+    C[~live] = 0.0
+    best = np.full(lmax.shape, np.inf)
+    for lam, A, converged, _, _ in lasso_paths(G, C, yy, grid, cfg):
+        for i, a in enumerate(A):
+            if not converged[i]:
+                log.warning("BIC stage of design %d skipped non-converged penalties %s", i, lam[i])
+                continue
+            resid = D[rows[i]] - a @ D[cols[i]]
+            bic = _bic(np.einsum("rn,rn->r", resid, resid), np.count_nonzero(a, axis=1), n)
+            better = (bic < best[i]) & live[i]
+            best[i, better] = bic[better]
+            lams[i, better] = lam[i, better]
+            support[i, better] = a[better] != 0.0
+            ok[i] = True
+    return lams, support, ok
 
 
 def _name_collinear(X: np.ndarray, labels: list[str]) -> list[str]:
@@ -206,12 +220,14 @@ def pds_granger(
         panel.index_of(name)  # raises with the offending name
     std_panel, _ = standardize(panel)
     embed = lag_embed(std_panel, spec.p)
-    effect = panel.index_of(spec.effect)
-    gc_rows, other_rows = _split_rows(
-        panel.n_series, spec.p, [panel.index_of(c) for c in spec.causes]
-    )
-    rows = np.vstack([embed.Y[effect: effect + 1], embed.Z[gc_rows]])
-    lams, support = _bic_select(rows, embed.Z[other_rows], cfg)
+    K, effect = panel.n_series, panel.index_of(spec.effect)
+    gc_rows, other_rows = _split_rows(K, spec.p, [panel.index_of(c) for c in spec.causes])
+    lams, support, ok = _bic_select(np.vstack([embed.Y, embed.Z]),
+                                    [[effect] + [K + j for j in gc_rows]],
+                                    [[K + j for j in other_rows]], cfg)
+    if not ok[0]:
+        raise GrangerError(NO_CONVERGED_FIT)
+    lams, support = lams[0], support[0]
     control_rows = [other_rows[j] for j in np.flatnonzero(support.any(axis=0))]
     lm, p_value, gc_coef = _lm_test(embed, effect, gc_rows, control_rows, robust)
     labels = embed.regressor_names()
@@ -258,13 +274,15 @@ def granger_network(
     lag-embedded once. For a cause c, the selection
     regressions of every effect and of the p lags of c all share the design
     Z_other(c) (every lag but c's), so one BIC path per cause selects them
-    all: K paths instead of K (K - 1) (p + 1). Each pair then runs the final
-    LM test on its own controls.
+    all: K paths instead of K (K - 1) (p + 1), and the K paths run in lockstep
+    in one ``_bic_select`` call, each stopping on its own. Each pair then runs
+    the final LM test on its own controls.
 
     An edge source -> target is emitted exactly when its p-value is below
     the threshold; the full p-value matrix is always produced. Pairs whose
     test errors are recorded in ``failures`` and skipped without aborting
-    the run; a selection error fails every pair of its cause, with one reason.
+    the run; a cause whose paths have no converged fit fails every pair of
+    that cause only, with one reason.
     """
     if not 0.0 <= threshold <= 1.0:
         raise GrangerError(f"threshold must be in [0, 1], got {threshold}")
@@ -277,21 +295,25 @@ def granger_network(
     std_panel, _ = standardize(panel)
     embed = lag_embed(std_panel, p)
 
-    outcome: dict[tuple[str, str], tuple[float, str | None]] = {}
+    K = panel.n_series
+    designs, rows, cols = [], [], []
     for src in names:
+        effect_idx = [panel.index_of(dst) for dst in names if dst != src]
+        gc_rows, other_rows = _split_rows(K, p, [panel.index_of(src)])
+        designs.append((src, effect_idx, gc_rows, other_rows))
+        rows.append(effect_idx + [K + j for j in gc_rows])
+        cols.append([K + j for j in other_rows])
+    _, support, ok = _bic_select(np.vstack([embed.Y, embed.Z]), rows, cols, cfg)
+
+    outcome: dict[tuple[str, str], tuple[float, str | None]] = {}
+    for (src, effect_idx, gc_rows, other_rows), sel, selected in zip(designs, support, ok):
         effects = [dst for dst in names if dst != src]
-        effect_idx = [panel.index_of(dst) for dst in effects]
-        gc_rows, other_rows = _split_rows(panel.n_series, p, [panel.index_of(src)])
-        rows = np.vstack([embed.Y[effect_idx], embed.Z[gc_rows]])
-        try:
-            _, support = _bic_select(rows, embed.Z[other_rows], cfg)
-        except (GrangerError, np.linalg.LinAlgError) as exc:
-            outcome.update({(src, dst): (float("nan"), str(exc)) for dst in effects})
+        if not selected:
+            outcome.update({(src, dst): (float("nan"), NO_CONVERGED_FIT) for dst in effects})
             continue
-        lag_support = support[len(effects):].any(axis=0)
+        lag_support = sel[len(effects):].any(axis=0)
         for i, dst in enumerate(effects):
-            union = support[i] | lag_support
-            control_rows = [other_rows[j] for j in np.flatnonzero(union)]
+            control_rows = [other_rows[j] for j in np.flatnonzero(sel[i] | lag_support)]
             try:
                 _, p_value, _ = _lm_test(embed, effect_idx[i], gc_rows, control_rows, robust)
                 outcome[src, dst] = p_value, None

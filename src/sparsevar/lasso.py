@@ -6,9 +6,13 @@ both separate across rows of A, so the K equations are solved independently;
 the implementation updates one regressor coordinate at a time for all
 equations at once, which is exactly per-equation cyclic descent. Every fit
 runs in covariance form on the sample moments G = Z Z^T / N, C = Y Z^T / N and
-||Y||^2 / N (Friedman, Hastie & Tibshirani, 2010): fixed-penalty fits, OLS at
-lambda = 0 and each lambda path in ``_cd_gram``; FGLS stage 2, whose rows each
-have their own whitened moments, for a whole stack of path points in ``_cd_rows``.
+||Y||^2 / N (Friedman, Hastie & Tibshirani, 2010). ``_cd_gram`` solves a stack
+of independent groups of rows in lockstep, one batched step per coordinate,
+each group with its own stopping rule: the CV folds' paths and the Granger
+causes' paths share a grid and run as groups of one ``lasso_paths`` call;
+``lasso_path`` and fixed-penalty fits (OLS at lambda = 0) are one group. FGLS
+stage 2, whose rows each have their own whitened moments, runs a whole stack
+of path points in ``_cd_rows``.
 """
 
 from __future__ import annotations
@@ -203,54 +207,77 @@ def _check_descent(sweep: int, prev_obj: float, obj: float) -> None:
         raise LassoError(f"objective increased across sweep {sweep}: {prev_obj!r} -> {obj!r}")
 
 
-def _cd_gram(
-    G: np.ndarray,
-    C: np.ndarray,
-    yy: float,
-    lam: float | np.ndarray,
-    tol: float,
-    max_sweeps: int,
-    A: np.ndarray,
-) -> tuple[int, bool, list[float]]:
-    """Covariance-form coordinate descent, updating A (the warm start) in place.
+def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol: float,
+             max_sweeps: int, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+    """Covariance-form coordinate descent on g independent groups, updating A in place.
 
-    G = Z Z^T / N, C = Y Z^T / N and yy = ||Y||_F^2 / N carry everything a
-    residual-form sweep reads from the samples, so a sweep costs O(K m^2)
-    whatever N is. lam is one penalty for every row or a vector of one per
-    row. Coordinates are visited in fixed lag-major order (the row order of
-    G), so results are reproducible. The stopping rule is joint: every row
-    sweeps until the largest change over all rows is below tol. Returns
-    (sweeps, converged, per-sweep objective values).
+    Group i has moments G[i] = Z Z^T / N (m, m), C[i] = Y Z^T / N (R, m) and
+    yy[i] = ||Y||_F^2 / N, which carry all a residual-form sweep reads from the
+    samples, so a sweep costs O(g R m^2) whatever N is; lam is (g, 1), one
+    penalty per group, or (g, R), one per row; A (g, R, m) is the warm start.
+    Coordinates are visited in fixed lag-major order, one batched step over
+    the groups each. Each group keeps the joint stopping rule (its rows sweep
+    until their largest change is below tol), its own descent check and its
+    own objective history; stopped groups leave the working arrays once half
+    have stopped, and a lone group runs on 2-D views (a batch of one costs
+    more). Returns per group (sweeps, converged, per-sweep objective values).
     """
-    if np.min(lam) < 0:
+    lam = np.asarray(lam, dtype=float)
+    if lam.min() < 0:
         raise LassoError(f"lambda must be >= 0, got {lam}")
-    m = G.shape[0]
-    diag = np.diagonal(G)
-    half_lam = lam / 2.0
-    history: list[float] = []
-    prev_obj = np.inf
+    g = len(C)
+    sweeps, converged = np.full(g, max_sweeps), np.zeros(g, dtype=bool)
+    history: list[list[float]] = [[] for _ in range(g)]
+    # a zero-variance regressor (zero row and column of G) stays at zero
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    scale = np.where(diag > 0, diag, 1.0)
+    groups, live, W = np.arange(g), np.ones(g, dtype=bool), None
     for sweep in range(1, max_sweeps + 1):
-        max_change = 0.0
-        for j in range(m):
-            gjj = diag[j]
-            if gjj == 0.0:
-                continue
-            old = A[:, j]
-            rho_j = C[:, j] - A @ G[:, j] + old * gjj
-            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / gjj
-            change = float(np.abs(new - old).max())
-            if change > 0.0:
-                A[:, j] = new
-                if change > max_change:
-                    max_change = change
-        l1 = lam * np.abs(A).sum() if np.ndim(lam) == 0 else lam @ np.abs(A).sum(axis=1)
-        obj = float(yy - 2.0 * (A * C).sum() + ((A @ G) * A).sum() + l1)
-        _check_descent(sweep, prev_obj, obj)
-        prev_obj = obj
-        history.append(obj)
-        if max_change < tol:
-            return sweep, True, history
-    return max_sweeps, False, history
+        if W is None or 2 * np.count_nonzero(live) <= len(live):
+            if W is not None:  # the stopped groups are already in A
+                A[groups[live]] = W[live]
+                groups, live = groups[live], live[live]
+            lone = len(groups) == 1
+            sel = slice(groups[0], groups[0] + 1) if lone else groups  # a slice gives views
+            W, Gw, Cw, yyw, lamw = A[sel], G[sel], C[sel], yy[sel], lam[sel]
+            if lone:  # per coordinate j: views of column j of W, G and C, and G[j, j]
+                X = W[0]
+                cols = list(zip(X.T, Gw[0].T, Cw[0].T, scale[groups[0]]))
+                half_lam = lamw[0] / 2.0 if lamw.size > 1 else float(lamw[0, 0]) / 2.0
+            else:  # the same per group, as (g, rows, 1) views
+                X = W
+                cols = list(zip(*(a.transpose(2, 0, 1)[..., None] for a in (W, Gw, Cw)),
+                                scale[groups].T[:, :, None, None]))
+                half_lam = lamw[..., None] / 2.0
+        max_change = 0.0 if lone else np.zeros((len(groups), 1, 1))
+        for x_j, g_j, c_j, s_j in cols:
+            rho_j = c_j - X @ g_j + x_j * s_j
+            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / s_j
+            if lone:
+                change = float(np.abs(new - x_j).max())
+                if change > 0.0:
+                    x_j[...] = new
+                    max_change = max(max_change, change)
+            else:  # a group whose column did not move keeps it, signed zeros too
+                change = np.abs(new - x_j).max(axis=1, keepdims=True)
+                np.copyto(x_j, new, where=change > 0.0)
+                np.maximum(max_change, change, out=max_change)
+        if lamw.shape[1] == 1:
+            l1 = lamw[:, 0] * np.abs(W).sum(axis=(1, 2))
+        else:
+            l1 = (lamw[:, None, :] @ np.abs(W).sum(axis=2)[:, :, None])[:, 0, 0]
+        obj = yyw - 2.0 * (W * Cw).sum(axis=(1, 2)) + ((W @ Gw) * W).sum(axis=(1, 2)) + l1
+        for k, (i, o, change) in enumerate(zip(groups.tolist(), obj.tolist(),
+                                               np.ravel(max_change).tolist())):
+            if live[k]:
+                _check_descent(sweep, history[i][-1] if history[i] else np.inf, o)
+                history[i].append(o)
+                if change < tol:
+                    live[k], sweeps[i], converged[i], A[i] = False, sweep, True, W[k]
+        if not live.any():
+            return sweeps, converged, history
+    A[groups[live]] = W[live]
+    return sweeps, converged, history
 
 
 def lambda_max(Y: np.ndarray, Z: np.ndarray) -> float:
@@ -268,42 +295,68 @@ def lambda_grid(lam_max: float, grid: LassoGrid) -> np.ndarray:
     return np.geomspace(lam_max, lam_max * grid.ratio, grid.n_points)
 
 
+def _path_moments(Y: np.ndarray, Z: np.ndarray, per_row: bool = False) -> tuple:
+    """G = Z Z^T / N, C = Y Z^T / N and ||Y||_F^2 / N of one path.
+
+    C is built one column at a time as Y @ Z[j] / N and, for a path on a
+    per-row grid, also one row at a time, as Y[r:r+1] @ Z[j] / N. A single
+    product Y @ Z.T rounds some entries differently, which moves which
+    coefficient enters at near-ties at the top of the grid; the Granger
+    p-values are pinned bitwise to this rounding, so the paths keep it.
+    """
+    R, n = Y.shape
+    rows = [slice(r, r + 1) for r in range(R)] if per_row else [slice(None)]
+    C = np.empty((R, Z.shape[0]))
+    for j in range(Z.shape[0]):
+        for rs in rows:
+            C[rs, j] = (Y[rs] @ Z[j]) / n
+    return Z @ Z.T / n, C, float(np.sum(Y * Y)) / n
+
+
+def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
+                cfg: LassoConfig) -> Iterator[tuple]:
+    """Warm-started fits of g independent paths in lockstep along one penalty sequence.
+
+    G (g, m, m), C (g, R, m) and yy (g,) stack each path's ``_path_moments``.
+    ``lams`` is one descending sequence shared by every row of every path, or
+    an (n_points, g, R) grid whose [:, i, r] column is row r of path i's own
+    sequence. Each penalty is one ``_cd_gram`` call from the previous solution;
+    every path keeps its own stopping rule, so it takes exactly the sweeps it
+    takes alone and yields the same coefficients bit for bit. Yields per
+    penalty (lam: a float, or the (g, R) grid row; A (g, R, m); converged (g,);
+    sweeps (g,); objective histories).
+    """
+    A = np.zeros(C.shape)
+    for lam in np.asarray(lams, dtype=float):
+        pen = lam if lam.ndim else np.full((len(C), 1), lam)
+        sweeps, converged, history = _cd_gram(G, C, yy, pen, cfg.tol, cfg.max_sweeps, A)
+        yield (lam if lam.ndim else float(lam)), A.copy(), converged, sweeps, history
+
+
 def lasso_path(
     Y: np.ndarray,
     Z: np.ndarray,
     lams: np.ndarray,
     cfg: LassoConfig,
 ) -> Iterator[tuple[float | np.ndarray, np.ndarray, bool, int]]:
-    """Warm-started fits along a descending penalty sequence.
+    """Warm-started fits along a descending penalty sequence: ``lasso_paths`` of one path.
 
     ``lams`` is either one sequence shared by every row of Y, or an
     (n_points, R) grid whose column r is row r's own sequence, typically
     from row r's own ``lambda_max``; each yielded penalty is then the
     length-R row of the grid. Rows are separate regressions on the shared Z
     and run in one sweep; the stopping rule is joint, so ``converged`` and
-    ``sweeps`` describe all rows together.
-
-    The sample moments are formed once, on the first step; every penalty then
-    runs in covariance form. C is built one column at a time as Y @ Z[j] / N,
-    and with a per-row grid also one row at a time, as Y[r:r+1] @ Z[j] / N.
-    A single product Y @ Z.T rounds some entries differently, which moves
-    which coefficient enters at near-ties at the top of the grid; the Granger
-    p-values are pinned bitwise to this rounding, so the path keeps it.
+    ``sweeps`` describe all rows together. The sample moments
+    (``_path_moments``) are formed once; every penalty then runs in
+    covariance form.
     """
     lams = np.asarray(lams, dtype=float)
-    R, n = Y.shape
-    rows = [slice(r, r + 1) for r in range(R)] if lams.ndim == 2 else [slice(None)]
-    G = Z @ Z.T / n
-    C = np.empty((R, Z.shape[0]))
-    for j in range(Z.shape[0]):
-        for rs in rows:
-            C[rs, j] = (Y[rs] @ Z[j]) / n
-    yy = float(np.sum(Y * Y)) / n
-    A = np.zeros_like(C)
-    for lam in lams:
-        lam = lam if lam.ndim else float(lam)
-        sweeps, converged, _ = _cd_gram(G, C, yy, lam, cfg.tol, cfg.max_sweeps, A)
-        yield lam, A.copy(), converged, sweeps
+    per_row = lams.ndim == 2
+    G, C, yy = _path_moments(Y, Z, per_row)
+    for lam, A, converged, sweeps, _ in lasso_paths(
+        G[None], C[None], np.array([yy]), lams[:, None] if per_row else lams, cfg
+    ):
+        yield (lam[0] if per_row else lam), A[0], bool(converged[0]), int(sweeps[0])
 
 
 def fit_lasso_var(
@@ -321,10 +374,12 @@ def fit_lasso_var(
     Y, Z = embed.Y, embed.Z
     _check_regressors(Z, embed.regressor_names())
     n = Y.shape[1]
-    A = np.zeros((Y.shape[0], Z.shape[0]))
+    A = np.zeros((1, Y.shape[0], Z.shape[0]))
     sweeps, converged, history = _cd_gram(
-        Z @ Z.T / n, Y @ Z.T / n, float(np.sum(Y * Y)) / n, cfg.lam, cfg.tol, cfg.max_sweeps, A
+        (Z @ Z.T / n)[None], (Y @ Z.T / n)[None], np.array([float(np.sum(Y * Y)) / n]),
+        np.array([[cfg.lam]]), cfg.tol, cfg.max_sweeps, A,
     )
+    A, sweeps, converged, history = A[0], int(sweeps[0]), bool(converged[0]), history[0]
     if not converged:
         log.warning(
             "coordinate descent hit max_sweeps=%d at lambda=%g", cfg.max_sweeps, cfg.lam

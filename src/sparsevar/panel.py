@@ -313,6 +313,25 @@ def write_panel_csv(panel: TimePanel, path) -> None:
             writer.writerow([d.isoformat(), *(_format_number(x) for x in panel.values[t])])
 
 
+# rows parsed per np.array call; a cell held as a string takes several times
+# the memory of its float, so the file is never held as strings all at once
+_CSV_BLOCK_ROWS = 1024
+
+
+def _parse_cells(path, cells: list[list[str]], linenos: list[int]) -> np.ndarray:
+    """Rows of value cells as floats, in one ``np.array`` call that reads each
+    cell as ``float`` does; on failure, the line of the first non-numeric cell."""
+    try:
+        return np.array(cells, dtype=float)
+    except ValueError:
+        for lineno, row in zip(linenos, cells):
+            try:
+                [float(x) for x in row]
+            except ValueError:
+                raise PanelError(f"{path}:{lineno}: non-numeric value") from None
+        raise
+
+
 def read_panel_csv(path) -> TimePanel:
     """Load a ``date,...`` CSV, rejecting gaps in the daily calendar."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -327,25 +346,32 @@ def read_panel_csv(path) -> TimePanel:
         if not names:
             raise PanelError(f"{path}: no series columns")
         dates: list[date] = []
-        rows: list[list[float]] = []
+        blocks: list[np.ndarray] = []
+        cells: list[list[str]] = []
+        linenos: list[int] = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            # the pending cells are parsed first, so an earlier non-numeric cell is reported
             if len(row) != len(names) + 1:
+                _parse_cells(path, cells, linenos)
                 raise PanelError(f"{path}:{lineno}: expected {len(names) + 1} fields")
             try:
                 d = date.fromisoformat(row[0].strip())
             except ValueError:
+                _parse_cells(path, cells, linenos)
                 raise PanelError(f"{path}:{lineno}: bad date {row[0]!r}") from None
-            try:
-                vals = [float(x) for x in row[1:]]
-            except ValueError:
-                raise PanelError(f"{path}:{lineno}: non-numeric value") from None
             dates.append(d)
-            rows.append(vals)
-    if not rows:
+            cells.append(row[1:])
+            linenos.append(lineno)
+            if len(cells) == _CSV_BLOCK_ROWS:
+                blocks.append(_parse_cells(path, cells, linenos))
+                cells, linenos = [], []
+    if cells:
+        blocks.append(_parse_cells(path, cells, linenos))
+    if not blocks:
         raise PanelError(f"{path}: no data rows")
     for prev, nxt in zip(dates, dates[1:]):
         if nxt != prev + timedelta(days=1):
             raise PanelError(f"{path}: missing dates between {prev} and {nxt}")
-    return TimePanel(tuple(dates), tuple(names), np.array(rows, dtype=float))
+    return TimePanel(tuple(dates), tuple(names), np.concatenate(blocks))

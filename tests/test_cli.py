@@ -200,6 +200,25 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+class TestCvCommand:
+    def test_excluded_penalties_are_written(self, tmp_path, panel_csv):
+        # one sweep from a zero warm start converges only at the top of the grid
+        argv = ["cv", "--panel", panel_csv, "--lag", "1", "--grid", "5,0.01",
+                "--n-splits", "2", "--test-size", "20"]
+        with pytest.warns(UserWarning, match="excluded"):
+            assert main([*argv, "--tol", "1e-14", "--max-sweeps", "1",
+                         "--out", str(tmp_path / "capped")]) == 0
+        report = read_csv(tmp_path / "capped" / "cv_report.csv")
+        lams = [row[0] for row in report[1:-1:2]]
+        assert report[0] == ["lambda", "fold", "loss"] and len(lams) == 5
+        assert all(row[2] == "" for row in report[3:-1])
+        excluded = read_csv(tmp_path / "capped" / "cv_excluded.csv")
+        assert excluded == [["lambda", "reason"]] + [
+            [lam, "fit did not converge in fold 0, 1"] for lam in lams[1:]]
+        assert main([*argv, "--out", str(tmp_path / "free")]) == 0
+        assert read_csv(tmp_path / "free" / "cv_excluded.csv") == [["lambda", "reason"]]
+
+
 class TestGrangerCommand:
     def test_writes_every_output(self, tmp_path):
         spec = SyntheticSpec(k=3, p=2, t=200,
@@ -267,7 +286,8 @@ def test_pipeline_end_to_end(tmp_path):
         ["granger", *common, "--out", str(out / "granger")],
     ]
     assert [main(argv) for argv in steps] == [0] * len(steps)
-    for rel in ["sim/panel.csv", "sim/truth.json", "cv/cv_report.csv", "fit/model.json",
+    for rel in ["sim/panel.csv", "sim/truth.json", "cv/cv_report.csv", "cv/cv_excluded.csv",
+                "fit/model.json",
                 "lasso/forecasts.csv", "fgls/forecasts.csv", "ols/forecasts.csv",
                 "eval/evaluation.csv", "granger/granger_matrix.csv",
                 "granger/granger_edges.csv", "granger/granger_failures.csv",

@@ -6,10 +6,19 @@ from sparsevar.cv import (
     WalkForwardPlan,
     make_splits,
     select_lambda,
+    write_cv_excluded_csv,
     write_cv_report_csv,
 )
-from sparsevar.lasso import LassoConfig, LassoGrid, fit_panel_var, lambda_max
-from sparsevar.panel import lag_embed, standardize
+from sparsevar.lasso import (
+    LassoConfig,
+    LassoGrid,
+    _fgls_refit,
+    fit_panel_var,
+    lambda_grid,
+    lambda_max,
+    lasso_path,
+)
+from sparsevar.panel import TimePanel, lag_embed, standardize
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
 from dataclasses import replace
 
@@ -161,6 +170,64 @@ class TestSelectLambda:
         assert lam == report.lams[ties].max()
 
 
+def fold_at_a_time(pnl, p, cfg, plan, estimator):
+    """The loss table and per-(penalty, fold) convergence of ``select_lambda``,
+    with each fold's path run on its own by ``lasso_path``."""
+    splits = make_splits(pnl.n_obs, plan)
+    last = splits[-1][0]
+    anchor = lag_embed(standardize(pnl.slice_rows(last.start, last.stop))[0], p)
+    lams = lambda_grid(lambda_max(anchor.Y, anchor.Z), cfg.grid)
+    losses = np.full((len(lams), len(splits)), np.nan)
+    ok = np.zeros((len(lams), len(splits)), dtype=bool)
+    for fold, (train, val) in enumerate(splits):
+        std, stats = standardize(pnl.slice_rows(train.start, train.stop))
+        embed = lag_embed(std, p)
+        window = pnl.slice_rows(val.start - p, val.stop)
+        val_Z = lag_embed(TimePanel(window.dates, window.names,
+                                    stats.transform(window.values)), p).Z
+        _, fits, ok[:, fold], _ = map(np.array, zip(*lasso_path(embed.Y, embed.Z, lams, cfg)))
+        if estimator == "fgls-lasso":
+            fits[ok[:, fold]], _, _, converged, _ = _fgls_refit(
+                embed.Y, embed.Z, fits[ok[:, fold]], lams[ok[:, fold]], cfg)
+            ok[ok[:, fold], fold] = converged.all(axis=1)
+        for i in np.flatnonzero(ok[:, fold]):
+            err = stats.inverse((fits[i] @ val_Z).T) - pnl.values[val.start: val.stop]
+            losses[i, fold] = float(np.mean(np.sum(err * err, axis=1)))
+    losses[~ok.all(axis=1)] = np.nan
+    return lams, losses, ok
+
+
+class TestLockstepFolds:
+    """Every fold's path runs in one lockstep call; each fold must still see
+    exactly the path it has alone."""
+
+    plan = WalkForwardPlan(n_splits=3, test_size=30, min_train=150)
+    cfg = LassoConfig(tol=1e-7, grid=LassoGrid(n_points=8))
+
+    @pytest.mark.parametrize("estimator", ["lasso", "fgls-lasso"])
+    def test_loss_table_equals_fold_at_a_time(self, estimator):
+        pnl, _ = sparse_panel(7, t=300)
+        lam, report = select_lambda(pnl, 1, self.cfg, self.plan, estimator=estimator)
+        lams, losses, ok = fold_at_a_time(pnl, 1, self.cfg, self.plan, estimator)
+        assert ok.all() and report.excluded == ()
+        np.testing.assert_array_equal(report.lams, lams)
+        np.testing.assert_array_equal(report.losses, losses)
+
+    def test_capped_fold_excludes_only_its_points(self):
+        # at this cap only fold 0 runs out of sweeps, at some penalties; the
+        # other folds converge everywhere and keep their losses
+        pnl, _ = sparse_panel(7, t=300)
+        capped = replace(self.cfg, max_sweeps=5)
+        with pytest.warns(UserWarning, match="excluded: fit did not converge in fold 0$"):
+            lam, report = select_lambda(pnl, 1, capped, self.plan)
+        lams, losses, ok = fold_at_a_time(pnl, 1, capped, self.plan, "lasso")
+        assert ok[:, 1:].all() and not ok[:, 0].all() and ok[:, 0].any()
+        np.testing.assert_array_equal(report.losses, losses)
+        assert report.excluded == tuple(lams[~ok[:, 0]])
+        assert report.reasons == ("fit did not converge in fold 0",) * len(report.excluded)
+        assert lam == lams[np.nanargmin(losses.mean(axis=1))]
+
+
 def ar1_panel():
     spec = SyntheticSpec(
         k=3, p=1, t=260,
@@ -228,3 +295,19 @@ class TestReportCsv:
         assert len(lines) == 1 + 5 * 2 + 1
         assert lines[-1].startswith("# lambda_star = ")
         assert float(lines[-1].split("=")[1]) == lam
+
+    def test_excluded_csv(self, tmp_path):
+        pnl, _ = sparse_panel(6, t=300)
+        plan = WalkForwardPlan(n_splits=1, test_size=30, min_train=150)
+        cfg = LassoConfig(tol=1e-14, max_sweeps=1, grid=LassoGrid(n_points=5))
+        with pytest.warns(UserWarning, match="excluded"):
+            _, report = select_lambda(pnl, 1, cfg, plan)
+        path = tmp_path / "excluded.csv"
+        write_cv_excluded_csv(report, path)
+        lines = path.read_text().strip().splitlines()
+        assert lines == ["lambda,reason"] + [
+            "%.17g,fit did not converge in fold 0" % lam for lam in report.lams[1:]
+        ]
+        _, clean = select_lambda(pnl, 1, replace(cfg, tol=1e-7, max_sweeps=1000), plan)
+        write_cv_excluded_csv(clean, path)
+        assert path.read_text().strip().splitlines() == ["lambda,reason"]

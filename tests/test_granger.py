@@ -1,14 +1,18 @@
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
+from sparsevar import granger
 from sparsevar.granger import (
+    NO_CONVERGED_FIT,
     GrangerError,
     GrangerSpec,
     _bic_select,
     granger_network,
     pds_granger,
+    write_failures_csv,
 )
 from sparsevar.lasso import LassoConfig, LassoGrid
 from sparsevar.panel import TimePanel, lag_embed, standardize
@@ -30,6 +34,8 @@ PINNED_EDGES = {("y2", "y1"), ("y4", "y1"), ("y1", "y3"), ("y4", "y3"), ("y1", "
 CFG = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
 # a coarser grid for the equivalence tests, which hold on any grid
 COARSE = LassoConfig(grid=LassoGrid(n_points=20, ratio=1e-3))
+# a sweep cap on COARSE that some, not all, causes' selection paths hit
+CAP_SWEEPS = 10
 
 
 @pytest.fixture(scope="module")
@@ -84,30 +90,67 @@ class TestGrangerNetwork:
         assert np.all((net.p_matrix[off] >= 0) & (net.p_matrix[off] <= 1))
 
 
+def selection_designs(panel, p):
+    """Every cause's selection design of the network as rows of D = [Y; Z]:
+    the responses (the other series, then the cause's p lags), (K, K - 1 + p),
+    and the regressors (every other lag), (K, (K - 1) p)."""
+    embed = lag_embed(standardize(panel)[0], p)
+    K = panel.n_series
+    rows, cols = [], []
+    for c in range(K):
+        gc_rows = [lag * K + c for lag in range(p)]
+        rows.append([k for k in range(K) if k != c] + [K + j for j in gc_rows])
+        cols.append([K + j for j in range(K * p) if j not in gc_rows])
+    return np.vstack([embed.Y, embed.Z]), np.array(rows), np.array(cols)
+
+
 class TestBatchedSelection:
     def test_rows_select_as_when_run_alone(self, simulated):
-        """Each row of one multi-row path picks the penalty and support it
-        picks on its own path, for every cause's selection design."""
+        """Each row of every cause's selection design, with all designs in one
+        lockstep call, picks the penalty and support it picks on its own path."""
         panel, _ = simulated
-        embed = lag_embed(standardize(panel)[0], 2)
         K = panel.n_series
+        D, rows, cols = selection_designs(panel, 2)
+        lams, support, ok = _bic_select(D, rows, cols, COARSE)
+        assert ok.all()
+        assert lams.shape == (K, K - 1 + 2) and support.shape == (K, K - 1 + 2, 2 * K - 2)
         for c in range(K):
-            gc_rows = [c, K + c]
-            other = [j for j in range(2 * K) if j not in gc_rows]
-            rows = np.vstack([np.delete(embed.Y, c, axis=0), embed.Z[gc_rows]])
-            lams, support = _bic_select(rows, embed.Z[other], COARSE)
-            assert lams.shape == (K - 1 + 2,) and support.shape == (K - 1 + 2, len(other))
-            for r in range(rows.shape[0]):
-                lam_r, support_r = _bic_select(rows[r: r + 1], embed.Z[other], COARSE)
-                assert lams[r] == lam_r[0]
-                np.testing.assert_array_equal(support[r], support_r[0])
+            for r in range(rows.shape[1]):
+                lam_r, support_r, ok_r = _bic_select(D, rows[c, None, r: r + 1], cols[c, None],
+                                                     COARSE)
+                assert ok_r[0] and lams[c, r] == lam_r[0, 0]
+                np.testing.assert_array_equal(support[c, r], support_r[0, 0])
 
     def test_row_orthogonal_to_every_regressor_gets_empty_model(self, rng):
-        X = rng.standard_normal((3, 50))
-        Y = np.vstack([rng.standard_normal(50), np.zeros(50)])
-        lams, support = _bic_select(Y, X, CFG)
-        assert lams[1] == 0.0 and not support[1].any()
-        assert lams[0] > 0.0
+        # D holds a response, a zero row, another response and three regressors
+        D = np.vstack([rng.standard_normal(50), np.zeros(50), rng.standard_normal((4, 50))])
+        lams, support, ok = _bic_select(D, [[0, 1]], [[3, 4, 5]], CFG)
+        assert ok[0] and lams[0, 1] == 0.0 and not support[0, 1].any()
+        assert lams[0, 0] > 0.0
+        # beside a design without such a row, each selects as it does alone
+        both, both_support, both_ok = _bic_select(D, [[0, 1], [0, 2]], [[3, 4, 5]] * 2, CFG)
+        alone, alone_support, _ = _bic_select(D, [[0, 2]], [[3, 4, 5]], CFG)
+        assert both_ok.all()
+        np.testing.assert_array_equal(both, np.vstack([lams, alone]))
+        np.testing.assert_array_equal(both_support, np.concatenate([support, alone_support]))
+
+    def test_capped_design_skips_only_its_own_penalties(self, simulated, caplog):
+        """Under a sweep cap that some designs hit at some penalties and others
+        never do, every design selects exactly what it selects alone under the
+        same cap, and only the designs that hit it log skipped penalties."""
+        panel, _ = simulated
+        D, rows, cols = selection_designs(panel, 2)
+        cap = replace(COARSE, max_sweeps=CAP_SWEEPS)
+        lams, support, ok = _bic_select(D, rows, cols, cap)
+        assert ok.all()
+        hit = []
+        for c in range(len(rows)):
+            caplog.clear()
+            lam_c, support_c, _ = _bic_select(D, rows[c, None], cols[c, None], cap)
+            hit.append(bool(caplog.records))
+            np.testing.assert_array_equal(lams[c], lam_c[0])
+            np.testing.assert_array_equal(support[c], support_c[0])
+        assert any(hit) and not all(hit)
 
 
 # p-values and LM statistics of multi-cause blocks on the panel above,
@@ -189,6 +232,41 @@ class TestPdsGranger:
         }
         assert tested and not tested & failed.keys()
         assert len(tested) + len(failed) == 12
+
+    def test_cause_without_converged_fit_fails_only_its_pairs(self, simulated, monkeypatch,
+                                                               tmp_path):
+        """A cause whose selection paths never converge fails its own pairs,
+        each with one reason in granger_failures.csv; every other pair gets the
+        p-value it gets when all causes converge. pds_granger raises instead."""
+        panel, _ = simulated
+        ref = granger_network(panel, 2, THRESHOLD, COARSE)
+        paths = granger.lasso_paths
+
+        def never_converges(designs):
+            def patched(*args):
+                for lam, A, converged, sweeps, history in paths(*args):
+                    converged = converged.copy()
+                    converged[designs] = False
+                    yield lam, A, converged, sweeps, history
+            return patched
+
+        monkeypatch.setattr(granger, "lasso_paths", never_converges(slice(1, 2)))
+        net = granger_network(panel, 2, THRESHOLD, COARSE)
+        names = net.variables
+        assert net.failures == tuple((names[1], dst, NO_CONVERGED_FIT)
+                                     for dst in names if dst != names[1])
+        expected = ref.p_matrix.copy()
+        expected[:, 1] = np.nan
+        np.testing.assert_array_equal(net.p_matrix, expected)
+        write_failures_csv(net, tmp_path / "failures.csv")
+        lines = (tmp_path / "failures.csv").read_text().strip().splitlines()
+        assert lines == ["from,to,reason"] + [
+            f"y2,{dst},{NO_CONVERGED_FIT}" for dst in ("y1", "y3", "y4")]
+        spec = GrangerSpec(effect="y1", causes=("y3", "y4"), p=2)
+        pds_granger(panel, spec, COARSE)  # its one design is design 0
+        monkeypatch.setattr(granger, "lasso_paths", never_converges(slice(None)))
+        with pytest.raises(GrangerError, match="no converged fit"):
+            pds_granger(panel, spec, COARSE)
 
     def test_rejects_lag_order_below_one(self, simulated):
         with pytest.raises(GrangerError, match="lag order"):

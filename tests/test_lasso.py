@@ -20,11 +20,13 @@ from sparsevar.lasso import (
     lambda_grid,
     lambda_max,
     lasso_path,
+    lasso_paths,
     prais_winsten,
     soft_threshold,
     _cd_gram,
     _check_descent,
     _fgls_refit,
+    _path_moments,
     _whitened_moments,
 )
 from sparsevar.panel import LagEmbedding, lag_embed, standardize
@@ -376,6 +378,96 @@ class TestPathEquivalence:
         _check_descent(2, 1.0, 1.0 + 1e-13)  # rounding-level rise is tolerated
         with pytest.raises(LassoError, match=r"sweep 7: 1\.0 -> 1\.5"):
             _check_descent(7, 1.0, 1.5)
+
+
+def stacked_paths(seeds, rows, k, p, per_row, cfg):
+    """g = len(seeds) panels of different lengths with the same shape: their
+    (Y, Z), stacked ``_path_moments`` and grid (shared, from the first panel,
+    or (n_points, g, rows) per row)."""
+    data = []
+    for i, seed in enumerate(seeds):
+        emb, _, _ = embed_from_seed(seed, k=k, p=p, t=300 + 97 * i, density=0.3, magnitude=0.25)
+        data.append((emb.Y[:rows], emb.Z))
+    G, C, yy = (np.stack(parts) for parts in zip(*(_path_moments(Y, Z, per_row) for Y, Z in data)))
+    if per_row:
+        lams = np.stack([np.column_stack([lambda_grid(lambda_max(Y[r: r + 1], Z), cfg.grid)
+                                          for r in range(rows)]) for Y, Z in data], axis=1)
+    else:
+        lams = lambda_grid(lambda_max(*data[0]), cfg.grid)
+    return data, (G, C, yy), lams
+
+
+def assert_bitwise(a, b):
+    """Equal to the bit, signed zeros included."""
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestLockstepPaths:
+    """``lasso_paths`` runs independent paths in lockstep; each must be the
+    path it is alone, bit for bit."""
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("rows,k,p", [(1, 3, 2), (4, 4, 2), (10, 10, 2)])
+    def test_each_group_equals_its_solo_path(self, rows, k, p, per_row):
+        cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
+        data, (G, C, yy), lams = stacked_paths([11, 12, 13, 14], rows, k, p, per_row, cfg)
+        stacked = list(lasso_paths(G, C, yy, lams, cfg))
+        sweeps = np.array([s for _, _, _, s, _ in stacked])
+        assert (sweeps.min(axis=1) < sweeps.max(axis=1)).any()  # groups stop apart
+        for i, (Y, Z) in enumerate(data):
+            grid = lams[:, i] if per_row else lams
+            solo = list(lasso_paths(G[i: i + 1], C[i: i + 1], yy[i: i + 1],
+                                    lams[:, i: i + 1] if per_row else lams, cfg))
+            for point, one, alone in zip(stacked, solo, lasso_path(Y, Z, grid, cfg)):
+                lam, A, converged, sweeps_i, history = point
+                assert_bitwise(A[i], one[1][0])
+                assert_bitwise(A[i], alone[1])
+                assert np.array_equal(lam[i] if per_row else lam, alone[0])
+                assert converged[i] == one[2][0] == alone[2]
+                assert sweeps_i[i] == one[3][0] == alone[3]
+                assert history[i] == one[4][0] and len(history[i]) == sweeps_i[i]
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_capped_group_leaves_the_others_unchanged(self, per_row):
+        cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
+        data, moments, lams = stacked_paths([21, 22, 23], 4, 4, 2, per_row, cfg)
+        free = list(lasso_paths(*moments, lams, cfg))
+        peak = np.array([s for _, _, _, s, _ in free]).max(axis=0)
+        capped = replace(cfg, max_sweeps=int(np.sort(peak)[-2]))  # below the slowest group only
+        hit = peak > capped.max_sweeps
+        assert hit.sum() == 1
+        capped_run = list(lasso_paths(*moments, lams, capped))
+        for point, point_c in zip(free, capped_run):
+            (_, A, conv, sweeps, hist), (_, A_c, conv_c, sweeps_c, hist_c) = point, point_c
+            assert conv.all() and conv_c[~hit].all()
+            assert_bitwise(A[~hit], A_c[~hit])
+            np.testing.assert_array_equal(sweeps_c[~hit], sweeps[~hit])
+            assert [hist[i] for i in np.flatnonzero(~hit)] == \
+                [hist_c[i] for i in np.flatnonzero(~hit)]
+            assert sweeps_c[hit] <= capped.max_sweeps
+        # the capped group is its own solo path under the cap
+        i = int(np.flatnonzero(hit)[0])
+        solo = list(lasso_path(*data[i], lams[:, i] if per_row else lams, capped))
+        assert not all(conv for _, _, conv, _ in solo)
+        for (_, A_c, conv_c, sweeps_c, _), (_, A_s, conv_s, sweeps_s) in zip(capped_run, solo):
+            assert_bitwise(A_c[i], A_s)
+            assert (conv_c[i], sweeps_c[i]) == (conv_s, sweeps_s)
+
+    def test_fixed_penalty_fit_is_a_lone_group(self):
+        emb, _, _ = embed_from_seed(3, k=4, p=2, t=400, density=0.3, magnitude=0.25)
+        cfg = LassoConfig(lam=0.05 * lambda_max(emb.Y, emb.Z))
+        model = fit_lasso_var(emb, cfg)
+        # the same problem twice in one stacked call: each copy equals the fit
+        n = emb.n_cols
+        G, C, yy = emb.Z @ emb.Z.T / n, emb.Y @ emb.Z.T / n, float(np.sum(emb.Y * emb.Y)) / n
+        A = np.zeros((2,) + C.shape)
+        sweeps, converged, history = _cd_gram(np.stack([G, G]), np.stack([C, C]),
+                                              np.array([yy, yy]), np.full((2, 1), cfg.lam),
+                                              cfg.tol, cfg.max_sweeps, A)
+        for i in range(2):
+            assert_bitwise(A[i], model.A)
+            assert (sweeps[i], converged[i]) == (model.sweeps, model.converged)
+            assert tuple(history[i]) == model.objective_history
 
 
 class TestKkt:

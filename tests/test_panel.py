@@ -256,6 +256,27 @@ class TestCsvRoundtrip:
         with pytest.raises(PanelError, match="first column"):
             read_panel_csv(path)
 
+    def test_non_numeric_cell_names_its_line(self, tmp_path):
+        # blank lines count toward the line number and are skipped
+        path = tmp_path / "text.csv"
+        path.write_text("date,a,b\n2020-01-01,1.0,2.0\n\n2020-01-02,3.0,2.5\n"
+                        "2020-01-03,4.0,n/a\n2020-01-04,x,1.0\n")
+        with pytest.raises(PanelError, match=r"text\.csv:5: non-numeric value$"):
+            read_panel_csv(path)
+        # the first bad line is reported, whatever is wrong with a later one
+        path.write_text(path.read_text() + "2020-01-05,1.0\n")
+        with pytest.raises(PanelError, match=r"text\.csv:5: non-numeric value$"):
+            read_panel_csv(path)
+
+    def test_seventeen_digit_values_round_trip_bitwise(self, tmp_path, rng):
+        # magnitudes over 600 decades, subnormals and signed zeros included
+        values = rng.standard_normal((40, 4)) * 10.0 ** rng.integers(-300, 300, (40, 4))
+        values[0] = [5e-324, -2.2250738585072014e-308, -0.0, 0.0]
+        panel = daily_panel(values, names=("a", "b", "c", "d"))
+        path = tmp_path / "panel.csv"
+        write_panel_csv(panel, path)
+        assert read_panel_csv(path).values.tobytes() == values.tobytes()
+
 
 @settings(max_examples=200, deadline=None)
 @given(
