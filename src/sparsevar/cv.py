@@ -88,7 +88,7 @@ def select_lambda(
     its own, so its path is the one it has alone, and a fold that runs out of
     sweeps excludes only the penalties where it did. estimator is "lasso" or
     "fgls-lasso"; the latter scores each path point after its FGLS stage 2,
-    the refit ``fit_fgls_lasso_var`` makes, one ``_fgls_refit`` per fold.
+    the refit ``fit_fgls_lasso_var`` makes, one ``_fgls_refit`` for all folds.
     """
     if estimator not in ("lasso", "fgls-lasso"):
         raise CvError(f"unknown estimator {estimator!r}")
@@ -132,16 +132,16 @@ def select_lambda(
     points = list(lasso_paths(G, C, yy, lams, cfg))
     fits = np.array([A for _, A, _, _, _ in points])
     ok = np.array([converged for _, _, converged, _, _ in points])
+    if estimator == "fgls-lasso":  # every fold's converged points, fold-major
+        sel, by_fold = ok.T.copy(), fits.transpose(1, 0, 2, 3)
+        designs = ((embed.Y, embed.Z, count) for (embed, *_), count in zip(folds, sel.sum(1)))
+        by_fold[sel], _, _, converged, _ = _fgls_refit(
+            designs, by_fold[sel], np.broadcast_to(lams, sel.shape)[sel], cfg)
+        ok.T[sel] = converged.all(axis=1)
     losses = np.full((len(lams), len(splits)), np.nan)
-    for fold, (embed, stats, val_Z, actual) in enumerate(folds):
-        fold_fits, fold_ok = fits[:, fold], ok[:, fold]
-        if embed is not None and fold_ok.any():
-            # one stage 2 for all of the fold's converged points
-            fold_fits[fold_ok], _, _, converged, _ = _fgls_refit(
-                embed.Y, embed.Z, fold_fits[fold_ok], lams[fold_ok], cfg)
-            fold_ok[fold_ok] = converged.all(axis=1)
-        for i in np.flatnonzero(fold_ok):
-            err = stats.inverse((fold_fits[i] @ val_Z).T) - actual
+    for fold, (_, stats, val_Z, actual) in enumerate(folds):
+        for i in np.flatnonzero(ok[:, fold]):
+            err = stats.inverse((fits[i, fold] @ val_Z).T) - actual
             losses[i, fold] = float(np.mean(np.sum(err * err, axis=1)))
 
     nonconverged = ~ok.all(axis=1)

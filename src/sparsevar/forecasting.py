@@ -10,7 +10,7 @@ from datetime import date, timedelta
 import numpy as np
 
 from sparsevar.cv import WalkForwardPlan, select_lambda
-from sparsevar.lasso import LassoConfig, VarModel, fit_panel_var
+from sparsevar.lasso import LassoConfig, VarModel, fit_panel_vars
 from sparsevar.panel import PanelError, TimePanel, stack_state
 
 
@@ -97,13 +97,14 @@ def recursive_exercise(
 
     For every panel date from start_origin through end_origin the model is
     re-fitted on all data up to and including that origin and iterated over
-    horizons 1..H. When a walk-forward plan is given, the penalty is selected
-    once by cross-validation on the data up to the first origin and used at
-    every origin; otherwise cfg.lam is used as-is. The plan fixes the folds,
-    so a selection at any later origin reads the same rows and returns the
-    same penalty: refit_policy "first" and "per_origin" both select once.
-    Origins whose fit does not converge raise unless ``allow_nonconverged``
-    is set, in which case they are recorded.
+    horizons 1..H; all origins' refits are one lockstep ``fit_panel_vars``
+    call, each exactly as alone. When a walk-forward plan is given, the
+    penalty is selected once by cross-validation on the data up to the first
+    origin and used at every origin; otherwise cfg.lam is used as-is. The plan
+    fixes the folds, so a selection at any later origin reads the same rows
+    and returns the same penalty: refit_policy "first" and "per_origin" both
+    select once. Origins whose fit does not converge are all named in one
+    error unless ``allow_nonconverged`` is set, in which case they are recorded.
     """
     if H < 1:
         raise ForecastError(f"H must be >= 1, got {H}")
@@ -125,23 +126,19 @@ def recursive_exercise(
         cfg = dc_replace(cfg, lam=lam)
 
     positions = range(i0, i1 + 1)
+    models = fit_panel_vars(lambda o: panel.slice_rows(0, positions[o] + 1), len(positions),
+                            p, cfg, estimator)
+    nonconverged = [panel.dates[i] for i, model in zip(positions, models) if not model.converged]
+    if nonconverged and not allow_nonconverged:
+        raise ForecastError(f"fit did not converge at origin(s) {', '.join(map(str, nonconverged))}"
+                            "; pass allow_nonconverged=True to keep going")
     K = panel.n_series
     values = np.empty((len(positions), H, K))
     actuals = np.full((len(positions), H, K), np.nan)
     target_dates: list[tuple[date, ...]] = []
-    nonconverged: list[date] = []
     last_date = panel.dates[-1]
-    for o, idx in enumerate(positions):
-        train = panel.slice_rows(0, idx + 1)
-        model = fit_panel_var(train, p, cfg, estimator)
-        if not model.converged:
-            if not allow_nonconverged:
-                raise ForecastError(
-                    f"fit did not converge at origin {panel.dates[idx]}; "
-                    "pass allow_nonconverged=True to keep going"
-                )
-            nonconverged.append(panel.dates[idx])
-        values[o] = iterate_forecast(model, train.values[-p:], H)
+    for o, (idx, model) in enumerate(zip(positions, models)):
+        values[o] = iterate_forecast(model, panel.values[idx + 1 - p: idx + 1], H)
         dates_o = []
         for h in range(1, H + 1):
             t = idx + h
@@ -191,7 +188,7 @@ def read_forecast_csv(path) -> ForecastSet:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         required = {"origin", "horizon", "series", "forecast", "actual"}
-        if reader.fieldnames is None or set(reader.fieldnames) < required:
+        if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ForecastError(f"{path}: need columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
             try:

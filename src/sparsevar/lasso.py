@@ -9,10 +9,11 @@ runs in covariance form on the sample moments G = Z Z^T / N, C = Y Z^T / N and
 ||Y||^2 / N (Friedman, Hastie & Tibshirani, 2010). ``_cd_gram`` solves a stack
 of independent groups of rows in lockstep, one batched step per coordinate,
 each group with its own stopping rule: the CV folds' paths and the Granger
-causes' paths share a grid and run as groups of one ``lasso_paths`` call;
-``lasso_path`` and fixed-penalty fits (OLS at lambda = 0) are one group. FGLS
-stage 2, whose rows each have their own whitened moments, runs a whole stack
-of path points in ``_cd_rows``.
+causes' paths share a grid and run as groups of one ``lasso_paths`` call, and
+the forecast origins' fixed-penalty fits (OLS at lambda = 0) as groups of one
+``_fit_stack`` call; a lone path or fit is one group. FGLS stage 2, whose rows
+each have their own whitened moments, runs every CV fold's path points, or
+every origin's equations, in one ``_cd_rows`` call.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -359,6 +360,48 @@ def lasso_path(
         yield (lam[0] if per_row else lam), A[0], bool(converged[0]), int(sweeps[0])
 
 
+def _fit_stack(gather: Callable[[int], tuple], n: int, cfg: LassoConfig,
+               estimator: str) -> list[VarModel]:
+    """The one fit path: n independent fits at cfg.lam in one lockstep solve.
+
+    gather(i) builds item i's (LagEmbedding, stats) anew; only the stats and, in
+    stage 1, the moments Z Z^T / N, Y Z^T / N and ||Y||^2 / N are kept, and the
+    samples are gathered again for FGLS whitening and the residual covariance.
+    Stage 1 is one ``_cd_gram`` call from zero, one group per item with its own
+    stopping rule, so each item gets its solo fit bit for bit; "fgls-lasso"
+    adds one ``_fgls_refit`` of every item's equations.
+    """
+    if n < 1 or estimator not in ("ols", "lasso", "fgls-lasso"):
+        raise LassoError(f"unknown estimator {estimator!r}" if n > 0 else f"{n} items to fit")
+
+    def moments(i: int) -> tuple:
+        embed, stats = gather(i)
+        Y, Z, N = embed.Y, embed.Z, embed.n_cols
+        _check_regressors(Z, embed.regressor_names())
+        return Z @ Z.T / N, Y @ Z.T / N, float(np.sum(Y * Y)) / N, stats
+
+    G, C, yy, stats = zip(*map(moments, range(n)))
+    A, rho = np.zeros((n,) + C[0].shape), [None] * n
+    sweeps, converged, history = _cd_gram(np.stack(G), np.stack(C), np.array(yy),
+                                          np.full((n, 1), cfg.lam), cfg.tol, cfg.max_sweeps, A)
+    del G, C  # only the stats are kept; the samples are gathered again where they are read
+    if estimator == "fgls-lasso":
+        designs = ((embed.Y, embed.Z, 1) for embed, _ in map(gather, range(n)))
+        A, rho, sweeps2, converged2, history2 = _fgls_refit(designs, A, np.full(n, cfg.lam), cfg)
+        sweeps, converged = np.maximum(sweeps, sweeps2.max(axis=1)), converged & converged2.all(1)
+        history = [h + h2 for h, h2 in zip(history, history2)]
+    models = []
+    for i, (embed, _) in enumerate(map(gather, range(n))):
+        if not converged[i]:
+            log.warning("%s fit hit max_sweeps=%d at lambda=%g", estimator, cfg.max_sweeps, cfg.lam)
+        models.append(VarModel(
+            p=embed.p, names=embed.names or tuple(f"y{k + 1}" for k in range(embed.n_series)),
+            A=A[i], sigma_u=_residual_cov(embed.Y, embed.Z, A[i]), rho=rho[i], stats=stats[i],
+            lam=cfg.lam, sweeps=int(sweeps[i]), converged=bool(converged[i]),
+            estimator=estimator, objective_history=tuple(history[i])))
+    return models
+
+
 def fit_lasso_var(
     embed: LagEmbedding,
     cfg: LassoConfig,
@@ -367,37 +410,10 @@ def fit_lasso_var(
 ) -> VarModel:
     """Fit all K equations at the configured penalty (lambda = 0 gives OLS).
 
-    Coordinate descent starts from zero on the sample moments of the whole
-    embedding. Non-convergence within max_sweeps is reported through the
-    model's converged flag, never silently.
+    The one-item ``_fit_stack``, from zero on the whole embedding's moments;
+    non-convergence within max_sweeps sets the model's converged flag.
     """
-    Y, Z = embed.Y, embed.Z
-    _check_regressors(Z, embed.regressor_names())
-    n = Y.shape[1]
-    A = np.zeros((1, Y.shape[0], Z.shape[0]))
-    sweeps, converged, history = _cd_gram(
-        (Z @ Z.T / n)[None], (Y @ Z.T / n)[None], np.array([float(np.sum(Y * Y)) / n]),
-        np.array([[cfg.lam]]), cfg.tol, cfg.max_sweeps, A,
-    )
-    A, sweeps, converged, history = A[0], int(sweeps[0]), bool(converged[0]), history[0]
-    if not converged:
-        log.warning(
-            "coordinate descent hit max_sweeps=%d at lambda=%g", cfg.max_sweeps, cfg.lam
-        )
-    names = embed.names or tuple(f"y{k + 1}" for k in range(Y.shape[0]))
-    return VarModel(
-        p=embed.p,
-        names=names,
-        A=A,
-        sigma_u=_residual_cov(Y, Z, A),
-        rho=None,
-        stats=stats,
-        lam=cfg.lam,
-        sweeps=sweeps,
-        converged=converged,
-        estimator=estimator,
-        objective_history=tuple(history),
-    )
+    return _fit_stack(lambda i: (embed, stats), 1, cfg, estimator)[0]
 
 
 def _residual_cov(Y: np.ndarray, Z: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -423,20 +439,22 @@ def prais_winsten(M: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-def _whitened_moments(Y: np.ndarray, Z: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, ...]:
+def _whitened_moments(Y: np.ndarray, Z: np.ndarray, rho: np.ndarray, out=None) -> tuple:
     """G, C and yy of each (point, equation) row of rho (P, K) on ``prais_winsten`` data.
 
     Whitening is linear: with X = [Y; Z], S0 = X X^T, S1 = sum_t x_t x_{t-1}^T and
     D = S0 - x_0 x_0^T - x_{n-1} x_{n-1}^T, n S_w(rho) = S0 - rho (S1 + S1^T) + rho^2 D.
+    They are written into out, a (G, C, yy) of C-contiguous arrays, when it is given.
     """
     (K, n), m = Y.shape, Z.shape[0]
     X = np.vstack([Y, Z])
     S0, S1, x0, xl = X @ X.T, X[:, 1:] @ X[:, :-1].T, X[:, 0], X[:, -1]
     basis = np.stack([S0, -(S1 + S1.T), S0 - np.outer(x0, x0) - np.outer(xl, xl)]) / n
     coef = np.stack([np.ones_like(rho), rho, rho * rho], axis=-1)
-    G = (coef.reshape(-1, 3) @ basis[:, K:, K:].reshape(3, -1)).reshape(-1, m, m)
-    C = np.einsum("pkc,ckm->pkm", coef, basis[:, :K, K:]).reshape(-1, m)
-    yy = np.einsum("pkc,ckk->pk", coef, basis[:, :K, :K]).ravel()
+    G, C, yy = out or (np.empty((rho.size, m, m)), np.empty((rho.size, m)), np.empty(rho.size))
+    np.matmul(coef.reshape(-1, 3), basis[:, K:, K:].reshape(3, -1), out=G.reshape(-1, m * m))
+    np.einsum("pkc,ckm->pkm", coef, basis[:, :K, K:], out=C.reshape(-1, K, m))
+    np.einsum("pkc,ckk->pk", coef, basis[:, :K, :K], out=yy.reshape(-1, K))
     return G, C, yy
 
 
@@ -447,17 +465,18 @@ def _cd_rows(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
     Row r has its own symmetric G[r] (so column j of every Gram is G[:, j, :]),
     C[r], yy[r] and lam[r]. Each row stops after its own first sweep with change
     < tol and keeps its own objective history; stopped rows leave the working
-    arrays once half have stopped. Returns per-row (sweeps, converged, histories).
+    arrays once half have stopped, the live Grams moving to the front of G (G
+    is overwritten, never copied). Returns per-row (sweeps, converged, histories).
     """
     R, m = C.shape
     sweeps, converged = np.full(R, max_sweeps), np.zeros(R, dtype=bool)
     history: list[list[float]] = [[] for _ in range(R)]
     diag = np.diagonal(G, axis1=1, axis2=2)
     # a zero regressor's coefficient starts and stays at 0
-    work = (np.arange(R), A.copy(), G, C, yy, lam, np.where(diag > 0, diag, 1.0))
-    live = np.ones(R, dtype=bool)
+    work = (np.arange(R), A.copy(), C, yy, lam, np.where(diag > 0, diag, 1.0))
+    live, Gw = np.ones(R, dtype=bool), G
     for sweep in range(1, max_sweeps + 1):
-        rows, W, Gw, Cw, yyw, lamw, dw = work
+        rows, W, Cw, yyw, lamw, dw = work
         half_lam = lamw / 2.0
         change = np.zeros(len(rows))
         for j in range(m):
@@ -479,15 +498,20 @@ def _cd_rows(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
         if not live.any():
             break
         if 2 * np.count_nonzero(live) <= len(live):
+            for dst, src in enumerate(np.flatnonzero(live).tolist()):
+                G[dst] = G[src]  # dst <= src: every live Gram moves before it is overwritten
             work = tuple(a[live] for a in work)
             live = live[live]
+            Gw = G[:len(live)]
     A[work[0][live]] = work[1][live]
     return sweeps, converged, history
 
 
-def _fgls_refit(Y: np.ndarray, Z: np.ndarray, A1: np.ndarray, lams, cfg: LassoConfig) -> tuple:
+def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig) -> tuple:
     """FGLS stage 2 for a stack of P stage-1 points A1 (P, K, m) at penalties lams (P,).
 
+    ``designs`` yields (Y, Z, count): the samples of the next count points (a
+    CV fold's, or one forecast origin's), read only while they are whitened.
     Each equation's rho is the lag-1 autocorrelation of its stage-1 residuals
     (clipped to |rho| <= 0.99); the penalty is re-applied on its Prais-Winsten
     whitened moments (``_whitened_moments``), warm-started from its own stage-1
@@ -496,10 +520,17 @@ def _fgls_refit(Y: np.ndarray, Z: np.ndarray, A1: np.ndarray, lams, cfg: LassoCo
     objectives, equations in row order.
     """
     P, K, m = A1.shape
-    rho = np.clip([[_lag1_autocorr(u) for u in Y - a @ Z] for a in A1], -0.99, 0.99)
+    rho, G, C, yy = np.empty((P, K)), np.empty((P * K, m, m)), np.empty((P * K, m)), np.empty(P * K)
+    start = 0
+    for Y, Z, count in designs:
+        pts, rows = slice(start, start + count), slice(start * K, (start + count) * K)
+        rho[pts] = np.clip([[_lag1_autocorr(u) for u in Y - a @ Z] for a in A1[pts]], -0.99, 0.99)
+        _whitened_moments(Y, Z, rho[pts], (G[rows], C[rows], yy[rows]))
+        start += count
+    if start != P:
+        raise LassoError(f"designs cover {start} of {P} stage-1 points")
     A = np.array(A1, dtype=float).reshape(P * K, m)
-    sweeps, converged, hist = _cd_rows(*_whitened_moments(Y, Z, rho), np.repeat(lams, K),
-                                       cfg.tol, cfg.max_sweeps, A)
+    sweeps, converged, hist = _cd_rows(G, C, yy, np.repeat(lams, K), cfg.tol, cfg.max_sweeps, A)
     history = [[v for h in hist[i * K:(i + 1) * K] for v in h] for i in range(P)]
     return A.reshape(P, K, m), rho, sweeps.reshape(P, K), converged.reshape(P, K), history
 
@@ -511,21 +542,12 @@ def fit_fgls_lasso_var(
 ) -> VarModel:
     """Two-stage fit allowing AR(1) serial correlation in the errors.
 
-    Stage 1 is the homoskedastic fit; stage 2 (``_fgls_refit``) removes each
-    equation's Toeplitz AR(1) structure by a Prais-Winsten quasi-difference
-    and re-applies the penalty on the whitened data. Coefficients map
-    original regressors to original targets throughout.
+    The one-item ``_fit_stack``: stage 1 is the homoskedastic fit; stage 2
+    (``_fgls_refit``) removes each equation's Toeplitz AR(1) structure by a
+    Prais-Winsten quasi-difference and re-applies the penalty on the whitened
+    data. Coefficients map original regressors to original targets throughout.
     """
-    stage1 = fit_lasso_var(embed, cfg, stats=stats)
-    Y, Z = embed.Y, embed.Z
-    A, rho, sweeps, converged, history = _fgls_refit(Y, Z, stage1.A[None], [cfg.lam], cfg)
-    converged = stage1.converged and bool(converged.all())
-    if not converged:
-        log.warning("FGLS refit hit max_sweeps=%d at lambda=%g", cfg.max_sweeps, cfg.lam)
-    return replace(stage1, A=A[0], sigma_u=_residual_cov(Y, Z, A[0]), rho=rho[0],
-                   sweeps=max(stage1.sweeps, int(sweeps.max())), converged=converged,
-                   estimator="fgls-lasso",
-                   objective_history=stage1.objective_history + tuple(history[0]))
+    return _fit_stack(lambda i: (embed, stats), 1, cfg, "fgls-lasso")[0]
 
 
 def kkt_violation(model: VarModel, embed: LagEmbedding, lam: float | None = None) -> float:
@@ -578,22 +600,32 @@ def bic_score(model: VarModel, embed: LagEmbedding) -> BicScore:
     return BicScore(per_equation=per_eq, total=total, noiseless=noiseless)
 
 
+def fit_panel_vars(window: Callable[[int], TimePanel], n: int, p: int, cfg: LassoConfig,
+                   estimator: str = "lasso") -> list[VarModel]:
+    """``fit_panel_var`` of window(0) .. window(n - 1) in one ``_fit_stack``, each as alone;
+    window(i) is called wherever its samples are read, so must return the same panel."""
+    cfg = replace(cfg, lam=0.0) if estimator == "ols" else cfg
+
+    def gather(i: int) -> tuple:
+        std_panel, stats = standardize(window(i))
+        return lag_embed(std_panel, p), stats
+
+    return _fit_stack(gather, n, cfg, estimator)
+
+
 def fit_panel_var(
     panel: TimePanel,
     p: int,
     cfg: LassoConfig,
     estimator: str = "lasso",
 ) -> VarModel:
-    """Standardize, lag-embed and fit a panel with the chosen estimator.
+    """Standardize, lag-embed and fit a panel: one item of the stacked fit ``fit_panel_vars``.
 
     estimator: "ols" (lambda forced to 0), "lasso", or "fgls-lasso".
     """
+    cfg = replace(cfg, lam=0.0) if estimator == "ols" else cfg
     std_panel, stats = standardize(panel)
     embed = lag_embed(std_panel, p)
-    if estimator == "ols":
-        return fit_lasso_var(embed, replace(cfg, lam=0.0), stats=stats, estimator="ols")
-    if estimator == "lasso":
-        return fit_lasso_var(embed, cfg, stats=stats)
     if estimator == "fgls-lasso":
         return fit_fgls_lasso_var(embed, cfg, stats=stats)
-    raise LassoError(f"unknown estimator {estimator!r}")
+    return fit_lasso_var(embed, cfg, stats=stats, estimator=estimator)

@@ -219,6 +219,16 @@ class TestCvCommand:
         assert read_csv(tmp_path / "free" / "cv_excluded.csv") == [["lambda", "reason"]]
 
 
+class TestEvaluateCommand:
+    def test_forecast_file_missing_a_column_is_a_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "extra.csv"
+        path.write_text("origin,horizon,series,forecast,extra\n2020-01-10,1,a,0.5,x\n")
+        assert main(["evaluate", f"--forecast=m={path}", "--out", str(tmp_path / "eval")]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "runtime" and "need columns" in err["message"]
+        assert not (tmp_path / "eval" / "evaluation.csv").exists()
+
+
 class TestGrangerCommand:
     def test_writes_every_output(self, tmp_path):
         spec = SyntheticSpec(k=3, p=2, t=200,

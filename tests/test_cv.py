@@ -188,7 +188,7 @@ def fold_at_a_time(pnl, p, cfg, plan, estimator):
         _, fits, ok[:, fold], _ = map(np.array, zip(*lasso_path(embed.Y, embed.Z, lams, cfg)))
         if estimator == "fgls-lasso":
             fits[ok[:, fold]], _, _, converged, _ = _fgls_refit(
-                embed.Y, embed.Z, fits[ok[:, fold]], lams[ok[:, fold]], cfg)
+                [(embed.Y, embed.Z, ok[:, fold].sum())], fits[ok[:, fold]], lams[ok[:, fold]], cfg)
             ok[ok[:, fold], fold] = converged.all(axis=1)
         for i in np.flatnonzero(ok[:, fold]):
             err = stats.inverse((fits[i] @ val_Z).T) - pnl.values[val.start: val.stop]

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -13,7 +14,7 @@ from sparsevar.forecasting import (
     recursive_exercise,
     write_forecast_csv,
 )
-from sparsevar.lasso import LassoConfig, LassoGrid, VarModel
+from sparsevar.lasso import LassoConfig, LassoGrid, VarModel, fit_panel_var, fit_panel_vars
 from sparsevar.panel import StandardizationStats, TimePanel
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
 
@@ -199,6 +200,83 @@ class TestRecursiveExercise:
         assert fs.values.shape == (5, 2, 3)
 
 
+def assert_bitwise(a, b):
+    """Equal to the bit, signed zeros included."""
+    assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+class TestLockstepOrigins:
+    """Every origin of an exercise is refitted in one lockstep solve; each
+    origin's model and forecasts must be those of ``fit_panel_var`` on that
+    origin's window alone, bit for bit. On this AR(1)-error panel the origins
+    stop after different sweep counts, and the models hold signed zeros."""
+
+    cfg = LassoConfig(lam=0.11, tol=1e-9)
+    H = 3
+
+    @staticmethod
+    def panel():
+        spec = SyntheticSpec(k=3, p=2, t=260, error="ar1", rho=0.5,
+                             recipe=SparseRecipe(density=0.3, magnitude=0.3, seed=7), seed=7)
+        return simulate(spec)[0]
+
+    def rows(self, pnl):
+        return list(range(pnl.n_obs - 6 - self.H, pnl.n_obs - self.H))  # six origins
+
+    def exercise(self, pnl, cfg, estimator, **kw):
+        idx = self.rows(pnl)
+        return recursive_exercise(pnl, 2, cfg, estimator, pnl.dates[idx[0]], pnl.dates[idx[-1]],
+                                  H=self.H, **kw)
+
+    def solo_forecast(self, pnl, i, cfg, estimator):
+        model = fit_panel_var(pnl.slice_rows(0, i + 1), 2, cfg, estimator)
+        return model, iterate_forecast(model, pnl.values[i - 1: i + 1], self.H)
+
+    @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
+    def test_each_origin_equals_its_solo_fit(self, estimator):
+        pnl = self.panel()
+        idx = self.rows(pnl)
+        stacked = fit_panel_vars(lambda o: pnl.slice_rows(0, idx[o] + 1), len(idx), 2,
+                                 self.cfg, estimator)
+        fs = self.exercise(pnl, self.cfg, estimator)
+        assert len({len(m.objective_history) for m in stacked}) > 1  # origins stop apart
+        for o, (i, model) in enumerate(zip(idx, stacked)):
+            solo, forecast = self.solo_forecast(pnl, i, self.cfg, estimator)
+            assert_bitwise(model.A, solo.A)
+            assert_bitwise(model.sigma_u, solo.sigma_u)
+            assert (model.rho is None) == (solo.rho is None) == (estimator != "fgls-lasso")
+            if model.rho is not None:
+                assert_bitwise(model.rho, solo.rho)
+            assert_bitwise(model.stats.means, solo.stats.means)
+            assert_bitwise(model.stats.sds, solo.stats.sds)
+            assert (model.sweeps, model.converged) == (solo.sweeps, solo.converged)
+            assert model.objective_history == solo.objective_history
+            assert (model.lam, model.estimator) == (solo.lam, solo.estimator)
+            assert_bitwise(fs.values[o], forecast)
+        if estimator != "ols":
+            assert any(np.signbit(m.A[m.A == 0]).any() for m in stacked)
+
+    @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
+    def test_every_nonconverged_origin_is_named(self, estimator):
+        pnl = self.panel()
+        idx = self.rows(pnl)
+        free = fit_panel_vars(lambda o: pnl.slice_rows(0, idx[o] + 1), len(idx), 2,
+                              self.cfg, estimator)
+        capped = replace(self.cfg, max_sweeps=max(m.sweeps for m in free) - 1)
+        hit = tuple(pnl.dates[i] for i, m in zip(idx, free) if m.sweeps > capped.max_sweeps)
+        assert 0 < len(hit) < len(idx)
+        with pytest.raises(ForecastError, match="converge") as err:
+            self.exercise(pnl, capped, estimator)
+        named = [str(pnl.dates[i]) in str(err.value) for i in idx]
+        assert named == [pnl.dates[i] in hit for i in idx]
+        fs = self.exercise(pnl, capped, estimator, allow_nonconverged=True)
+        assert fs.nonconverged_origins == hit
+        for o, i in enumerate(idx):
+            solo, forecast = self.solo_forecast(pnl, i, capped, estimator)
+            assert solo.converged == (pnl.dates[i] not in hit)
+            assert_bitwise(fs.values[o], forecast)
+
+
 class TestSelectionPolicies:
     """The walk-forward plan fixes the folds, so selecting the penalty at every
     origin reads the same rows as selecting it at the first; both policies run
@@ -286,6 +364,15 @@ class TestForecastCsv:
             "2020-01-11,1,a,0.1,0.3\n"
         )
         with pytest.raises(ForecastError, match="missing origin=2020-01-11 horizon=2"):
+            read_forecast_csv(path)
+
+    def test_missing_column_rejected_despite_an_extra_one(self, tmp_path):
+        path = tmp_path / "extra.csv"
+        path.write_text(
+            "origin,horizon,series,forecast,extra\n"
+            "2020-01-10,1,a,0.5,x\n"
+        )
+        with pytest.raises(ForecastError, match="need columns"):
             read_forecast_csv(path)
 
     def test_duplicate_cell_rejected(self, tmp_path):

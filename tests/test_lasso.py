@@ -16,6 +16,7 @@ from sparsevar.lasso import (
     fit_fgls_lasso_var,
     fit_lasso_var,
     fit_panel_var,
+    fit_panel_vars,
     kkt_violation,
     lambda_grid,
     lambda_max,
@@ -323,7 +324,7 @@ class TestPathEquivalence:
         # one stacked stage 2 for 8 path points, each point with its own penalty
         cfg = LassoConfig(grid=LassoGrid(n_points=8, ratio=1e-2))
         Y, Z, A1, lams = ar1_stage1_path(k, seed, cfg)
-        A, rho, sweeps, converged, history = _fgls_refit(Y, Z, A1, lams, cfg)
+        A, rho, sweeps, converged, history = _fgls_refit([(Y, Z, len(lams))], A1, lams, cfg)
         assert A.shape == A1.shape
         assert rho.shape == sweeps.shape == converged.shape == (len(lams), k)
         for i, lam in enumerate(lams):
@@ -337,10 +338,11 @@ class TestPathEquivalence:
     def test_fgls_stage2_capped_row_leaves_the_others_unchanged(self):
         cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
         Y, Z, A1, lams = ar1_stage1_path(4, 6, cfg)
-        A, _, sweeps, converged, history = _fgls_refit(Y, Z, A1, lams, cfg)
+        A, _, sweeps, converged, history = _fgls_refit([(Y, Z, len(lams))], A1, lams, cfg)
         cap = int(sweeps.max()) - 1
         capped = replace(cfg, max_sweeps=cap)
-        A_c, _, sweeps_c, converged_c, history_c = _fgls_refit(Y, Z, A1, lams, capped)
+        A_c, _, sweeps_c, converged_c, history_c = _fgls_refit([(Y, Z, len(lams))], A1, lams,
+                                                               capped)
         hit = sweeps > cap
         assert hit.any() and (~hit).any() and converged.all()
         np.testing.assert_array_equal(A_c[~hit], A[~hit])
@@ -468,6 +470,65 @@ class TestLockstepPaths:
             assert_bitwise(A[i], model.A)
             assert (sweeps[i], converged[i]) == (model.sweeps, model.converged)
             assert tuple(history[i]) == model.objective_history
+
+
+def ar1_panels(seeds, k=4):
+    """AR(1)-error simulate() panels of the same shape and different lengths."""
+    return [simulate(SyntheticSpec(
+        k=k, p=2, t=240 + 53 * i, recipe=SparseRecipe(density=0.3, magnitude=0.25, seed=seed),
+        error="ar1", rho=0.5, seed=seed))[0] for i, seed in enumerate(seeds)]
+
+
+class TestLockstepFits:
+    """``fit_panel_vars`` fits independent panels in one lockstep solve (one
+    ``_cd_gram`` group per panel, one ``_fgls_refit`` for every panel's
+    equations); each must be the fit it is alone, bit for bit."""
+
+    @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
+    def test_each_panel_equals_its_solo_fit(self, estimator):
+        panels = ar1_panels([31, 32, 33, 34])
+        cfg = LassoConfig(lam=0.12, tol=1e-10)
+        stacked = fit_panel_vars(panels.__getitem__, len(panels), 2, cfg, estimator)
+        assert len({len(m.objective_history) for m in stacked}) > 1  # panels stop apart
+        for pnl, model in zip(panels, stacked):
+            solo = fit_panel_var(pnl, 2, cfg, estimator)
+            for a, b in [(model.A, solo.A), (model.sigma_u, solo.sigma_u),
+                         (model.stats.means, solo.stats.means), (model.stats.sds, solo.stats.sds)]:
+                assert_bitwise(a, b)
+            assert_bitwise(np.asarray(model.rho, dtype=float), np.asarray(solo.rho, dtype=float))
+            assert (model.sweeps, model.converged, model.objective_history) == \
+                (solo.sweeps, solo.converged, solo.objective_history)
+            assert (model.lam, model.estimator, model.names) == \
+                (solo.lam, solo.estimator, solo.names)
+
+    def test_fgls_stage2_of_several_designs_equals_one_call_each(self):
+        # three designs' whole stage-1 paths in one _cd_rows loop; its rows stop
+        # apart, so the live Grams are moved to the front of G more than once
+        cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
+        designs = [ar1_stage1_path(4, seed, cfg) for seed in (6, 7, 8)]
+        A1 = np.concatenate([d[2] for d in designs])
+        lams = np.concatenate([d[3] for d in designs])
+        A, rho, sweeps, converged, history = _fgls_refit(
+            ((Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
+        assert len(np.unique(sweeps)) > 2
+        start = 0
+        for Y, Z, A1_d, lams_d in designs:
+            one = _fgls_refit([(Y, Z, len(lams_d))], A1_d, lams_d, cfg)
+            pts = slice(start, start + len(lams_d))
+            for stacked, alone in zip((A[pts], rho[pts], sweeps[pts], converged[pts]), one[:4]):
+                assert_bitwise(stacked, alone)
+            assert history[pts] == one[4]
+            start += len(lams_d)
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(LassoError, match="0 items"):
+            fit_panel_vars(lambda i: None, 0, 2, LassoConfig(lam=0.1), "lasso")
+
+    def test_fgls_designs_must_cover_every_point(self):
+        cfg = LassoConfig(grid=LassoGrid(n_points=3, ratio=1e-2))
+        Y, Z, A1, lams = ar1_stage1_path(2, 5, cfg)
+        with pytest.raises(LassoError, match="cover 2 of 3"):
+            _fgls_refit([(Y, Z, 2)], A1, lams, cfg)
 
 
 class TestKkt:
