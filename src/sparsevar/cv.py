@@ -121,8 +121,7 @@ def select_lambda(
         # validation design in training units: rows val.start - p .. val.stop - 1,
         # so the prediction for t uses rows t-p .. t-1 only
         window = panel.slice_rows(val.start - p, val.stop)
-        window = TimePanel(window.dates, window.names, stats.transform(window.values))
-        val_Z = lag_embed(window, p).Z
+        val_Z = lag_embed(window.with_values(stats.transform(window.values)), p).Z
         actual = panel.values[val.start: val.stop]
         # the lasso needs only the moments; FGLS stage 2 re-reads the samples
         folds.append((embed if estimator == "fgls-lasso" else None, stats, val_Z, actual))

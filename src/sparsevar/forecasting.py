@@ -11,7 +11,7 @@ import numpy as np
 
 from sparsevar.cv import WalkForwardPlan, select_lambda
 from sparsevar.lasso import LassoConfig, VarModel, fit_panel_vars
-from sparsevar.panel import PanelError, TimePanel, stack_state
+from sparsevar.panel import PanelError, TimePanel, csv_records, stack_state
 
 
 class ForecastError(ValueError):
@@ -185,31 +185,27 @@ def read_forecast_csv(path) -> ForecastSet:
     origins: list[date] = []
     horizons: list[int] = []
     names: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"origin", "horizon", "series", "forecast", "actual"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ForecastError(f"{path}: need columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                origin = date.fromisoformat(row["origin"].strip())
-                h = int(row["horizon"])
-                name = row["series"].strip()
-                value = float(row["forecast"])
-                actual_raw = row["actual"].strip()
-                actual = float("nan") if actual_raw == "" else float(actual_raw)
-            except (ValueError, AttributeError):
-                raise ForecastError(f"{path}:{lineno}: bad row {row}") from None
-            key = (origin, h, name)
-            if key in cells:
-                raise ForecastError(f"{path}:{lineno}: duplicate cell {key}")
-            cells[key] = (value, actual)
-            if origin not in origins:
-                origins.append(origin)
-            if h not in horizons:
-                horizons.append(h)
-            if name not in names:
-                names.append(name)
+    columns = ("origin", "horizon", "series", "forecast", "actual")
+    for lineno, row in csv_records(path, columns, ForecastError):
+        try:
+            origin = date.fromisoformat(row["origin"].strip())
+            h = int(row["horizon"])
+            name = row["series"].strip()
+            value = float(row["forecast"])
+            actual_raw = row["actual"].strip()
+            actual = float("nan") if actual_raw == "" else float(actual_raw)
+        except (ValueError, AttributeError):
+            raise ForecastError(f"{path}:{lineno}: bad row {row}") from None
+        key = (origin, h, name)
+        if key in cells:
+            raise ForecastError(f"{path}:{lineno}: duplicate cell {key}")
+        cells[key] = (value, actual)
+        if origin not in origins:
+            origins.append(origin)
+        if h not in horizons:
+            horizons.append(h)
+        if name not in names:
+            names.append(name)
     if not cells:
         raise ForecastError(f"{path}: no forecast rows")
     origins.sort()

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import calendar
-import csv
 import math
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
@@ -11,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from sparsevar.panel import PanelError, TimePanel
+from sparsevar.panel import PanelError, TimePanel, csv_records
 
 
 class IngestionError(ValueError):
@@ -151,34 +150,26 @@ def rescale_gtrends(
 def load_scored_items_csv(path) -> list[ScoredItem]:
     """Read ``timestamp,valence_sum`` rows (ISO-8601 timestamps, UTC assumed)."""
     items = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"timestamp", "valence_sum"}:
-            raise IngestionError(f"{path}: need columns timestamp,valence_sum")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                ts = datetime.fromisoformat(row["timestamp"].strip())
-                x = float(row["valence_sum"])
-            except (ValueError, AttributeError):
-                raise IngestionError(f"{path}:{lineno}: bad row {row}") from None
-            items.append(ScoredItem(ts, x))
+    for lineno, row in csv_records(path, ("timestamp", "valence_sum"), IngestionError):
+        try:
+            ts = datetime.fromisoformat(row["timestamp"].strip())
+            x = float(row["valence_sum"])
+        except (ValueError, AttributeError):
+            raise IngestionError(f"{path}:{lineno}: bad row {row}") from None
+        items.append(ScoredItem(ts, x))
     return items
 
 
 def load_monthly_index_csv(path) -> MonthlyIndex:
     """Read ``month,weight`` rows with month as YYYY-MM."""
     months, weights = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"month", "weight"}:
-            raise IngestionError(f"{path}: need columns month,weight")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                y, m = row["month"].strip().split("-")
-                months.append((int(y), int(m)))
-                weights.append(float(row["weight"]))
-            except (ValueError, AttributeError):
-                raise IngestionError(f"{path}:{lineno}: bad row {row}") from None
+    for lineno, row in csv_records(path, ("month", "weight"), IngestionError):
+        try:
+            y, m = row["month"].strip().split("-")
+            months.append((int(y), int(m)))
+            weights.append(float(row["weight"]))
+        except (ValueError, AttributeError):
+            raise IngestionError(f"{path}:{lineno}: bad row {row}") from None
     return MonthlyIndex(tuple(months), np.array(weights))
 
 
@@ -197,19 +188,15 @@ def load_trend_chunks(directory) -> dict[tuple[int, int], np.ndarray]:
             raise IngestionError(f"{fname}: expected YYYY-MM.csv naming") from None
         path = os.path.join(directory, fname)
         days: list[tuple[date, float]] = []
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or set(reader.fieldnames) < {"date", "value"}:
-                raise IngestionError(f"{path}: need columns date,value")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    d = date.fromisoformat(row["date"].strip())
-                    v = float(row["value"])
-                except (ValueError, AttributeError):
-                    raise IngestionError(f"{path}:{lineno}: bad row {row}") from None
-                if (d.year, d.month) != (y, m):
-                    raise IngestionError(f"{path}:{lineno}: date {d} outside {stem}")
-                days.append((d, v))
+        for lineno, row in csv_records(path, ("date", "value"), IngestionError):
+            try:
+                d = date.fromisoformat(row["date"].strip())
+                v = float(row["value"])
+            except (ValueError, AttributeError):
+                raise IngestionError(f"{path}:{lineno}: bad row {row}") from None
+            if (d.year, d.month) != (y, m):
+                raise IngestionError(f"{path}:{lineno}: date {d} outside {stem}")
+            days.append((d, v))
         days.sort()
         n_days = calendar.monthrange(y, m)[1]
         if [d.day for d, _ in days] != list(range(1, n_days + 1)):

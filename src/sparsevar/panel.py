@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import csv
+import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
@@ -20,6 +21,10 @@ class TimePanel:
 
     Row t holds the observation for ``dates[t]``; column k is the series
     ``names[k]``. Values are stored read-only so panels can be shared freely.
+    ``TimePanel(...)`` copies the values and checks shapes, unique names,
+    increasing dates and finiteness; ``slice_rows`` derives a panel without
+    checks, and ``with_values`` checks only the shape and finiteness of its
+    new values.
     """
 
     dates: tuple[date, ...]
@@ -46,13 +51,21 @@ class TimePanel:
         for prev, nxt in zip(self.dates, self.dates[1:]):
             if nxt <= prev:
                 raise PanelError(f"dates not strictly increasing at {nxt}")
+        object.__setattr__(self, "values", self._frozen_finite(arr))
+
+    def _frozen_finite(self, arr: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(arr)):
             t, k = map(int, np.argwhere(~np.isfinite(arr))[0])
             raise PanelError(
                 f"non-finite value in series {self.names[k]!r} on {self.dates[t]}"
             )
         arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        return arr
+
+    def _derived(self, dates: tuple[date, ...], values: np.ndarray) -> "TimePanel":
+        panel = object.__new__(TimePanel)  # parts of a validated panel skip the checks
+        panel.__dict__.update(dates=dates, names=self.names, values=values)
+        return panel
 
     @property
     def n_obs(self) -> int:
@@ -76,7 +89,17 @@ class TimePanel:
         raise PanelError(f"date {d} not in panel")
 
     def slice_rows(self, start: int, stop: int) -> "TimePanel":
-        return TimePanel(self.dates[start:stop], self.names, self.values[start:stop])
+        """Rows [start, stop): a read-only view of these values, not re-validated."""
+        return self._derived(self.dates[start:stop], self.values[start:stop])
+
+    def with_values(self, values: np.ndarray) -> "TimePanel":
+        """These dates and names over a read-only copy of ``values``, which must
+        have this panel's shape; only finiteness is checked, as an affine map of
+        finite values can overflow."""
+        values = np.array(values, dtype=float)
+        if values.shape != self.values.shape:
+            raise PanelError(f"values of shape {values.shape} for a {self.values.shape} panel")
+        return self._derived(self.dates, self._frozen_finite(values))
 
 
 @dataclass(frozen=True)
@@ -190,7 +213,7 @@ def standardize(panel: TimePanel) -> tuple[TimePanel, StandardizationStats]:
         k = int(np.flatnonzero(sds == 0)[0])
         raise PanelError(f"series {panel.names[k]!r} has zero variance")
     stats = StandardizationStats(means, sds)
-    return TimePanel(panel.dates, panel.names, stats.transform(panel.values)), stats
+    return panel.with_values(stats.transform(panel.values)), stats
 
 
 def destandardize(panel: TimePanel, stats: StandardizationStats) -> TimePanel:
@@ -199,7 +222,7 @@ def destandardize(panel: TimePanel, stats: StandardizationStats) -> TimePanel:
         raise PanelError(
             f"stats cover {stats.n_series} series, panel has {panel.n_series}"
         )
-    return TimePanel(panel.dates, panel.names, stats.inverse(panel.values))
+    return panel.with_values(stats.inverse(panel.values))
 
 
 def lag_embed(panel: TimePanel, p: int) -> LagEmbedding:
@@ -313,28 +336,57 @@ def write_panel_csv(panel: TimePanel, path) -> None:
             writer.writerow([d.isoformat(), *(_format_number(x) for x in panel.values[t])])
 
 
-# rows parsed per np.array call; a cell held as a string takes several times
-# the memory of its float, so the file is never held as strings all at once
-_CSV_BLOCK_ROWS = 1024
+def csv_records(path, columns: tuple[str, ...], error: type[Exception]):
+    """Yield ``(line number, row dict)`` per record of a CSV whose header names
+    all of ``columns``, else raise ``error``. A UTF-8 byte-order mark is
+    skipped, and the line number counts blank lines."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise error(f"{path}: need columns {','.join(columns)}")
+        for row in reader:
+            yield reader.line_num, row
 
 
-def _parse_cells(path, cells: list[list[str]], linenos: list[int]) -> np.ndarray:
-    """Rows of value cells as floats, in one ``np.array`` call that reads each
-    cell as ``float`` does; on failure, the line of the first non-numeric cell."""
-    try:
-        return np.array(cells, dtype=float)
-    except ValueError:
-        for lineno, row in zip(linenos, cells):
+def _date_ordinal(cell: str) -> int:
+    return date.fromisoformat(cell.strip()).toordinal()
+
+
+def _bad_line(path, n_fields: int, reason) -> PanelError:
+    """The first malformed data line's error, or the parser's reason if none is found."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if len(row) != n_fields:
+                return PanelError(f"{path}:{lineno}: expected {n_fields} fields")
             try:
-                [float(x) for x in row]
+                _date_ordinal(row[0])
             except ValueError:
-                raise PanelError(f"{path}:{lineno}: non-numeric value") from None
-        raise
+                return PanelError(f"{path}:{lineno}: bad date {row[0]!r}")
+            # numpy's parser rejects what float rejects, and "1_000" and non-ASCII digits
+            try:
+                numbers = [float(c) for c in row[1:] if c.strip().isascii() and "_" not in c]
+            except ValueError:
+                numbers = []
+            if len(numbers) != n_fields - 1:
+                return PanelError(f"{path}:{lineno}: non-numeric value")
+    return PanelError(f"{path}: {reason}")
 
 
 def read_panel_csv(path) -> TimePanel:
-    """Load a ``date,...`` CSV, rejecting gaps in the daily calendar."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """Load a ``date,<name1>,...`` CSV, rejecting gaps in the daily calendar.
+
+    One ``np.loadtxt`` call parses the body, reading each value bitwise as
+    ``float`` does, except that underscore digit groups (``1_000``) and
+    non-ASCII digits are rejected. Cells may be quoted or space-padded, ``#``
+    is data, a UTF-8 byte-order mark is skipped, and an error names the first
+    bad line, blank lines counted.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -345,33 +397,23 @@ def read_panel_csv(path) -> TimePanel:
         names = [h.strip() for h in header[1:]]
         if not names:
             raise PanelError(f"{path}: no series columns")
-        dates: list[date] = []
-        blocks: list[np.ndarray] = []
-        cells: list[list[str]] = []
-        linenos: list[int] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            # the pending cells are parsed first, so an earlier non-numeric cell is reported
-            if len(row) != len(names) + 1:
-                _parse_cells(path, cells, linenos)
-                raise PanelError(f"{path}:{lineno}: expected {len(names) + 1} fields")
+        n_fields = len(names) + 1
+        with warnings.catch_warnings():  # a header-only file has "no data rows" below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            # every column is parsed, so a line of another width raises; encoding=None,
+            # as before numpy 2 the default ("bytes") hands the converter bytes
             try:
-                d = date.fromisoformat(row[0].strip())
-            except ValueError:
-                _parse_cells(path, cells, linenos)
-                raise PanelError(f"{path}:{lineno}: bad date {row[0]!r}") from None
-            dates.append(d)
-            cells.append(row[1:])
-            linenos.append(lineno)
-            if len(cells) == _CSV_BLOCK_ROWS:
-                blocks.append(_parse_cells(path, cells, linenos))
-                cells, linenos = [], []
-    if cells:
-        blocks.append(_parse_cells(path, cells, linenos))
-    if not blocks:
+                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
+                                   converters={0: _date_ordinal}, encoding=None)
+            except ValueError as exc:
+                raise _bad_line(path, n_fields, exc) from None
+    if not len(table):
         raise PanelError(f"{path}: no data rows")
-    for prev, nxt in zip(dates, dates[1:]):
-        if nxt != prev + timedelta(days=1):
-            raise PanelError(f"{path}: missing dates between {prev} and {nxt}")
-    return TimePanel(tuple(dates), tuple(names), np.concatenate(blocks))
+    if table.shape[1] != n_fields:  # every line has the first line's width
+        raise _bad_line(path, n_fields, f"{table.shape[1]} fields on every line")
+    ordinals = table[:, 0].astype(np.int64)
+    gaps = np.flatnonzero(np.diff(ordinals) != 1)
+    if gaps.size:
+        prev, nxt = map(date.fromordinal, ordinals[gaps[0]: gaps[0] + 2].tolist())
+        raise PanelError(f"{path}: missing dates between {prev} and {nxt}")
+    return TimePanel(tuple(map(date.fromordinal, ordinals.tolist())), tuple(names), table[:, 1:])

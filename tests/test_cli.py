@@ -229,6 +229,20 @@ class TestEvaluateCommand:
         assert not (tmp_path / "eval" / "evaluation.csv").exists()
 
 
+class TestIngestCommand:
+    def test_sentiment_file_missing_a_column_is_a_runtime_error(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("date,btc\n2021-03-01,100\n2021-03-02,101\n2021-03-03,99\n")
+        items = tmp_path / "items.csv"
+        items.write_text("time,valence_sum,extra\n2021-03-02T09:00:00,4.0,x\n")
+        argv = ["ingest", "--prices", str(prices), f"--sentiment=tw={items}",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "runtime" and "need columns" in err["message"]
+        assert not (tmp_path / "out" / "panel.csv").exists()
+
+
 class TestGrangerCommand:
     def test_writes_every_output(self, tmp_path):
         spec = SyntheticSpec(k=3, p=2, t=200,

@@ -375,6 +375,20 @@ class TestForecastCsv:
         with pytest.raises(ForecastError, match="need columns"):
             read_forecast_csv(path)
 
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text("origin,horizon,series,forecast,actual\n2020-01-10,1,a,0.5,0.4\n",
+                        encoding="utf-8-sig")
+        back = read_forecast_csv(path)
+        assert back.names == ("a",) and back.values[0, 0, 0] == 0.5
+
+    def test_error_names_the_physical_line_after_blank_lines(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("origin,horizon,series,forecast,actual\n2020-01-10,1,a,0.5,0.4\n\n\n"
+                        "2020-01-11,1,a,x,0.4\n")
+        with pytest.raises(ForecastError, match=r"gap\.csv:5: bad row"):
+            read_forecast_csv(path)
+
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(

@@ -193,3 +193,40 @@ class TestLoaders:
         (tmp_path / "2021-02.csv").write_text("\n".join(lines) + "\n")
         with pytest.raises(IngestionError, match="every day"):
             load_trend_chunks(tmp_path)
+
+
+class TestLoaderHeaders:
+    @pytest.mark.parametrize("load, name, text", [
+        (load_scored_items_csv, "items.csv", "time,valence_sum,extra\n2021-03-01T09:00:00,4.0,x\n"),
+        (load_monthly_index_csv, "monthly.csv", "month,w\n2021-01,100\n"),
+        (load_trend_chunks, "2021-02.csv", "day,value,extra\n2021-02-01,1.0,x\n"),
+    ])
+    def test_missing_column_rejected_despite_an_extra_one(self, tmp_path, load, name, text):
+        (tmp_path / name).write_text(text)
+        target = tmp_path if load is load_trend_chunks else tmp_path / name
+        with pytest.raises(IngestionError, match="need columns"):
+            load(target)
+
+    def test_byte_order_mark_is_ignored(self, tmp_path):
+        bom = {"encoding": "utf-8-sig"}
+        (tmp_path / "items.csv").write_text("timestamp,valence_sum\n2021-03-01T09:00:00,4.0\n",
+                                            **bom)
+        (tmp_path / "monthly.csv").write_text("month,weight\n2021-02,55\n", **bom)
+        (tmp_path / "trends").mkdir()
+        (tmp_path / "trends" / "2021-02.csv").write_text(
+            "date,value\n" + "".join(f"2021-02-{d:02d},{d}.0\n" for d in range(1, 29)), **bom)
+        assert load_scored_items_csv(tmp_path / "items.csv")[0].valence_sum == 4.0
+        assert load_monthly_index_csv(tmp_path / "monthly.csv").months == ((2021, 2),)
+        np.testing.assert_array_equal(load_trend_chunks(tmp_path / "trends")[(2021, 2)],
+                                      np.arange(1.0, 29.0))
+
+    @pytest.mark.parametrize("load, name, text", [
+        (load_scored_items_csv, "items.csv", "timestamp,valence_sum\n2021-03-01T09:00:00,4\n\n\nx,1\n"),
+        (load_monthly_index_csv, "monthly.csv", "month,weight\n2021-01,100\n\n\n2021-02,x\n"),
+        (load_trend_chunks, "2021-02.csv", "date,value\n2021-02-01,1.0\n\n\n2021-02-02,x\n"),
+    ])
+    def test_error_names_the_physical_line_after_blank_lines(self, tmp_path, load, name, text):
+        (tmp_path / name).write_text(text)
+        target = tmp_path if load is load_trend_chunks else tmp_path / name
+        with pytest.raises(IngestionError, match=rf"{name}:5: bad row"):
+            load(target)

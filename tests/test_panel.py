@@ -1,4 +1,6 @@
+import csv
 import math
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -276,6 +278,171 @@ class TestCsvRoundtrip:
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path)
         assert read_panel_csv(path).values.tobytes() == values.tobytes()
+
+
+
+def reference_read(path):
+    """A panel CSV read row by row with ``csv`` and ``float``."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        header, *rows = [row for row in csv.reader(fh) if row]
+    dates = tuple(date.fromisoformat(row[0].strip()) for row in rows)
+    values = np.array([[float(x) for x in row[1:]] for row in rows])
+    return tuple(h.strip() for h in header[1:]), dates, values
+
+
+def panel_rows(rng, n_rows=6):
+    """Header and cells of a 3-series panel with 17-digit values over 600 decades."""
+    values = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+    return [["date", "a", "b", "c"]] + [
+        [date(2020, 1, 1 + t).isoformat(), *("%.17g" % x for x in values[t])]
+        for t in range(n_rows)]
+
+
+class TestCsvReader:
+    @pytest.mark.parametrize("layout", ["crlf", "padded", "quoted", "blank_lines", "bom"])
+    def test_matches_csv_and_float_bitwise(self, tmp_path, rng, layout):
+        rows = panel_rows(rng)
+        if layout == "padded":
+            rows = [[f" {c}\t" for c in row] for row in rows]
+        if layout == "quoted":
+            rows = [[f'"{c}"' for c in row] for row in rows]
+            rows[0][1:] = ['"a, the first"', '"b ""2"""', "c"]
+        lines = [",".join(row) for row in rows]
+        if layout == "blank_lines":
+            lines = lines[:1] + ["", ""] + lines[1:4] + [""] + lines[4:]
+        path = tmp_path / "panel.csv"
+        path.write_text("\r\n".join(lines) + "\r\n" if layout == "crlf" else "\n".join(lines),
+                        newline="", encoding="utf-8-sig" if layout == "bom" else "utf-8")
+        panel = read_panel_csv(path)
+        names, dates, values = reference_read(path)
+        assert panel.names == names and panel.dates == dates
+        assert panel.values.tobytes() == values.tobytes()
+        if layout == "quoted":
+            assert names == ("a, the first", 'b "2"', "c")
+
+    @pytest.mark.parametrize("line, error", [
+        ("2020-01-03,1.0,2.0,3.0", "expected 3 fields"),
+        ("2020-01-03,1.0", "expected 3 fields"),
+        ("   ", "expected 3 fields"),
+        ("2020-01-33,1.0,2.0", "bad date '2020-01-33'"),
+        ("2020-01-03,1.0,abc", "non-numeric value"),
+        ("2020-01-03,#5,1.0", "non-numeric value"),
+        ("2020-01-03,1.0,1_000", "non-numeric value"),
+        ("2020-01-03,,1.0", "non-numeric value"),
+    ])
+    def test_bad_line_names_its_line(self, tmp_path, line, error):
+        # blank lines count toward the line number
+        path = tmp_path / "bad.csv"
+        path.write_text(f"date,a,b\n2020-01-01,1.0,2.0\n\n2020-01-02,3.0,4.0\n{line}\n"
+                        "2020-01-04,5.0,6.0\n")
+        with pytest.raises(PanelError, match=rf"bad\.csv:5: {error}$"):
+            read_panel_csv(path)
+
+    def test_underscore_digit_groups_are_rejected(self, tmp_path):
+        # float accepts them; the reader's parser does not, and says where
+        assert float("1_000") == 1000.0
+        path = tmp_path / "grouped.csv"
+        path.write_text("date,a\n2020-01-01,1000\n2020-01-02,1_000\n")
+        with pytest.raises(PanelError, match=r"grouped\.csv:3: non-numeric value$"):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1), (3, 0, 1, 2)])
+    def test_first_bad_line_wins_whatever_its_kind(self, tmp_path, order):
+        bad = ["2020-01-03,1.0", "2020-01-3x,1.0,2.0", "2020-01-03,x,2.0",
+               "2020-01-03,1.0,2.0,3.0"]
+        errors = ["expected 3 fields", "bad date '2020-01-3x'", "non-numeric value",
+                  "expected 3 fields"]
+        path = tmp_path / "bad.csv"
+        path.write_text("date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,3.0,4.0\n"
+                        + "".join(bad[i] + "\n" for i in order))
+        with pytest.raises(PanelError, match=rf"bad\.csv:4: {errors[order[0]]}$"):
+            read_panel_csv(path)
+
+    def test_every_line_too_wide_is_reported_at_the_first(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("date,a\n\n2020-01-01,1.0,2.0\n2020-01-02,3.0,4.0\n")
+        with pytest.raises(PanelError, match=r"wide\.csv:3: expected 2 fields$"):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize("body", ["", "\n\n"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("date,a,b\n" + body)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PanelError, match="no data rows"):
+                read_panel_csv(path)
+
+
+def same_panel(derived, dates, names, values):
+    """The derived panel equals a validated TimePanel of the same parts, read-only."""
+    validated = TimePanel(dates, names, values)
+    assert derived.dates == validated.dates and derived.names == validated.names
+    assert derived.values.tobytes() == validated.values.tobytes()
+    assert derived.values.shape == validated.values.shape
+    assert not derived.values.flags.writeable
+
+
+class TestDerivedPanels:
+    def test_slice_rows_is_a_read_only_view(self, rng):
+        panel = daily_panel(rng.standard_normal((12, 3)))
+        part = panel.slice_rows(3, 9)
+        assert np.shares_memory(part.values, panel.values)
+        same_panel(part, panel.dates[3:9], panel.names, panel.values[3:9])
+        with pytest.raises(ValueError):
+            part.values[0, 0] = 1.0
+
+    def test_standardize_and_destandardize(self, rng):
+        panel = daily_panel(rng.standard_normal((12, 3)) * 5 + 2)
+        std, stats = standardize(panel)
+        same_panel(std, panel.dates, panel.names, stats.transform(panel.values))
+        back = destandardize(std, stats)
+        same_panel(back, panel.dates, panel.names, stats.inverse(std.values))
+
+    def test_cv_window_in_training_units(self, rng):
+        panel = daily_panel(rng.standard_normal((40, 2)))
+        _, stats = standardize(panel.slice_rows(0, 30))
+        window = panel.slice_rows(28, 40)
+        scaled = window.with_values(stats.transform(window.values))
+        same_panel(scaled, panel.dates[28:40], panel.names, stats.transform(panel.values[28:40]))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_with_values_rejects_non_finite(self, bad):
+        panel = daily_panel([[1.0, 2.0], [3.0, 4.0]], names=("a", "b"))
+        values = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(PanelError, match="non-finite value in series 'b' on 2020-01-02"):
+            panel.with_values(values)
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 1), (3, 2), (1, 2, 2)])
+    def test_with_values_rejects_another_shape(self, shape):
+        panel = daily_panel([[1.0, 2.0], [3.0, 4.0]], names=("a", "b"))
+        with pytest.raises(PanelError, match=rf"values of shape \({shape[0]},"):
+            panel.with_values(np.ones(shape))
+
+    def test_with_values_keeps_its_own_copy(self):
+        panel = daily_panel([[1.0, 2.0], [3.0, 4.0]], names=("a", "b"))
+        base = np.array([[5.0, 6.0], [7.0, 8.0]])
+        derived = panel.with_values(base[:, :])
+        base[0, 0] = -1.0
+        assert base.flags.writeable and derived.values[0, 0] == 5.0
+        assert not derived.values.flags.writeable
+
+    def test_overflowing_destandardize_raises(self):
+        stats = StandardizationStats(np.zeros(1), np.full(1, 1e300))
+        with np.errstate(over="ignore"), pytest.raises(PanelError, match="non-finite"):
+            destandardize(daily_panel([[1.0], [1e10]]), stats)
+
+    @pytest.mark.parametrize("dates, names, values, error", [
+        ((date(2020, 1, 1),), ("a",), np.ones(1), "2-D"),
+        ((date(2020, 1, 1),), ("a",), np.ones((2, 1)), "2 rows but 1 dates"),
+        ((date(2020, 1, 1),), ("a",), np.ones((1, 2)), "2 columns but 1 names"),
+        ((date(2020, 1, 1),), ("a", "a"), np.ones((1, 2)), "duplicate"),
+        ((date(2020, 1, 2), date(2020, 1, 1)), ("a",), np.ones((2, 1)), "increasing"),
+        ((date(2020, 1, 1),), ("a",), np.full((1, 1), np.inf), "non-finite"),
+    ])
+    def test_public_construction_checks_everything(self, dates, names, values, error):
+        with pytest.raises(PanelError, match=error):
+            TimePanel(dates, names, values)
 
 
 @settings(max_examples=200, deadline=None)
