@@ -13,7 +13,8 @@ causes' paths share a grid and run as groups of one ``lasso_paths`` call, and
 the forecast origins' fixed-penalty fits (OLS at lambda = 0) as groups of one
 ``_fit_stack`` call; a lone path or fit is one group. FGLS stage 2, whose rows
 each have their own whitened moments, runs every CV fold's path points, or
-every origin's equations, in one ``_cd_rows`` call.
+every origin's equations, in one ``_cd_rows`` call. Each coordinate step is 8 numpy
+calls; its threshold rho - clip(rho, -lambda / 2, lambda / 2) makes every zero +0.0.
 """
 
 from __future__ import annotations
@@ -68,10 +69,10 @@ class LassoConfig:
     grid: LassoGrid = field(default_factory=LassoGrid)
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise LassoError(f"lambda must be >= 0, got {self.lam}")
-        if not self.tol > 0:
-            raise LassoError(f"tol must be > 0, got {self.tol}")
+        if not (np.isfinite(self.lam) and self.lam >= 0):
+            raise LassoError(f"lambda must be finite and >= 0, got {self.lam}")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise LassoError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_sweeps < 1:
             raise LassoError(f"max_sweeps must be >= 1, got {self.max_sweeps}")
 
@@ -187,10 +188,10 @@ class BicScore:
 
 
 def soft_threshold(z, gamma):
-    """Shrink toward zero: sign(z) * max(|z| - gamma, 0). gamma must be >= 0."""
-    if np.any(np.asarray(gamma) < 0):
+    """Shrink toward zero: z - clip(z, -gamma, gamma) = sign(z) max(|z| - gamma, 0), or +0.0."""
+    if not np.all(np.asarray(gamma) >= 0):  # NaN too
         raise LassoError("soft threshold requires gamma >= 0")
-    out = np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
+    out = z - np.minimum(np.maximum(z, np.negative(gamma)), gamma)
     return float(out) if np.isscalar(z) else out
 
 
@@ -208,6 +209,18 @@ def _check_descent(sweep: int, prev_obj: float, obj: float) -> None:
         raise LassoError(f"objective increased across sweep {sweep}: {prev_obj!r} -> {obj!r}")
 
 
+def _cd_step(t: np.ndarray, c_j, x_j: np.ndarray, s_j, lo, hi, u: np.ndarray) -> None:
+    """x_j <- (rho - clip(rho, lo, hi)) / s_j, rho = c_j - t + x_j s_j, t = X g_j: 7 ufunc
+    calls in place via t and u; round-to-nearest is symmetric, so this is soft thresholding."""
+    np.subtract(c_j, t, out=t)
+    np.multiply(x_j, s_j, out=u)
+    np.add(t, u, out=t)
+    np.maximum(t, lo, out=u)
+    np.minimum(u, hi, out=u)
+    np.subtract(t, u, out=t)
+    np.divide(t, s_j, out=x_j)
+
+
 def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol: float,
              max_sweeps: int, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """Covariance-form coordinate descent on g independent groups, updating A in place.
@@ -216,12 +229,12 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
     yy[i] = ||Y||_F^2 / N, which carry all a residual-form sweep reads from the
     samples, so a sweep costs O(g R m^2) whatever N is; lam is (g, 1), one
     penalty per group, or (g, R), one per row; A (g, R, m) is the warm start.
-    Coordinates are visited in fixed lag-major order, one batched step over
-    the groups each. Each group keeps the joint stopping rule (its rows sweep
-    until their largest change is below tol), its own descent check and its
-    own objective history; stopped groups leave the working arrays once half
-    have stopped, and a lone group runs on 2-D views (a batch of one costs
-    more). Returns per group (sweeps, converged, per-sweep objective values).
+    Coordinates are visited in fixed lag-major order, one batched 8-call step
+    (``matmul`` and ``_cd_step``, zeros +0.0) over the groups each. Each group
+    keeps the joint stopping rule (max |W - W_start| over a sweep below tol), its
+    own descent check and objective history; stopped groups leave the working
+    arrays once half have stopped, and a lone group runs on 2-D views (a batch
+    of one costs more). Returns per group (sweeps, converged, objective values).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.min() < 0:
@@ -244,36 +257,26 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
             if lone:  # per coordinate j: views of column j of W, G and C, and G[j, j]
                 X = W[0]
                 cols = list(zip(X.T, Gw[0].T, Cw[0].T, scale[groups[0]]))
-                half_lam = lamw[0] / 2.0 if lamw.size > 1 else float(lamw[0, 0]) / 2.0
             else:  # the same per group, as (g, rows, 1) views
                 X = W
                 cols = list(zip(*(a.transpose(2, 0, 1)[..., None] for a in (W, Gw, Cw)),
                                 scale[groups].T[:, :, None, None]))
-                half_lam = lamw[..., None] / 2.0
-        max_change = 0.0 if lone else np.zeros((len(groups), 1, 1))
+            hi = lamw[0] / 2.0 if lone else lamw[..., None] / 2.0
+            lo, (t, u) = -hi, np.empty((2,) + cols[0][2].shape)  # made once per compaction
+        W_start = W.copy()
         for x_j, g_j, c_j, s_j in cols:
-            rho_j = c_j - X @ g_j + x_j * s_j
-            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / s_j
-            if lone:
-                change = float(np.abs(new - x_j).max())
-                if change > 0.0:
-                    x_j[...] = new
-                    max_change = max(max_change, change)
-            else:  # a group whose column did not move keeps it, signed zeros too
-                change = np.abs(new - x_j).max(axis=1, keepdims=True)
-                np.copyto(x_j, new, where=change > 0.0)
-                np.maximum(max_change, change, out=max_change)
+            _cd_step(np.matmul(X, g_j, out=t), c_j, x_j, s_j, lo, hi, u)
         if lamw.shape[1] == 1:
             l1 = lamw[:, 0] * np.abs(W).sum(axis=(1, 2))
         else:
             l1 = (lamw[:, None, :] @ np.abs(W).sum(axis=2)[:, :, None])[:, 0, 0]
         obj = yyw - 2.0 * (W * Cw).sum(axis=(1, 2)) + ((W @ Gw) * W).sum(axis=(1, 2)) + l1
-        for k, (i, o, change) in enumerate(zip(groups.tolist(), obj.tolist(),
-                                               np.ravel(max_change).tolist())):
+        change = np.abs(W - W_start).max(axis=(1, 2))
+        for k, (i, o, c) in enumerate(zip(groups.tolist(), obj.tolist(), change.tolist())):
             if live[k]:
                 _check_descent(sweep, history[i][-1] if history[i] else np.inf, o)
                 history[i].append(o)
-                if change < tol:
+                if c < tol:
                     live[k], sweeps[i], converged[i], A[i] = False, sweep, True, W[k]
         if not live.any():
             return sweeps, converged, history
@@ -463,37 +466,35 @@ def _cd_rows(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
     """``_cd_gram`` on R independent one-row problems, updating A (R, m) in place.
 
     Row r has its own symmetric G[r] (so column j of every Gram is G[:, j, :]),
-    C[r], yy[r] and lam[r]. Each row stops after its own first sweep with change
-    < tol and keeps its own objective history; stopped rows leave the working
-    arrays once half have stopped, the live Grams moving to the front of G (G
-    is overwritten, never copied). Returns per-row (sweeps, converged, histories).
+    C[r], yy[r] and lam[r]; a step is ``einsum`` and ``_cd_step`` (zeros +0.0). Each
+    row stops after its own first sweep with max |W - W_start| < tol and keeps its
+    own objective history; stopped rows leave the working arrays once half have
+    stopped, the live Grams moving to the front of G (G is overwritten, never
+    copied). Returns per-row (sweeps, converged, histories).
     """
-    R, m = C.shape
+    R = len(C)
     sweeps, converged = np.full(R, max_sweeps), np.zeros(R, dtype=bool)
     history: list[list[float]] = [[] for _ in range(R)]
     diag = np.diagonal(G, axis1=1, axis2=2)
     # a zero regressor's coefficient starts and stays at 0
     work = (np.arange(R), A.copy(), C, yy, lam, np.where(diag > 0, diag, 1.0))
-    live, Gw = np.ones(R, dtype=bool), G
+    live, cols = np.ones(R, dtype=bool), None
     for sweep in range(1, max_sweeps + 1):
         rows, W, Cw, yyw, lamw, dw = work
-        half_lam = lamw / 2.0
-        change = np.zeros(len(rows))
-        for j in range(m):
-            old = W[:, j]
-            rho_j = Cw[:, j] - np.einsum("rm,rm->r", W, Gw[:, j, :]) + old * dw[:, j]
-            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / dw[:, j]
-            np.maximum(change, np.abs(new - old), out=change)
-            W[:, j] = new
+        if cols is None:  # per coordinate j: views of column j of W, G, C and the diagonal
+            Gw = G[:len(rows)]  # the live Grams
+            cols = list(zip(W.T, Gw.transpose(1, 0, 2), Cw.T, dw.T))
+            lo, hi, (t, u) = -lamw / 2.0, lamw / 2.0, np.empty((2, len(rows)))
+        W_start = W.copy()
+        for x_j, g_j, c_j, s_j in cols:
+            _cd_step(np.einsum("rm,rm->r", W, g_j, out=t), c_j, x_j, s_j, lo, hi, u)
         obj = (yyw - 2.0 * np.einsum("rm,rm->r", W, Cw)
                + np.einsum("rm,rmn,rn->r", W, Gw, W) + lamw * np.abs(W).sum(axis=1))
         for r, o in zip(rows[live].tolist(), obj[live].tolist()):
             _check_descent(sweep, history[r][-1] if history[r] else np.inf, o)
             history[r].append(o)
-        done = live & (change < tol)
-        A[rows[done]] = W[done]
-        sweeps[rows[done]] = sweep
-        converged[rows[done]] = True
+        done = live & (np.abs(W - W_start).max(axis=1) < tol)
+        A[rows[done]], sweeps[rows[done]], converged[rows[done]] = W[done], sweep, True
         live &= ~done
         if not live.any():
             break
@@ -501,8 +502,7 @@ def _cd_rows(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
             for dst, src in enumerate(np.flatnonzero(live).tolist()):
                 G[dst] = G[src]  # dst <= src: every live Gram moves before it is overwritten
             work = tuple(a[live] for a in work)
-            live = live[live]
-            Gw = G[:len(live)]
+            live, cols = live[live], None
     A[work[0][live]] = work[1][live]
     return sweeps, converged, history
 

@@ -150,6 +150,20 @@ class TestConfigErrors:
         assert messages == ["config key 'n_splits': 'two' is not a valid int"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("option,value,message", [
+        ("--lambda", "nan", "lambda must be finite and >= 0, got nan"),
+        ("--lambda", "inf", "lambda must be finite and >= 0, got inf"),
+        ("--tol", "inf", "tol must be finite and > 0, got inf"),
+    ])
+    def test_non_finite_penalty_or_tolerance_is_a_config_error(self, tmp_path, capsys, panel_csv,
+                                                              option, value, message):
+        out = tmp_path / "out"
+        messages = config_messages(capsys, ["fit", "--panel", panel_csv, "--lag", "1",
+                                            "--estimator", "lasso", option, value,
+                                            "--out", str(out)])
+        assert messages == [message]
+        assert not (out / "model.json").exists()
+
     def test_every_bad_config_type_is_listed(self, tmp_path, capsys, panel_csv):
         # 1.5 is not an int on the command line, so it is not truncated to 1 here
         config = tmp_path / "config.json"

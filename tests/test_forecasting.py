@@ -254,7 +254,8 @@ class TestLockstepOrigins:
             assert (model.lam, model.estimator) == (solo.lam, solo.estimator)
             assert_bitwise(fs.values[o], forecast)
         if estimator != "ols":
-            assert any(np.signbit(m.A[m.A == 0]).any() for m in stacked)
+            zeros = np.concatenate([m.A[m.A == 0] for m in stacked])
+            assert zeros.size and not np.signbit(zeros).any()  # every zero is +0.0
 
     @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
     def test_every_nonconverged_origin_is_named(self, estimator):

@@ -25,6 +25,7 @@ from sparsevar.lasso import (
     prais_winsten,
     soft_threshold,
     _cd_gram,
+    _cd_rows,
     _check_descent,
     _fgls_refit,
     _path_moments,
@@ -115,6 +116,108 @@ def _cd_solve(
     return A, sweeps, converged, history
 
 
+# The covariance-form solvers with the sign-and-max step: 16 numpy calls per
+# coordinate, the threshold as sign(rho) * max(|rho| - lambda / 2, 0), the change
+# tracked at every coordinate and a column written only when it moved. The lean
+# step of ``lasso._cd_step`` must reproduce their coefficients (up to the sign of
+# zero), sweeps, convergence flags and objective histories exactly.
+
+
+def _cd_gram_signmax(G, C, yy, lam, tol, max_sweeps, A):
+    lam = np.asarray(lam, dtype=float)
+    g = len(C)
+    sweeps, converged = np.full(g, max_sweeps), np.zeros(g, dtype=bool)
+    history = [[] for _ in range(g)]
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    scale = np.where(diag > 0, diag, 1.0)
+    groups, live, W = np.arange(g), np.ones(g, dtype=bool), None
+    for sweep in range(1, max_sweeps + 1):
+        if W is None or 2 * np.count_nonzero(live) <= len(live):
+            if W is not None:
+                A[groups[live]] = W[live]
+                groups, live = groups[live], live[live]
+            lone = len(groups) == 1
+            sel = slice(groups[0], groups[0] + 1) if lone else groups
+            W, Gw, Cw, yyw, lamw = A[sel], G[sel], C[sel], yy[sel], lam[sel]
+            if lone:
+                X = W[0]
+                cols = list(zip(X.T, Gw[0].T, Cw[0].T, scale[groups[0]]))
+                half_lam = lamw[0] / 2.0 if lamw.size > 1 else float(lamw[0, 0]) / 2.0
+            else:
+                X = W
+                cols = list(zip(*(a.transpose(2, 0, 1)[..., None] for a in (W, Gw, Cw)),
+                                scale[groups].T[:, :, None, None]))
+                half_lam = lamw[..., None] / 2.0
+        max_change = 0.0 if lone else np.zeros((len(groups), 1, 1))
+        for x_j, g_j, c_j, s_j in cols:
+            rho_j = c_j - X @ g_j + x_j * s_j
+            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / s_j
+            if lone:
+                change = float(np.abs(new - x_j).max())
+                if change > 0.0:
+                    x_j[...] = new
+                    max_change = max(max_change, change)
+            else:
+                change = np.abs(new - x_j).max(axis=1, keepdims=True)
+                np.copyto(x_j, new, where=change > 0.0)
+                np.maximum(max_change, change, out=max_change)
+        if lamw.shape[1] == 1:
+            l1 = lamw[:, 0] * np.abs(W).sum(axis=(1, 2))
+        else:
+            l1 = (lamw[:, None, :] @ np.abs(W).sum(axis=2)[:, :, None])[:, 0, 0]
+        obj = yyw - 2.0 * (W * Cw).sum(axis=(1, 2)) + ((W @ Gw) * W).sum(axis=(1, 2)) + l1
+        for k, (i, o, change) in enumerate(zip(groups.tolist(), obj.tolist(),
+                                               np.ravel(max_change).tolist())):
+            if live[k]:
+                _check_descent(sweep, history[i][-1] if history[i] else np.inf, o)
+                history[i].append(o)
+                if change < tol:
+                    live[k], sweeps[i], converged[i], A[i] = False, sweep, True, W[k]
+        if not live.any():
+            return sweeps, converged, history
+    A[groups[live]] = W[live]
+    return sweeps, converged, history
+
+
+def _cd_rows_signmax(G, C, yy, lam, tol, max_sweeps, A):
+    R, m = C.shape
+    sweeps, converged = np.full(R, max_sweeps), np.zeros(R, dtype=bool)
+    history = [[] for _ in range(R)]
+    diag = np.diagonal(G, axis1=1, axis2=2)
+    work = (np.arange(R), A.copy(), C, yy, lam, np.where(diag > 0, diag, 1.0))
+    live, Gw = np.ones(R, dtype=bool), G
+    for sweep in range(1, max_sweeps + 1):
+        rows, W, Cw, yyw, lamw, dw = work
+        half_lam = lamw / 2.0
+        change = np.zeros(len(rows))
+        for j in range(m):
+            old = W[:, j]
+            rho_j = Cw[:, j] - np.einsum("rm,rm->r", W, Gw[:, j, :]) + old * dw[:, j]
+            new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / dw[:, j]
+            np.maximum(change, np.abs(new - old), out=change)
+            W[:, j] = new
+        obj = (yyw - 2.0 * np.einsum("rm,rm->r", W, Cw)
+               + np.einsum("rm,rmn,rn->r", W, Gw, W) + lamw * np.abs(W).sum(axis=1))
+        for r, o in zip(rows[live].tolist(), obj[live].tolist()):
+            _check_descent(sweep, history[r][-1] if history[r] else np.inf, o)
+            history[r].append(o)
+        done = live & (change < tol)
+        A[rows[done]] = W[done]
+        sweeps[rows[done]] = sweep
+        converged[rows[done]] = True
+        live &= ~done
+        if not live.any():
+            break
+        if 2 * np.count_nonzero(live) <= len(live):
+            for dst, src in enumerate(np.flatnonzero(live).tolist()):
+                G[dst] = G[src]
+            work = tuple(a[live] for a in work)
+            live = live[live]
+            Gw = G[:len(live)]
+    A[work[0][live]] = work[1][live]
+    return sweeps, converged, history
+
+
 def residual_stage2(Y, Z, A1, lam, cfg, rho):
     """FGLS stage 2 at the given rho: one residual-form solve per equation on
     its Prais-Winsten whitened data, warm-started from A1. Returns (A, the
@@ -176,6 +279,14 @@ class TestSoftThreshold:
     def test_negative_gamma_rejected(self):
         with pytest.raises(LassoError):
             soft_threshold(1.0, -0.1)
+
+    def test_nan_gamma_rejected(self):
+        with pytest.raises(LassoError):
+            soft_threshold(1.0, float("nan"))
+
+    def test_dead_zone_gives_positive_zero(self):
+        out = soft_threshold(np.array([-0.5, -0.0, 0.0, 0.5]), 1.0)
+        assert np.array_equal(out, np.zeros(4)) and not np.signbit(out).any()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -370,6 +481,12 @@ class TestPathEquivalence:
             assert np.abs(C[r] - S[0, 1:]).max() <= 1e-13 * scale
             assert abs(yy[r] - S[0, 0]) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("kw", [dict(lam=np.nan), dict(lam=np.inf), dict(lam=-0.1),
+                                    dict(tol=np.inf), dict(tol=np.nan), dict(tol=0.0)])
+    def test_config_rejects_non_finite_penalty_or_tolerance(self, kw):
+        with pytest.raises(LassoError, match="must be finite and"):
+            LassoConfig(**kw)
+
     def test_negative_penalty_rejected(self):
         G, C = np.eye(2), np.ones((2, 2))
         for lam in (-0.1, np.array([0.1, -0.1])):
@@ -529,6 +646,113 @@ class TestLockstepFits:
         Y, Z, A1, lams = ar1_stage1_path(2, 5, cfg)
         with pytest.raises(LassoError, match="cover 2 of 3"):
             _fgls_refit([(Y, Z, 2)], A1, lams, cfg)
+
+
+def solve_along(solver, moments, pens, tol, max_sweeps, A):
+    """solver's warm-started solves from A at each penalty of pens, on fresh copies
+    of the moments; per penalty (A, sweeps, converged, histories)."""
+    out = []
+    for pen in pens:
+        sweeps, converged, history = solver(*(a.copy() for a in moments), pen, tol,
+                                            max_sweeps, A)
+        out.append((A.copy(), sweeps, converged, history))
+    return out
+
+
+class TestLeanStep:
+    """``_cd_gram`` and ``_cd_rows`` equal the sign-and-max step kept above
+    (``_cd_gram_signmax``, ``_cd_rows_signmax``): coefficients ``==``-equal,
+    sweeps, convergence flags and objective histories identical, and every
+    zero coefficient +0.0."""
+
+    cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
+
+    def assert_same(self, moments, pens, max_sweeps):
+        A0 = np.zeros(moments[1].shape)
+        lean = solve_along(_cd_gram, moments, pens, self.cfg.tol, max_sweeps, A0.copy())
+        ref = solve_along(_cd_gram_signmax, moments, pens, self.cfg.tol, max_sweeps, A0.copy())
+        for (A, sweeps, conv, hist), (A_r, sweeps_r, conv_r, hist_r) in zip(lean, ref):
+            assert np.array_equal(A, A_r)
+            assert not np.signbit(A[A == 0]).any()
+            np.testing.assert_array_equal(sweeps, sweeps_r)
+            np.testing.assert_array_equal(conv, conv_r)
+            assert hist == hist_r
+        return lean
+
+    @pytest.mark.parametrize("case", ["path", "lambda-zero", "zero-variance"])
+    @pytest.mark.parametrize("per_row", [False, True])
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_gram_equals_signmax_step(self, groups, per_row, case):
+        _, (G, C, yy), lams = stacked_paths([11, 12, 13, 14][:groups], 4, 4, 2, per_row,
+                                            self.cfg)
+        pens = list(lams) if per_row else [np.full((groups, 1), lam) for lam in lams]
+        if case == "lambda-zero":
+            pens = [np.zeros_like(pens[0])]
+        if case == "zero-variance":
+            G[:, 1, :] = G[:, :, 1] = C[:, :, 1] = 0.0
+        lean = self.assert_same((G, C, yy), pens, self.cfg.max_sweeps)
+        assert all(conv.all() for _, _, conv, _ in lean)
+        if case == "path":
+            assert all((A == 0).any() for A, _, _, _ in lean[:3])
+        if case == "zero-variance":
+            assert all((A[..., 1] == 0).all() for A, _, _, _ in lean)
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_gram_cap_that_stops_one_group(self, per_row):
+        _, moments, lams = stacked_paths([21, 22, 23], 4, 4, 2, per_row, self.cfg)
+        pens = list(lams) if per_row else [np.full((3, 1), lam) for lam in lams]
+        free = self.assert_same(moments, pens, self.cfg.max_sweeps)
+        peak = np.array([sweeps for _, sweeps, _, _ in free]).max(axis=0)
+        cap = int(np.sort(peak)[-2])
+        capped = self.assert_same(moments, pens, cap)
+        hit = ~np.array([conv for _, _, conv, _ in capped]).all(axis=0)
+        np.testing.assert_array_equal(hit, peak > cap)
+        assert hit.sum() == 1
+
+    @pytest.mark.parametrize("case", ["path", "lambda-zero", "capped"])
+    def test_rows_equal_signmax_step_on_ar1_panels(self, monkeypatch, case):
+        cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
+        designs = [ar1_stage1_path(4, seed, cfg) for seed in (6, 7, 8)]
+        A1 = np.concatenate([d[2] for d in designs])
+        lams = np.concatenate([d[3] for d in designs]) * (case != "lambda-zero")
+        if case == "capped":
+            free = _fgls_refit(((Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
+            cfg = replace(cfg, max_sweeps=int(np.median(free[2])))
+
+        def refit():
+            return _fgls_refit(((Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
+
+        lean = refit()
+        monkeypatch.setattr("sparsevar.lasso._cd_rows", _cd_rows_signmax)
+        ref = refit()
+        assert np.array_equal(lean[0], ref[0])
+        assert not np.signbit(lean[0][lean[0] == 0]).any()
+        for a, b in zip(lean[1:4], ref[1:4]):
+            assert_bitwise(a, b)
+        assert lean[4] == ref[4]
+        assert lean[3].any() and (case == "capped") == (not lean[3].all())
+        if case == "path":
+            assert (lean[0] == 0).any()
+
+    def test_rows_zero_variance_regressor_stays_zero(self):
+        cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
+        Y, Z, A1, lams = ar1_stage1_path(4, 6, cfg)
+        G, C, yy = _whitened_moments(Y, Z, np.full((len(lams), 4), 0.5))
+        G, C, yy = G[:8], C[:8], yy[:8]
+        G[:, 2, :] = G[:, :, 2] = C[:, 2] = 0.0
+        A0 = A1.reshape(-1, A1.shape[2])[:8].copy()
+        A0[:, 2] = 0.0
+        outs = []
+        for solver in (_cd_rows, _cd_rows_signmax):
+            A = A0.copy()
+            outs.append((A,) + solver(G.copy(), C, yy, np.repeat(lams, 4)[:8], cfg.tol,
+                                      cfg.max_sweeps, A))
+        (A, sweeps, conv, hist), (A_r, sweeps_r, conv_r, hist_r) = outs
+        assert np.array_equal(A, A_r) and (A[:, 2] == 0).all()
+        assert not np.signbit(A[A == 0]).any()
+        assert_bitwise(sweeps, sweeps_r)
+        assert_bitwise(conv, conv_r)
+        assert hist == hist_r
 
 
 class TestKkt:
