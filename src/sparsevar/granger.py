@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsevar.lasso import LassoConfig, _bic, _path_moments, lambda_grid, lambda_max, lasso_paths
+from sparsevar.lasso import LassoConfig, _bic, _path_moments, lambda_max, lasso_paths
 from sparsevar.panel import LagEmbedding, TimePanel, lag_embed, standardize
 
 log = logging.getLogger("sparsevar.granger")
@@ -83,17 +83,19 @@ def _bic_select(
 
     Design i regresses each row D[rows[i][r]] (of N samples) on the regressors
     D[cols[i]]. Each row has its own grid descending from its own
-    ``lambda_max``, and the g designs' paths run in lockstep in one
-    ``lasso_paths`` call; each design stops on its own, so it selects exactly
-    what it selects alone. A design's samples are gathered from D only while
-    it is in use, so one design's copy is held at a time. BIC at each grid
-    point is N ln(RSS/N) + s ln(N) evaluated at the LASSO coefficients; ties
-    break toward the larger penalty (the grid descends). A row orthogonal to
-    every regressor gets the empty model at penalty 0: a zero row of C keeps
-    it at zero. A penalty at which a design's joint solve did not converge is
-    skipped for every row of that design only. Returns the penalties (g, R),
-    the support (g, R, m) and whether each design had a converged fit on its
-    grid; one that had none selects nothing (``NO_CONVERGED_FIT``).
+    ``lambda_max`` (one ``np.geomspace`` call for every row), and the g designs'
+    paths run in lockstep in one ``lasso_paths`` call; each design stops on its
+    own, so it selects exactly what it selects alone. BIC at each grid point is
+    N ln(RSS/N) + s ln(N) at the LASSO coefficients a_r, with RSS read from the
+    path's own moments as N (yy_r - 2 <a_r, c_r> + a_r G a_r^T), yy_r = ||y_r||^2 / N,
+    for every row of every design at once; an RSS that rounds below 0 (a row
+    fitted exactly) is 0, so its BIC is -inf, as from the samples. Ties break
+    toward the larger penalty (the grid descends). A row orthogonal to every
+    regressor gets the empty model at penalty 0: a zero row of C keeps it at
+    zero. A penalty at which a design's joint solve did not converge is skipped
+    for every row of that design only. Returns the penalties (g, R), the support
+    (g, R, m) and whether each design had a converged fit on its grid; one that
+    had none selects nothing (``NO_CONVERGED_FIT``).
     """
     rows, cols, n = np.asarray(rows), np.asarray(cols), D.shape[1]
     lmax, moments = np.zeros(rows.shape), []
@@ -101,39 +103,44 @@ def _bic_select(
         lmax[i] = [lambda_max(y[r: r + 1], x) for r in range(len(y))]
         moments.append(_path_moments(y, x, per_row=True))
     live = lmax != 0.0
-    lams = np.zeros(lmax.shape)
-    support = np.zeros(live.shape + cols.shape[1:], dtype=bool)
-    ok = ~live.any(axis=1)
-    grid = np.zeros((cfg.grid.n_points,) + lmax.shape)
-    for i, r in zip(*np.nonzero(live)):
-        grid[:, i, r] = lambda_grid(lmax[i, r], cfg.grid)
+    top = np.where(live, lmax, 1.0)  # bitwise lambda_grid(lmax[i, r]) on live rows
+    grid = np.where(live, np.geomspace(top, top * cfg.grid.ratio, cfg.grid.n_points), 0.0)
     G, C, yy = (np.stack(parts) for parts in zip(*moments))
     C[~live] = 0.0
-    best = np.full(lmax.shape, np.inf)
+    yy_rows, C2 = np.einsum("dn,dn->d", D, D)[rows] / n, 2.0 * C
+    lams, best = np.zeros(lmax.shape), np.full(lmax.shape, np.inf)
+    support = np.zeros(live.shape + cols.shape[1:], dtype=bool)
+    ok = ~live.any(axis=1)
     for lam, A, converged, _, _ in lasso_paths(G, C, yy, grid, cfg):
-        for i, a in enumerate(A):
-            if not converged[i]:
-                log.warning("BIC stage of design %d skipped non-converged penalties %s", i, lam[i])
-                continue
-            resid = D[rows[i]] - a @ D[cols[i]]
-            bic = _bic(np.einsum("rn,rn->r", resid, resid), np.count_nonzero(a, axis=1), n)
-            better = (bic < best[i]) & live[i]
-            best[i, better] = bic[better]
-            lams[i, better] = lam[i, better]
-            support[i, better] = a[better] != 0.0
-            ok[i] = True
+        for i in np.flatnonzero(~converged):
+            log.warning("BIC stage of design %d skipped non-converged penalties %s", i, lam[i])
+        rss = n * np.maximum(yy_rows - np.einsum("grm,grm->gr", A, C2 - A @ G), 0.0)
+        bic = _bic(rss, np.count_nonzero(A, axis=2), n)
+        better = (bic < best) & live & converged[:, None]
+        best[better], lams[better], support[better] = bic[better], lam[better], A[better] != 0.0
+        ok |= converged
     return lams, support, ok
 
 
+# a regressor is collinear when at most this share of its sum of squares lies outside the
+# span of the regressors before it: beyond it normal equations keep under half the digits
+_PIVOT_TOL = float(np.sqrt(np.finfo(float).eps))
+
+
 def _name_collinear(X: np.ndarray, labels: list[str]) -> list[str]:
-    """Columns of X (regressors in rows) beyond its numerical rank, by QR pivoting."""
+    """Regressors (rows of X) in a near-linear dependency, by QR with column pivoting:
+    the pivots from the first whose squared R diagonal is at most ``_PIVOT_TOL`` times
+    its sum of squares (at least the last pivot), and every earlier pivot that enters
+    their fit with more than sqrt(_PIVOT_TOL) of their norm."""
     from scipy import linalg  # deferred: scipy made up most of importing sparsevar.cli
 
-    q, r, piv = linalg.qr(X.T, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max() * max(X.shape) * np.finfo(float).eps if diag.size else 0.0
-    rank = int(np.sum(diag > tol))
-    return sorted(labels[j] for j in piv[rank:])
+    _, r, piv = linalg.qr(X.T, mode="economic", pivoting=True)
+    norms, diag = np.linalg.norm(X, axis=1)[piv], np.abs(np.diag(r))
+    small = diag ** 2 <= _PIVOT_TOL * norms ** 2
+    rank = int(np.argmax(small)) if small.any() else len(piv) - 1
+    coef = linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    loads = (np.abs(coef) * norms[:rank, None] > np.sqrt(_PIVOT_TOL) * norms[rank:]).any(axis=1)
+    return sorted(labels[j] for j in np.concatenate([piv[:rank][loads], piv[rank:]]))
 
 
 def _chi2_sf(x: float, dof: int) -> float:
@@ -151,50 +158,62 @@ def _split_rows(K: int, p: int, cause_idx: list[int]) -> tuple[list[int], list[i
     return gc_rows, [j for j in range(K * p) if j not in tested]
 
 
+def _cross_products(D: np.ndarray) -> np.ndarray:
+    """M = D D^T, one row product D @ D[j] at a time: each entry is then one dot
+    product, the same bytes at any BLAS thread count."""
+    return np.array([D @ d for d in D])
+
+
 def _lm_test(
     embed: LagEmbedding,
+    M: np.ndarray,
     effect: int,
     gc_rows: list[int],
     control_rows: list[int],
     robust: bool,
 ) -> tuple[float, float, np.ndarray]:
     """LM statistic, p-value and tested-block coefficients of the final
-    regression of the effect on the tested lags plus the selected controls."""
-    n = embed.n_cols
-    y = embed.Y[effect]
-    Z_gc = embed.Z[gc_rows]
-    dof = len(gc_rows)
-    if dof + len(control_rows) >= n:
+    regression of the effect on the selected controls plus the tested lags.
+
+    M is ``_cross_products`` of D = [Y; Z]. One Cholesky factor L L^T of M on
+    the regressors [controls, tested lags] and z = L^-1 M[regressors, effect]
+    give the restricted RSS_r = ||y||^2 - ||z_c||^2, the auxiliary regression's
+    explained sum ||z_gc||^2, so LM = N ||z_gc||^2 / RSS_r, and the tested
+    coefficients b from L_gc^T b = z_gc. Rank rule: a regressor is collinear
+    when its pivot L_jj^2 (its sum of squares outside the span of the regressors
+    before it) is at most ``_PIVOT_TOL`` = sqrt(eps) ~ 1.5e-8 times M_jj, or when
+    the factorization fails; ``_name_collinear`` then names the columns from the
+    samples. ``robust=True`` scores ``_robust_lm`` on the samples' restricted
+    residuals instead.
+    """
+    n, dof, nc = embed.n_cols, len(gc_rows), len(control_rows)
+    if dof + nc >= n:
         raise GrangerError(
-            f"selected {len(control_rows)} controls plus {dof} tested regressors "
+            f"selected {nc} controls plus {dof} tested regressors "
             f"reach the sample size {n}; raise the penalty floor (grid ratio)"
         )
-
     # the tested block always enters the final regression, selected or not
-    X_full = np.vstack([Z_gc, embed.Z[control_rows]]) if control_rows else Z_gc
-    rank = np.linalg.matrix_rank(X_full)
-    if rank < X_full.shape[0]:
+    x = [embed.Y.shape[0] + j for j in control_rows + gc_rows]
+    S = M[np.ix_(x, x)]
+    try:
+        L = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        L = None
+    if L is None or np.any(np.diagonal(L) ** 2 <= _PIVOT_TOL * np.diagonal(S)):
         labels = embed.regressor_names()
-        bad = _name_collinear(X_full, [labels[j] for j in gc_rows + control_rows])
+        bad = _name_collinear(embed.Z[control_rows + gc_rows],
+                              [labels[j] for j in control_rows + gc_rows])
         raise GrangerError(f"collinear regressors in final design: {bad}")
 
-    Xc = embed.Z[control_rows]
-    if control_rows:
-        beta_r, *_ = np.linalg.lstsq(Xc.T, y, rcond=None)
-        eps = y - beta_r @ Xc
-    else:
-        eps = y.copy()
-
-    beta_full, *_ = np.linalg.lstsq(X_full.T, y, rcond=None)
+    z = np.linalg.solve(L, M[effect, x])
+    rss_r = M[effect, effect] - z[:nc] @ z[:nc]
     if robust:
-        lm = _robust_lm(eps, Z_gc, Xc)
+        Xc = embed.Z[control_rows]
+        eps = embed.Y[effect] - np.linalg.solve(L[:nc, :nc].T, z[:nc]) @ Xc
+        lm = _robust_lm(eps, embed.Z[gc_rows], Xc)
     else:
-        beta_aux, *_ = np.linalg.lstsq(X_full.T, eps, rcond=None)
-        resid_aux = eps - beta_aux @ X_full
-        tss = float(eps @ eps)
-        r2 = 0.0 if tss == 0.0 else 1.0 - float(resid_aux @ resid_aux) / tss
-        lm = n * r2
-    return float(lm), _chi2_sf(lm, dof), beta_full[:dof]
+        lm = 0.0 if rss_r <= 0.0 else n * float(z[nc:] @ z[nc:]) / rss_r
+    return float(lm), _chi2_sf(lm, dof), np.linalg.solve(L[nc:, nc:].T, z[nc:])
 
 
 def pds_granger(
@@ -210,8 +229,9 @@ def pds_granger(
     set, each with a BIC-tuned penalty (one ``_bic_select`` path of
     1 + |causes| * p rows). The union of regressors selected in
     any stage conditions the final least-squares regression of the effect on
-    block lags plus controls, and the block's joint nullity is scored by the
-    auxiliary-regression LM statistic H * R^2 against chi-squared with one
+    block lags plus controls (``_lm_test``, from the moments of D = [Y; Z]), and the
+    block's joint nullity is scored by the auxiliary-regression LM statistic
+    H * R^2 = H ||z_gc||^2 / RSS_r against chi-squared with one
     degree of freedom per tested coefficient. With ``robust=True`` the
     heteroskedasticity-robust score form is used instead.
     """
@@ -222,14 +242,15 @@ def pds_granger(
     embed = lag_embed(std_panel, spec.p)
     K, effect = panel.n_series, panel.index_of(spec.effect)
     gc_rows, other_rows = _split_rows(K, spec.p, [panel.index_of(c) for c in spec.causes])
-    lams, support, ok = _bic_select(np.vstack([embed.Y, embed.Z]),
-                                    [[effect] + [K + j for j in gc_rows]],
+    D = np.vstack([embed.Y, embed.Z])
+    lams, support, ok = _bic_select(D, [[effect] + [K + j for j in gc_rows]],
                                     [[K + j for j in other_rows]], cfg)
     if not ok[0]:
         raise GrangerError(NO_CONVERGED_FIT)
     lams, support = lams[0], support[0]
     control_rows = [other_rows[j] for j in np.flatnonzero(support.any(axis=0))]
-    lm, p_value, gc_coef = _lm_test(embed, effect, gc_rows, control_rows, robust)
+    M = _cross_products(D)
+    lm, p_value, gc_coef = _lm_test(embed, M, effect, gc_rows, control_rows, robust)
     labels = embed.regressor_names()
     return GrangerResult(
         effect=spec.effect,
@@ -247,12 +268,8 @@ def _robust_lm(eps: np.ndarray, Z_gc: np.ndarray, Xc: np.ndarray) -> float:
     """Heteroskedasticity-robust score statistic: n - RSS from regressing 1 on
     the products of restricted residuals with the partialled-out tested block."""
     n = eps.shape[0]
-    if Xc.shape[0] > 0:
-        beta, *_ = np.linalg.lstsq(Xc.T, Z_gc.T, rcond=None)
-        Z_tilde = Z_gc - beta.T @ Xc
-    else:
-        Z_tilde = Z_gc
-    W = Z_tilde * eps  # dof x n, elementwise across columns
+    beta, *_ = np.linalg.lstsq(Xc.T, Z_gc.T, rcond=None)  # no controls: beta is empty
+    W = (Z_gc - beta.T @ Xc) * eps  # dof x n, elementwise across columns
     ones = np.ones(n)
     beta_w, *_ = np.linalg.lstsq(W.T, ones, rcond=None)
     resid = ones - beta_w @ W
@@ -270,13 +287,14 @@ def granger_network(
     """Run the pairwise test for every ordered (cause, effect) pair.
 
     Each test conditions on the lags of all remaining panel variables and is
-    ``pds_granger``'s test of that pair. The panel is standardized and
-    lag-embedded once. For a cause c, the selection
+    ``pds_granger``'s test of that pair, bit for bit. The panel is standardized
+    and lag-embedded once, into D = [Y; Z]. For a cause c, the selection
     regressions of every effect and of the p lags of c all share the design
     Z_other(c) (every lag but c's), so one BIC path per cause selects them
     all: K paths instead of K (K - 1) (p + 1), and the K paths run in lockstep
     in one ``_bic_select`` call, each stopping on its own. Each pair then runs
-    the final LM test on its own controls.
+    the final LM test on its own controls, from submatrices of one cross-product
+    M = D D^T (``_cross_products``) formed once for the network.
 
     An edge source -> target is emitted exactly when its p-value is below
     the threshold; the full p-value matrix is always produced. Pairs whose
@@ -303,54 +321,35 @@ def granger_network(
         designs.append((src, effect_idx, gc_rows, other_rows))
         rows.append(effect_idx + [K + j for j in gc_rows])
         cols.append([K + j for j in other_rows])
-    _, support, ok = _bic_select(np.vstack([embed.Y, embed.Z]), rows, cols, cfg)
+    D = np.vstack([embed.Y, embed.Z])
+    _, support, ok = _bic_select(D, rows, cols, cfg)
+    M = _cross_products(D)
 
-    outcome: dict[tuple[str, str], tuple[float, str | None]] = {}
+    index = {name: i for i, name in enumerate(names)}
+    p_matrix = np.full((len(names), len(names)), np.nan)
+    reasons: dict[tuple[str, str], str] = {}
     for (src, effect_idx, gc_rows, other_rows), sel, selected in zip(designs, support, ok):
         effects = [dst for dst in names if dst != src]
         if not selected:
-            outcome.update({(src, dst): (float("nan"), NO_CONVERGED_FIT) for dst in effects})
+            reasons.update({(src, dst): NO_CONVERGED_FIT for dst in effects})
             continue
         lag_support = sel[len(effects):].any(axis=0)
         for i, dst in enumerate(effects):
             control_rows = [other_rows[j] for j in np.flatnonzero(sel[i] | lag_support)]
             try:
-                _, p_value, _ = _lm_test(embed, effect_idx[i], gc_rows, control_rows, robust)
-                outcome[src, dst] = p_value, None
+                _, p_matrix[index[dst], index[src]], _ = _lm_test(
+                    embed, M, effect_idx[i], gc_rows, control_rows, robust)
             except (GrangerError, np.linalg.LinAlgError) as exc:
-                outcome[src, dst] = float("nan"), str(exc)
-
-    index = {name: i for i, name in enumerate(names)}
-    p_matrix = np.full((len(names), len(names)), np.nan)
-    edges: list[CausalEdge] = []
-    failures: list[tuple[str, str, str]] = []
-    for dst in names:
-        for src in names:
-            if src == dst:
-                continue
-            p_value, err = outcome[src, dst]
-            if err is not None:
-                log.warning("pair %s -> %s skipped: %s", src, dst, err)
-                failures.append((src, dst, err))
-                continue
-            p_matrix[index[dst], index[src]] = p_value
-            if p_value < threshold:
-                edges.append(CausalEdge(source=src, target=dst, p_value=p_value))
-    # the edge list is exactly the sub-threshold subset of the matrix
-    below = {(names[j], names[i]) for i, j in np.argwhere(p_matrix < threshold)}
-    listed = {(e.source, e.target) for e in edges}
-    if below != listed:
-        raise GrangerError(
-            f"edge list disagrees with the p-value matrix: matrix only {sorted(below - listed)}, "
-            f"list only {sorted(listed - below)}"
-        )
-    return NetworkResult(
-        variables=names,
-        p_matrix=p_matrix,
-        edges=tuple(edges),
-        threshold=threshold,
-        failures=tuple(failures),
-    )
+                reasons[src, dst] = str(exc)
+    failures = [(src, dst, reasons[src, dst]) for dst in names for src in names
+                if (src, dst) in reasons]
+    for failure in failures:
+        log.warning("pair %s -> %s skipped: %s", *failure)
+    # the edges are the matrix's sub-threshold entries, effect-major like the failures
+    edges = [CausalEdge(source=names[j], target=names[i], p_value=float(p_matrix[i, j]))
+             for i, j in np.argwhere(p_matrix < threshold)]
+    return NetworkResult(variables=names, p_matrix=p_matrix, edges=tuple(edges),
+                         threshold=threshold, failures=tuple(failures))
 
 
 def write_edges_csv(net: NetworkResult, path) -> None:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -10,11 +13,14 @@ from sparsevar.granger import (
     GrangerError,
     GrangerSpec,
     _bic_select,
+    _cross_products,
+    _lm_test,
+    _split_rows,
     granger_network,
     pds_granger,
     write_failures_csv,
 )
-from sparsevar.lasso import LassoConfig, LassoGrid
+from sparsevar.lasso import LassoConfig, LassoGrid, lambda_grid, lambda_max
 from sparsevar.panel import TimePanel, lag_embed, standardize
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
 
@@ -133,6 +139,35 @@ class TestBatchedSelection:
         assert both_ok.all()
         np.testing.assert_array_equal(both, np.vstack([lams, alone]))
         np.testing.assert_array_equal(both_support, np.concatenate([support, alone_support]))
+
+    @pytest.mark.parametrize("n_points,ratio", [(50, 1e-3), (20, 1e-3), (1, 1e-3), (7, 0.123)])
+    def test_grid_is_each_rows_lambda_grid(self, simulated, monkeypatch, n_points, ratio):
+        """The per-row grids of all designs, from one geomspace call, equal
+        ``lambda_grid`` of each row's own ``lambda_max`` bit for bit."""
+        D, rows, cols = selection_designs(simulated[0], 2)
+        grids, paths = [], granger.lasso_paths
+
+        def spy(G, C, yy, lams, cfg):
+            grids.append(lams)
+            return paths(G, C, yy, lams, cfg)
+
+        monkeypatch.setattr(granger, "lasso_paths", spy)
+        _bic_select(D, rows, cols, LassoConfig(grid=LassoGrid(n_points=n_points, ratio=ratio)))
+        for i, (r_i, c_i) in enumerate(zip(rows, cols)):
+            for r, row in enumerate(r_i):
+                expected = lambda_grid(lambda_max(D[[row]], D[c_i]), LassoGrid(n_points, ratio))
+                np.testing.assert_array_equal(grids[0][:, i, r], expected)
+
+    def test_row_equal_to_a_regressor_selects_it(self):
+        """A response equal to a regressor is fitted exactly as the penalty falls:
+        its RSS from moments rounds to 0 or below, which reads as BIC -inf
+        (under the RuntimeWarning-as-error filter, a log of a negative RSS fails)."""
+        X = np.random.default_rng(0).standard_normal((3, 200))
+        D = np.vstack([X[1], X])
+        lams, support, ok = _bic_select(D, [[0]], [[1, 2, 3]],
+                                        LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-9)))
+        assert ok[0] and lams[0, 0] > 0.0
+        np.testing.assert_array_equal(support[0, 0], [False, True, False])
 
     def test_capped_design_skips_only_its_own_penalties(self, simulated, caplog):
         """Under a sweep cap that some designs hit at some penalties and others
@@ -271,3 +306,129 @@ class TestPdsGranger:
     def test_rejects_lag_order_below_one(self, simulated):
         with pytest.raises(GrangerError, match="lag order"):
             granger_network(simulated[0], 0)
+
+
+def lstsq_lm(embed, effect, gc_rows, control_rows, robust):
+    """Reference for ``_lm_test``: the final LM test by least squares on the
+    samples, with an SVD rank check and up to three ``lstsq`` solves. Returns
+    the statistic and the tested-block coefficients."""
+    n, y, Z_gc, Xc = embed.n_cols, embed.Y[effect], embed.Z[gc_rows], embed.Z[control_rows]
+    X_full = np.vstack([Z_gc, Xc])
+    assert np.linalg.matrix_rank(X_full) == len(X_full)
+    beta_r, *_ = np.linalg.lstsq(Xc.T, y, rcond=None)
+    eps = y - beta_r @ Xc
+    beta_full, *_ = np.linalg.lstsq(X_full.T, y, rcond=None)
+    if robust:
+        lm = granger._robust_lm(eps, Z_gc, Xc)
+    else:
+        beta_aux, *_ = np.linalg.lstsq(X_full.T, eps, rcond=None)
+        resid_aux = eps - beta_aux @ X_full
+        lm = n * (1.0 - float(resid_aux @ resid_aux) / float(eps @ eps))
+    return lm, beta_full[:len(gc_rows)]
+
+
+def partial_out(X, V):
+    """Rows of V less their projection on the span of the rows of X, by modified
+    Gram-Schmidt run twice, in np.longdouble."""
+    X, V, basis = X.astype(np.longdouble), V.astype(np.longdouble), []
+    for x in X:
+        for _ in range(2):
+            for q in basis:
+                x = x - (q @ x) * q
+        basis.append(x / np.sqrt(x @ x))
+    for _ in range(2):
+        for q in basis:
+            V = V - np.outer(V @ q, q)
+    return V
+
+
+class TestLmFromMoments:
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_matches_least_squares_reference(self, simulated, robust):
+        """Every pair of the pinned panel: statistic and tested coefficients of
+        the Cholesky form against the least-squares form on the same design."""
+        panel, _ = simulated
+        embed = lag_embed(standardize(panel)[0], 2)
+        labels = embed.regressor_names()
+        for effect, dst in enumerate(panel.names):
+            for cause, src in enumerate(panel.names):
+                if cause == effect:
+                    continue
+                res = pds_granger(panel, GrangerSpec(effect=dst, causes=(src,), p=2), CFG, robust)
+                gc_rows, _ = _split_rows(panel.n_series, 2, [cause])
+                controls = [labels.index(name) for name in res.selected_controls]
+                lm, coef = lstsq_lm(embed, effect, gc_rows, controls, robust)
+                np.testing.assert_allclose(res.lm_statistic, lm, rtol=1e-10, atol=0.0)
+                np.testing.assert_allclose(res.gc_coefficients, coef, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float64 on this platform")
+    def test_no_cancellation_near_p_one(self):
+        """The pair y5 -> y12 of a paper-scale panel (K=50, T=1460, p=1), on the
+        one control pds_granger selects there (y20.l1), has p ~ 0.9996 and LM ~
+        2.2e-7. The least-squares 1 - RSS_aux / TSS cancels there; ||z_gc||^2 is
+        the explained sum itself. Against an extended-precision Gram-Schmidt
+        reference, the moment form is the more accurate of the two."""
+        spec = SyntheticSpec(k=50, p=1, t=1460,
+                             recipe=SparseRecipe(density=0.05, magnitude=0.3, seed=0), seed=0)
+        embed = lag_embed(standardize(simulate(spec)[0])[0], 1)
+        effect, gc_rows = 11, [4]
+        controls = [embed.regressor_names().index("y20.l1")]
+        M = _cross_products(np.vstack([embed.Y, embed.Z]))
+        lm, _, _ = _lm_test(embed, M, effect, gc_rows, controls, robust=False)
+        lm_lstsq, _ = lstsq_lm(embed, effect, gc_rows, controls, robust=False)
+        eps = partial_out(embed.Z[controls], embed.Y[[effect]])
+        fitted = eps - partial_out(partial_out(embed.Z[controls], embed.Z[gc_rows]), eps)
+        ref = embed.n_cols * np.sum(fitted * fitted) / np.sum(eps * eps)
+        new_err, old_err = (float(abs((v - ref) / ref)) for v in (lm, lm_lstsq))
+        assert new_err < 1e-10 and new_err <= old_err
+
+    def test_near_collinear_regressors_are_named(self, simulated):
+        """A series equal to y2 plus 1e-9 noise: its lags and y2's are collinear
+        under the pivot rule (least squares took them as full rank). Testing y2
+        selects the twin's lags as controls, and the error names all four."""
+        panel, _ = simulated
+        near = panel.values[:, 1] + 1e-9 * np.random.default_rng(0).standard_normal(panel.n_obs)
+        twin = TimePanel(panel.dates, ("y1", "y2", "y3", "y2n"),
+                         np.column_stack([panel.values[:, :3], near]))
+        with pytest.raises(GrangerError) as err:
+            pds_granger(twin, GrangerSpec(effect="y1", causes=("y2",), p=2), COARSE)
+        assert str(err.value) == ("collinear regressors in final design: "
+                                  "['y2.l1', 'y2.l2', 'y2n.l1', 'y2n.l2']")
+
+    @pytest.mark.parametrize("robust", [False, True])
+    def test_network_equals_single_pair_tests_bit_for_bit(self, simulated, robust):
+        panel, _ = simulated
+        net = granger_network(panel, 2, THRESHOLD, CFG, robust=robust)
+        single = np.full(net.p_matrix.shape, np.nan)
+        for i, dst in enumerate(net.variables):
+            for j, src in enumerate(net.variables):
+                if src != dst:
+                    spec = GrangerSpec(effect=dst, causes=(src,), p=2)
+                    single[i, j] = pds_granger(panel, spec, CFG, robust).p_value
+        np.testing.assert_array_equal(net.p_matrix, single)
+
+
+# a K=20, T=600, p=2 network, plain then robust; prints each p-value matrix's bytes
+THREADS_CHILD = """
+from sparsevar.granger import granger_network
+from sparsevar.lasso import LassoConfig, LassoGrid
+from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
+spec = SyntheticSpec(k=20, p=2, t=600, recipe=SparseRecipe(density=0.1, magnitude=0.3, seed=20),
+                     seed=20)
+panel, _ = simulate(spec)
+cfg = LassoConfig(grid=LassoGrid(n_points=20, ratio=1e-3))
+for robust in (False, True):
+    print(granger_network(panel, 2, 0.01, cfg, robust=robust).p_matrix.tobytes().hex())
+"""
+
+
+def test_p_values_do_not_depend_on_the_blas_thread_count():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    children = [subprocess.Popen([sys.executable, "-c", THREADS_CHILD], stdout=subprocess.PIPE,
+                                 text=True, env=dict(os.environ, PYTHONPATH=src,
+                                                     OPENBLAS_NUM_THREADS=threads))
+                for threads in ("1", "2")]
+    outs = [child.communicate(timeout=120)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert len(outs[0].split()) == 2 and outs[0] == outs[1]
