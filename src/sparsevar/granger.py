@@ -206,12 +206,12 @@ def _lm_test(
         raise GrangerError(f"collinear regressors in final design: {bad}")
 
     z = np.linalg.solve(L, M[effect, x])
-    rss_r = M[effect, effect] - z[:nc] @ z[:nc]
     if robust:
         Xc = embed.Z[control_rows]
         eps = embed.Y[effect] - np.linalg.solve(L[:nc, :nc].T, z[:nc]) @ Xc
         lm = _robust_lm(eps, embed.Z[gc_rows], Xc)
     else:
+        rss_r = M[effect, effect] - z[:nc] @ z[:nc]
         lm = 0.0 if rss_r <= 0.0 else n * float(z[nc:] @ z[nc:]) / rss_r
     return float(lm), _chi2_sf(lm, dof), np.linalg.solve(L[nc:, nc:].T, z[nc:])
 

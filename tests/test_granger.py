@@ -198,6 +198,17 @@ PINNED_BLOCKS = [
 ]
 
 
+def single_pair_p_values(panel, names, cfg, robust):
+    """p-value matrix (rows = effect) of one ``pds_granger`` call per ordered pair."""
+    single = np.full((len(names), len(names)), np.nan)
+    for i, dst in enumerate(names):
+        for j, src in enumerate(names):
+            if src != dst:
+                spec = GrangerSpec(effect=dst, causes=(src,), p=2)
+                single[i, j] = pds_granger(panel, spec, cfg, robust).p_value
+    return single
+
+
 class TestPdsGranger:
     @pytest.mark.parametrize("robust,effect,causes,p_value,lm", PINNED_BLOCKS)
     def test_pinned_blocks(self, simulated, robust, effect, causes, p_value, lm):
@@ -214,12 +225,7 @@ class TestPdsGranger:
         net = granger_network(panel, 2, THRESHOLD, COARSE, variables=variables, robust=robust)
         assert net.failures == ()
         names = net.variables
-        single = np.full((len(names), len(names)), np.nan)
-        for i, dst in enumerate(names):
-            for j, src in enumerate(names):
-                if src != dst:
-                    spec = GrangerSpec(effect=dst, causes=(src,), p=2)
-                    single[i, j] = pds_granger(panel, spec, COARSE, robust).p_value
+        single = single_pair_p_values(panel, names, COARSE, robust)
         np.testing.assert_allclose(net.p_matrix, single, rtol=1e-10, atol=0.0)
         edges = {(names[j], names[i]) for i, j in np.argwhere(single < THRESHOLD)}
         assert {(e.source, e.target) for e in net.edges} == edges
@@ -400,12 +406,7 @@ class TestLmFromMoments:
     def test_network_equals_single_pair_tests_bit_for_bit(self, simulated, robust):
         panel, _ = simulated
         net = granger_network(panel, 2, THRESHOLD, CFG, robust=robust)
-        single = np.full(net.p_matrix.shape, np.nan)
-        for i, dst in enumerate(net.variables):
-            for j, src in enumerate(net.variables):
-                if src != dst:
-                    spec = GrangerSpec(effect=dst, causes=(src,), p=2)
-                    single[i, j] = pds_granger(panel, spec, CFG, robust).p_value
+        single = single_pair_p_values(panel, net.variables, CFG, robust)
         np.testing.assert_array_equal(net.p_matrix, single)
 
 
