@@ -13,8 +13,10 @@ causes' paths share a grid and run as groups of one ``lasso_paths`` call, and
 the forecast origins' fixed-penalty fits (OLS at lambda = 0) as groups of one
 ``_fit_stack`` call; a lone path or fit is one group. FGLS stage 2, whose rows
 each have their own whitened moments, runs every CV fold's path points, or
-every origin's equations, in one ``_cd_rows`` call. Each coordinate step is 8 numpy
-calls; its threshold rho - clip(rho, -lambda / 2, lambda / 2) makes every zero +0.0.
+every origin's equations, in one ``_cd_gram`` call as groups of one row. Each
+coordinate step is 8 numpy calls; its threshold rho - clip(rho, -lambda / 2,
+lambda / 2) makes every zero +0.0. Every Gram is exactly symmetric, so a step
+reads its row j for column j, and compaction moves the live Grams within G.
 """
 
 from __future__ import annotations
@@ -230,10 +232,12 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
     samples, so a sweep costs O(g R m^2) whatever N is; lam is (g, 1), one
     penalty per group, or (g, R), one per row; A (g, R, m) is the warm start.
     Coordinates are visited in fixed lag-major order, one batched 8-call step
-    (``matmul`` and ``_cd_step``, zeros +0.0) over the groups each. Each group
-    keeps the joint stopping rule (max |W - W_start| over a sweep below tol), its
-    own descent check and objective history; stopped groups leave the working
-    arrays once half have stopped, and a lone group runs on 2-D views (a batch
+    (``matmul`` and ``_cd_step``, zeros +0.0) over the groups each; it reads row j
+    of each Gram, contiguous, for column j, so every G[i] must be exactly symmetric.
+    Each group keeps the joint stopping rule (max |W - W_start| over a sweep below
+    tol), its own descent check and objective history; stopped groups leave the
+    working arrays once half have stopped, the live Grams moving to the front of G
+    (G is overwritten, never copied), and a lone group runs on 2-D views (a batch
     of one costs more). Returns per group (sweeps, converged, objective values).
     """
     lam = np.asarray(lam, dtype=float)
@@ -250,17 +254,19 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
         if W is None or 2 * np.count_nonzero(live) <= len(live):
             if W is not None:  # the stopped groups are already in A
                 A[groups[live]] = W[live]
+                for dst, src in enumerate(np.flatnonzero(live).tolist()):
+                    G[dst] = G[src]  # dst <= src: every live Gram moves before it is overwritten
                 groups, live = groups[live], live[live]
             lone = len(groups) == 1
             sel = slice(groups[0], groups[0] + 1) if lone else groups  # a slice gives views
-            W, Gw, Cw, yyw, lamw = A[sel], G[sel], C[sel], yy[sel], lam[sel]
-            if lone:  # per coordinate j: views of column j of W, G and C, and G[j, j]
+            W, Gw, Cw, yyw, lamw = A[sel], G[:len(groups)], C[sel], yy[sel], lam[sel]
+            if lone:  # per coordinate j: views of column j of W and C, row j of G, and G[j, j]
                 X = W[0]
-                cols = list(zip(X.T, Gw[0].T, Cw[0].T, scale[groups[0]]))
+                cols = list(zip(X.T, Gw[0], Cw[0].T, scale[groups[0]]))
             else:  # the same per group, as (g, rows, 1) views
                 X = W
-                cols = list(zip(*(a.transpose(2, 0, 1)[..., None] for a in (W, Gw, Cw)),
-                                scale[groups].T[:, :, None, None]))
+                cols = list(zip(W.transpose(2, 0, 1)[..., None], Gw.transpose(1, 0, 2)[..., None],
+                                Cw.transpose(2, 0, 1)[..., None], scale[groups].T[:, :, None, None]))
             hi = lamw[0] / 2.0 if lone else lamw[..., None] / 2.0
             lo, (t, u) = -hi, np.empty((2,) + cols[0][2].shape)  # made once per compaction
         W_start = W.copy()
@@ -324,7 +330,8 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
     G (g, m, m), C (g, R, m) and yy (g,) stack each path's ``_path_moments``.
     ``lams`` is one descending sequence shared by every row of every path, or
     an (n_points, g, R) grid whose [:, i, r] column is row r of path i's own
-    sequence. Each penalty is one ``_cd_gram`` call from the previous solution;
+    sequence. Each penalty is one ``_cd_gram`` call from the previous solution,
+    on its own copy of G (``_cd_gram`` overwrites G, and G is left as it came);
     every path keeps its own stopping rule, so it takes exactly the sweeps it
     takes alone and yields the same coefficients bit for bit. Yields per
     penalty (lam: a float, or the (g, R) grid row; A (g, R, m); converged (g,);
@@ -333,7 +340,7 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
     A = np.zeros(C.shape)
     for lam in np.asarray(lams, dtype=float):
         pen = lam if lam.ndim else np.full((len(C), 1), lam)
-        sweeps, converged, history = _cd_gram(G, C, yy, pen, cfg.tol, cfg.max_sweeps, A)
+        sweeps, converged, history = _cd_gram(G.copy(), C, yy, pen, cfg.tol, cfg.max_sweeps, A)
         yield (lam if lam.ndim else float(lam)), A.copy(), converged, sweeps, history
 
 
@@ -461,52 +468,6 @@ def _whitened_moments(Y: np.ndarray, Z: np.ndarray, rho: np.ndarray, out=None) -
     return G, C, yy
 
 
-def _cd_rows(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol: float,
-             max_sweeps: int, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
-    """``_cd_gram`` on R independent one-row problems, updating A (R, m) in place.
-
-    Row r has its own symmetric G[r] (so column j of every Gram is G[:, j, :]),
-    C[r], yy[r] and lam[r]; a step is ``einsum`` and ``_cd_step`` (zeros +0.0). Each
-    row stops after its own first sweep with max |W - W_start| < tol and keeps its
-    own objective history; stopped rows leave the working arrays once half have
-    stopped, the live Grams moving to the front of G (G is overwritten, never
-    copied). Returns per-row (sweeps, converged, histories).
-    """
-    R = len(C)
-    sweeps, converged = np.full(R, max_sweeps), np.zeros(R, dtype=bool)
-    history: list[list[float]] = [[] for _ in range(R)]
-    diag = np.diagonal(G, axis1=1, axis2=2)
-    # a zero regressor's coefficient starts and stays at 0
-    work = (np.arange(R), A.copy(), C, yy, lam, np.where(diag > 0, diag, 1.0))
-    live, cols = np.ones(R, dtype=bool), None
-    for sweep in range(1, max_sweeps + 1):
-        rows, W, Cw, yyw, lamw, dw = work
-        if cols is None:  # per coordinate j: views of column j of W, G, C and the diagonal
-            Gw = G[:len(rows)]  # the live Grams
-            cols = list(zip(W.T, Gw.transpose(1, 0, 2), Cw.T, dw.T))
-            lo, hi, (t, u) = -lamw / 2.0, lamw / 2.0, np.empty((2, len(rows)))
-        W_start = W.copy()
-        for x_j, g_j, c_j, s_j in cols:
-            _cd_step(np.einsum("rm,rm->r", W, g_j, out=t), c_j, x_j, s_j, lo, hi, u)
-        obj = (yyw - 2.0 * np.einsum("rm,rm->r", W, Cw)
-               + np.einsum("rm,rmn,rn->r", W, Gw, W) + lamw * np.abs(W).sum(axis=1))
-        for r, o in zip(rows[live].tolist(), obj[live].tolist()):
-            _check_descent(sweep, history[r][-1] if history[r] else np.inf, o)
-            history[r].append(o)
-        done = live & (np.abs(W - W_start).max(axis=1) < tol)
-        A[rows[done]], sweeps[rows[done]], converged[rows[done]] = W[done], sweep, True
-        live &= ~done
-        if not live.any():
-            break
-        if 2 * np.count_nonzero(live) <= len(live):
-            for dst, src in enumerate(np.flatnonzero(live).tolist()):
-                G[dst] = G[src]  # dst <= src: every live Gram moves before it is overwritten
-            work = tuple(a[live] for a in work)
-            live, cols = live[live], None
-    A[work[0][live]] = work[1][live]
-    return sweeps, converged, history
-
-
 def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig) -> tuple:
     """FGLS stage 2 for a stack of P stage-1 points A1 (P, K, m) at penalties lams (P,).
 
@@ -515,9 +476,10 @@ def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig
     Each equation's rho is the lag-1 autocorrelation of its stage-1 residuals
     (clipped to |rho| <= 0.99); the penalty is re-applied on its Prais-Winsten
     whitened moments (``_whitened_moments``), warm-started from its own stage-1
-    row, so all P K solves are independent and run in one ``_cd_rows`` loop.
-    Returns A (P, K, m); rho, sweeps and converged (P, K); and per point its
-    objectives, equations in row order.
+    row, so all P K solves are independent and run in one ``_cd_gram`` call: one
+    group of one row per (point, equation), with its own Gram in a stack that the
+    call overwrites. Returns A (P, K, m); rho, sweeps and converged (P, K); and
+    per point its objectives, equations in row order.
     """
     P, K, m = A1.shape
     rho, G, C, yy = np.empty((P, K)), np.empty((P * K, m, m)), np.empty((P * K, m)), np.empty(P * K)
@@ -529,8 +491,9 @@ def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig
         start += count
     if start != P:
         raise LassoError(f"designs cover {start} of {P} stage-1 points")
-    A = np.array(A1, dtype=float).reshape(P * K, m)
-    sweeps, converged, hist = _cd_rows(G, C, yy, np.repeat(lams, K), cfg.tol, cfg.max_sweeps, A)
+    A = np.array(A1, dtype=float).reshape(P * K, 1, m)
+    sweeps, converged, hist = _cd_gram(G, C[:, None], yy, np.repeat(lams, K)[:, None], cfg.tol,
+                                       cfg.max_sweeps, A)
     history = [[v for h in hist[i * K:(i + 1) * K] for v in h] for i in range(P)]
     return A.reshape(P, K, m), rho, sweeps.reshape(P, K), converged.reshape(P, K), history
 

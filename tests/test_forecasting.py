@@ -317,12 +317,12 @@ class TestSelectionPolicies:
              [-0.08054588344276085, -0.0522584577184321]],
         ]),
         ("fgls-lasso", [
-            [[-0.387520898657706, 0.10535033279232311],
-             [-0.062000737602463434, 0.03595040179477855]],
-            [[-0.06398381210444207, -0.16283101587530927],
-             [-0.2514859690518819, 0.06825946145728355]],
+            [[-0.3875208986577061, 0.10535033279232311],
+             [-0.06200073760246344, 0.03595040179477855]],
+            [[-0.06398381210444208, -0.16283101587530927],
+             [-0.2514859690518819, 0.06825946145728354]],
             [[-0.2649016527204424, 0.06801714403040854],
-             [-0.0810368670979046, -0.05073438383950503]],
+             [-0.08103686709790464, -0.05073438383950506]],
         ]),
     ])
     def test_per_origin_equals_first(self, estimator, recorded, monkeypatch):
