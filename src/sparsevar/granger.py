@@ -171,15 +171,17 @@ def _lm_test(
     gc_rows: list[int],
     control_rows: list[int],
     robust: bool,
-) -> tuple[float, float, np.ndarray]:
-    """LM statistic, p-value and tested-block coefficients of the final
-    regression of the effect on the selected controls plus the tested lags.
+    coef: bool = False,
+) -> tuple[float, float, np.ndarray | None]:
+    """LM statistic, p-value and, with ``coef``, tested-block coefficients of the
+    final regression of the effect on the selected controls plus the tested lags.
 
     M is ``_cross_products`` of D = [Y; Z]. One Cholesky factor L L^T of M on
     the regressors [controls, tested lags] and z = L^-1 M[regressors, effect]
     give the restricted RSS_r = ||y||^2 - ||z_c||^2, the auxiliary regression's
     explained sum ||z_gc||^2, so LM = N ||z_gc||^2 / RSS_r, and the tested
-    coefficients b from L_gc^T b = z_gc. Rank rule: a regressor is collinear
+    coefficients b from L_gc^T b = z_gc (solved only with ``coef``; the network
+    reads p-values alone). Rank rule: a regressor is collinear
     when its pivot L_jj^2 (its sum of squares outside the span of the regressors
     before it) is at most ``_PIVOT_TOL`` = sqrt(eps) ~ 1.5e-8 times M_jj, or when
     the factorization fails; ``_name_collinear`` then names the columns from the
@@ -213,7 +215,7 @@ def _lm_test(
     else:
         rss_r = M[effect, effect] - z[:nc] @ z[:nc]
         lm = 0.0 if rss_r <= 0.0 else n * float(z[nc:] @ z[nc:]) / rss_r
-    return float(lm), _chi2_sf(lm, dof), np.linalg.solve(L[nc:, nc:].T, z[nc:])
+    return float(lm), _chi2_sf(lm, dof), np.linalg.solve(L[nc:, nc:].T, z[nc:]) if coef else None
 
 
 def pds_granger(
@@ -250,7 +252,7 @@ def pds_granger(
     lams, support = lams[0], support[0]
     control_rows = [other_rows[j] for j in np.flatnonzero(support.any(axis=0))]
     M = _cross_products(D)
-    lm, p_value, gc_coef = _lm_test(embed, M, effect, gc_rows, control_rows, robust)
+    lm, p_value, gc_coef = _lm_test(embed, M, effect, gc_rows, control_rows, robust, coef=True)
     labels = embed.regressor_names()
     return GrangerResult(
         effect=spec.effect,

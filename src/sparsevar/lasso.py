@@ -17,10 +17,13 @@ every origin's equations, in one ``_cd_gram`` call as groups of one row. Each
 coordinate step is 8 numpy calls; its threshold rho - clip(rho, -lambda / 2,
 lambda / 2) makes every zero +0.0. Every Gram is exactly symmetric, so a step
 reads its row j for column j, and compaction moves the live Grams within G.
+A group whose signs held over a sweep gets an exact finish (``_finish``): the
+active-set and KKT check of glmnet, carried to one linear solve per row.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -223,6 +226,70 @@ def _cd_step(t: np.ndarray, c_j, x_j: np.ndarray, s_j, lo, hi, u: np.ndarray) ->
     np.divide(t, s_j, out=x_j)
 
 
+def _objective(W: np.ndarray, G: np.ndarray, C: np.ndarray, yy: np.ndarray,
+               lam: np.ndarray) -> np.ndarray:
+    """Per group yy - 2 <W, C> + <W G, W> + the penalty."""
+    l1 = (lam[:, 0] * np.abs(W).sum(axis=(1, 2)) if lam.shape[1] == 1
+          else (lam[:, None, :] @ np.abs(W).sum(axis=2)[:, :, None])[:, 0, 0])
+    return yy - 2.0 * (W * C).sum(axis=(1, 2)) + ((W @ G) * W).sum(axis=(1, 2)) + l1
+
+
+def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np.ndarray,
+            W0: np.ndarray, obj: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact active-set finish of the live groups whose signs held over the sweep W0 -> W.
+
+    Each row solves G_AA x_A = c_A - (lambda / 2) sign(W_A) on its active set A,
+    padded with identity rows to k, the group's own largest active count rounded
+    up to a multiple of 4 or m (padding moves a solve's bits, so k is not the
+    batch's); one batched ``np.linalg.solve`` per k, in chunks of at most G / 64
+    or 256 KB of scratch. A group is tried when
+    k^3 <= 4 m^2 + 512, where its solves cost about one sweep (measured: 8 m^2
+    slowed the paper-scale Granger network by 8 %), and accepted, W taking the
+    solution, when no active coefficient changes sign or becomes zero, every
+    inactive one has |c_j - g_j^T x| <= lambda / 2 and the objective passes the
+    descent check. A singular system rejects its own group only. Returns
+    (accepted, objective: the finished one where accepted, else obj).
+    """
+    g, R, m = W.shape
+    k = (W != 0) @ np.ones(m, dtype=np.float32)  # active counts, exact: 3x np.count_nonzero
+    pad = np.minimum((k.max(axis=1).astype(int) + 3) & -4, m)
+    cand = live & (pad > 0) & (pad ** 3 <= 4 * m * m + 512)
+    cand[cand] = (np.sign(W[cand]) == np.sign(W0[cand])).all(axis=(1, 2))
+    if not cand.any():
+        return cand, obj
+    done, fin, hi = np.zeros(g, dtype=bool), obj.copy(), lam[..., None] / 2.0
+    with np.errstate(all="ignore"):
+        for s in sorted(set(pad[cand].tolist())):
+            grp = np.flatnonzero(cand & (pad == s))
+            step = max(1, max(G.size // 64, 1 << 15) // (m * m + 3 * R * s * s))
+            for part in (grp[i:i + step] for i in range(0, len(grp), step)):
+                n, Gp, Cp, X = len(part), G[part], C[part], W[part]
+                sign = np.sign(X)
+                order = np.argsort(sign == 0, axis=2, kind="stable")[..., :s]  # active first
+                valid = np.arange(s) < k[part][..., None]
+                rows = order + m * np.arange(n)[:, None, None]  # rows of Gp.reshape(-1, m)
+                M = np.where(valid[..., :, None] & valid[..., None, :],
+                             Gp.reshape(-1).take(rows[..., None] * m + order[..., None, :]),
+                             np.eye(s))
+                at = np.arange(n * R).reshape(n, R, 1) * m + order  # flat offsets in X and Cp
+                b = Cp.reshape(-1).take(at) - hi[part] * sign.reshape(-1).take(at)
+                b[~valid] = 0.0
+                try:
+                    x = np.linalg.solve(M, b[..., None])[..., 0]
+                except np.linalg.LinAlgError:  # one by one; a singular system stays NaN
+                    x = np.full(b.shape, np.nan)
+                    for i in np.ndindex(b.shape[:-1]):
+                        with contextlib.suppress(np.linalg.LinAlgError):
+                            x[i] = np.linalg.solve(M[i], b[i])
+                X.reshape(-1)[at[valid]] = x[valid]
+                f = _objective(X, Gp, Cp, yy[part], lam[part])
+                ok = ((f <= obj[part] + 1e-12 * (1.0 + np.abs(obj[part])))
+                      & ((np.abs(Cp - X @ Gp) <= hi[part]) | (sign != 0)).all(axis=(1, 2))
+                      & (np.sign(X) == sign).all(axis=(1, 2)))
+                W[part[ok]], done[part[ok]], fin[part[ok]] = X[ok], True, f[ok]
+    return done, fin
+
+
 def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol: float,
              max_sweeps: int, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
     """Covariance-form coordinate descent on g independent groups, updating A in place.
@@ -235,10 +302,14 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
     (``matmul`` and ``_cd_step``, zeros +0.0) over the groups each; it reads row j
     of each Gram, contiguous, for column j, so every G[i] must be exactly symmetric.
     Each group keeps the joint stopping rule (max |W - W_start| over a sweep below
-    tol), its own descent check and objective history; stopped groups leave the
-    working arrays once half have stopped, the live Grams moving to the front of G
-    (G is overwritten, never copied), and a lone group runs on 2-D views (a batch
-    of one costs more). Returns per group (sweeps, converged, objective values).
+    tol), its own descent check and objective history, and its own ``_finish``
+    after every sweep: an accepted group stops at that sweep (sweeps count up to
+    the finish) at the exact optimum, whose objective ends its history. Stopped
+    groups leave the working arrays once half have stopped, the live Grams moving
+    to the front of G (G is overwritten, never copied), and a lone group runs on
+    2-D views (a batch of one costs more). Every decision reads the group's own
+    arrays only, so it returns the same bits in any batch. Returns per group
+    (sweeps, converged, objective values).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.min() < 0:
@@ -272,17 +343,14 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
         W_start = W.copy()
         for x_j, g_j, c_j, s_j in cols:
             _cd_step(np.matmul(X, g_j, out=t), c_j, x_j, s_j, lo, hi, u)
-        if lamw.shape[1] == 1:
-            l1 = lamw[:, 0] * np.abs(W).sum(axis=(1, 2))
-        else:
-            l1 = (lamw[:, None, :] @ np.abs(W).sum(axis=2)[:, :, None])[:, 0, 0]
-        obj = yyw - 2.0 * (W * Cw).sum(axis=(1, 2)) + ((W @ Gw) * W).sum(axis=(1, 2)) + l1
-        change = np.abs(W - W_start).max(axis=(1, 2))
-        for k, (i, o, c) in enumerate(zip(groups.tolist(), obj.tolist(), change.tolist())):
+        obj = _objective(W, Gw, Cw, yyw, lamw)
+        done, fin = _finish(Gw, Cw, yyw, lamw, W, W_start, obj, live)  # W moves where done
+        stop = (done | (np.abs(W - W_start).max(axis=(1, 2)) < tol)).tolist()
+        for k, (i, o, f) in enumerate(zip(groups.tolist(), obj.tolist(), fin.tolist())):
             if live[k]:
                 _check_descent(sweep, history[i][-1] if history[i] else np.inf, o)
-                history[i].append(o)
-                if c < tol:
+                history[i].append(f)
+                if stop[k]:
                     live[k], sweeps[i], converged[i], A[i] = False, sweep, True, W[k]
         if not live.any():
             return sweeps, converged, history
@@ -332,8 +400,9 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
     an (n_points, g, R) grid whose [:, i, r] column is row r of path i's own
     sequence. Each penalty is one ``_cd_gram`` call from the previous solution,
     on its own copy of G (``_cd_gram`` overwrites G, and G is left as it came);
-    every path keeps its own stopping rule, so it takes exactly the sweeps it
-    takes alone and yields the same coefficients bit for bit. Yields per
+    every path keeps its own stopping rule and exact finish, so it takes exactly
+    the sweeps it takes alone (one, from a warm start with the optimum's signs)
+    and yields the same coefficients bit for bit. Yields per
     penalty (lam: a float, or the (g, R) grid row; A (g, R, m); converged (g,);
     sweeps (g,); objective histories).
     """
@@ -432,14 +501,6 @@ def _residual_cov(Y: np.ndarray, Z: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (sigma_u + sigma_u.T) / 2
 
 
-def _lag1_autocorr(u: np.ndarray) -> float:
-    u = u - u.mean()
-    denom = float(u @ u)
-    if denom == 0.0:
-        return 0.0
-    return float(u[1:] @ u[:-1]) / denom
-
-
 def prais_winsten(M: np.ndarray, rho: float) -> np.ndarray:
     """Quasi-difference along the last axis; first column scaled by sqrt(1 - rho^2)."""
     M = np.asarray(M, dtype=float)
@@ -486,7 +547,13 @@ def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig
     start = 0
     for Y, Z, count in designs:
         pts, rows = slice(start, start + count), slice(start * K, (start + count) * K)
-        rho[pts] = np.clip([[_lag1_autocorr(u) for u in Y - a @ Z] for a in A1[pts]], -0.99, 0.99)
+        for i in range(start, start + count):  # per point: a (count, K, n) stack can match G
+            U = Y - A1[i] @ Z
+            U -= U.mean(axis=1, keepdims=True)
+            num = (U[:, None, 1:] @ U[:, :-1, None]).ravel()  # one dot product per equation
+            den = (U[:, None, :] @ U[:, :, None]).ravel()
+            rho[i] = np.divide(num, den, out=np.zeros(K), where=den != 0.0)
+        np.clip(rho[pts], -0.99, 0.99, out=rho[pts])
         _whitened_moments(Y, Z, rho[pts], (G[rows], C[rows], yy[rows]))
         start += count
     if start != P:

@@ -216,7 +216,9 @@ def read_csv(path):
 
 class TestCvCommand:
     def test_excluded_penalties_are_written(self, tmp_path, panel_csv):
-        # one sweep from a zero warm start converges only at the top of the grid
+        # one sweep converges only where the warm start already has the
+        # optimum's signs (the exact finish then ends it): at the top of the
+        # grid, from a zero warm start, and here at the last point in both folds
         argv = ["cv", "--panel", panel_csv, "--lag", "1", "--grid", "5,0.01",
                 "--n-splits", "2", "--test-size", "20"]
         with pytest.warns(UserWarning, match="excluded"):
@@ -225,10 +227,12 @@ class TestCvCommand:
         report = read_csv(tmp_path / "capped" / "cv_report.csv")
         lams = [row[0] for row in report[1:-1:2]]
         assert report[0] == ["lambda", "fold", "loss"] and len(lams) == 5
-        assert all(row[2] == "" for row in report[3:-1])
+        assert all(row[2] == "" for row in report[3:-3])
+        assert all(row[2] != "" for row in report[1:3] + report[-3:-1])
         excluded = read_csv(tmp_path / "capped" / "cv_excluded.csv")
         assert excluded == [["lambda", "reason"]] + [
-            [lam, "fit did not converge in fold 0, 1"] for lam in lams[1:]]
+            [lam, "fit did not converge in fold 0, 1"] for lam in lams[1:3]] + [
+            [lams[3], "fit did not converge in fold 1"]]
         assert main([*argv, "--out", str(tmp_path / "free")]) == 0
         assert read_csv(tmp_path / "free" / "cv_excluded.csv") == [["lambda", "reason"]]
 
@@ -333,3 +337,43 @@ def test_pipeline_end_to_end(tmp_path):
         assert (out / rel).is_file(), rel
     forecasts = read_csv(out / "lasso" / "forecasts.csv")
     assert len(forecasts) == 1 + 11 * 2 * 3
+
+
+# simulate -> cv -> fit --estimator lasso, and an FGLS forecast, on a K=4, p=2 panel
+# with AR(1) errors (m = 8: every fit of these paths can take the exact finish);
+# prints a digest of each output file and whether the fit is exact (KKT <= 1e-12)
+THREADS_CHILD = """
+import hashlib, pathlib, sys
+from sparsevar.cli import main
+from sparsevar.lasso import VarModel, kkt_violation
+from sparsevar.panel import lag_embed, read_panel_csv, standardize
+out = pathlib.Path(sys.argv[1])
+common = ["--panel", str(out / "sim" / "panel.csv"), "--lag", "2", "--grid", "20,0.001"]
+plan = ["--n-splits", "2", "--test-size", "20"]
+assert main(["simulate", "--k", "4", "--t", "200", "--lag", "2", "--seed", "6", "--error", "ar1",
+             "--rho", "0.5", "--out", str(out / "sim")]) == 0
+assert main(["cv", *common, *plan, "--out", str(out / "cv")]) == 0
+lam = (out / "cv" / "cv_report.csv").read_text().rstrip().rsplit("= ", 1)[1]
+assert main(["fit", *common, "--estimator", "lasso", "--lambda", lam,
+             "--out", str(out / "fit")]) == 0
+assert main(["forecast", *common, *plan, "--origins", "2018-07-07:2018-07-17", "--horizons", "2",
+             "--estimator", "fgls-lasso", "--refit-policy", "first", "--out", str(out / "fgls")]) == 0
+for rel in ("cv/cv_report.csv", "cv/cv_excluded.csv", "fit/model.json", "fgls/forecasts.csv"):
+    print(hashlib.sha256((out / rel).read_bytes()).hexdigest())
+model = VarModel.from_json((out / "fit" / "model.json").read_text())
+embed = lag_embed(standardize(read_panel_csv(str(out / "sim" / "panel.csv")))[0], 2)
+print(kkt_violation(model, embed) <= 1e-12)
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    children = [subprocess.Popen([sys.executable, "-c", THREADS_CHILD, str(tmp_path / threads)],
+                                 stdout=subprocess.PIPE, text=True,
+                                 env=dict(os.environ, PYTHONPATH=src,
+                                          OPENBLAS_NUM_THREADS=threads))
+                for threads in ("1", "2")]
+    outs = [child.communicate(timeout=120)[0] for child in children]
+    assert [child.returncode for child in children] == [0, 0]
+    assert outs[0].split()[-1] == "True" and len(outs[0].split()) == 5 and outs[0] == outs[1]
+

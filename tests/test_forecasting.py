@@ -286,7 +286,11 @@ class TestSelectionPolicies:
     moved to the covariance form (forecasts moved by at most 3.4e-16), and the
     fgls-lasso ones again when FGLS stage 2 became one batched solve on
     whitened moments from shared cross-products (11 of 12 cells moved, by at
-    most 3.3e-16); the selected penalty did not move."""
+    most 3.3e-16). Both were re-recorded when the solver gained its exact
+    active-set finish: every cell moved, by at most 2.9e-10 (lasso) and
+    3.2e-10 (fgls-lasso), to within 6.7e-16 of the same exercise solved by
+    proximal gradient (the old values were within 3.3e-10); the selected
+    penalty did not move."""
 
     plan = WalkForwardPlan(n_splits=2, test_size=20, min_train=120)
     cfg = LassoConfig(tol=1e-8, grid=LassoGrid(n_points=10, ratio=0.01))
@@ -309,20 +313,20 @@ class TestSelectionPolicies:
 
     @pytest.mark.parametrize("estimator,recorded", [
         ("lasso", [
-            [[-0.3856487156259917, 0.10675020801734089],
-             [-0.06153691440222176, 0.03735535023594097]],
-            [[-0.06357586045192723, -0.16953453648223993],
-             [-0.2513759579573742, 0.06567921670366779]],
-            [[-0.26477795332734966, 0.05944982757878607],
-             [-0.08054588344276085, -0.0522584577184321]],
+            [[-0.3856487156258893, 0.10675020802059189],
+             [-0.06153691440215584, 0.037355350223163164]],
+            [[-0.06357586045190484, -0.16953453647235014],
+             [-0.2513759579572915, 0.06567921670290827]],
+            [[-0.264777953327423, 0.059449827294166896],
+             [-0.0805458834469596, -0.05225845776566507]],
         ]),
         ("fgls-lasso", [
-            [[-0.3875208986577061, 0.10535033279232311],
-             [-0.06200073760246344, 0.03595040179477855]],
-            [[-0.06398381210444208, -0.16283101587530927],
-             [-0.2514859690518819, 0.06825946145728354]],
-            [[-0.2649016527204424, 0.06801714403040854],
-             [-0.08103686709790464, -0.05073438383950506]],
+            [[-0.3875208986123114, 0.10535033279581914],
+             [-0.062000737580616895, 0.035950401817003666]],
+            [[-0.0639838121165295, -0.16283101592860863],
+             [-0.2514859690589619, 0.06825946144384858]],
+            [[-0.26490165295119583, 0.06801714435238482],
+             [-0.08103686687264998, -0.050734383775205574]],
         ]),
     ])
     def test_per_origin_equals_first(self, estimator, recorded, monkeypatch):
