@@ -25,12 +25,10 @@ _EXPORTS = {
         "LassoGrid",
         "LassoError",
         "VarModel",
-        "soft_threshold",
         "fit_lasso_var",
         "fit_fgls_lasso_var",
         "fit_panel_var",
         "kkt_violation",
-        "bic_score",
     ),
     "cv": ("WalkForwardPlan", "make_splits", "select_lambda"),
     "forecasting": ("ForecastSet", "iterate_forecast", "recursive_exercise"),

@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = {
         "--lag": dict(type=int, help="VAR lag order p"),
-        "--estimator": dict(choices=("ols", "lasso", "fgls-lasso"), help="fit flavor"),
+        "--estimator": dict(choices=lasso.ESTIMATORS, help="fit flavor"),
         "--lambda": dict(dest="lam", type=float, help="fixed penalty"),
         "--grid": dict(type=_parse_grid, help="penalty grid as N,RATIO"),
         "--tol": dict(type=float, help="solver tolerance"),
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = common(sub.add_parser("cv", help="select the penalty by walk-forward loss"),
                 "--lag", *tuning)
     # cmd_cv checks the estimator itself, so it is reported with every other problem
-    sp.add_argument("--estimator", help="lasso or fgls-lasso")
+    sp.add_argument("--estimator", help=" or ".join(lasso.TUNED))
     sp.add_argument("--panel", help="input panel CSV")
 
     sp = common(sub.add_parser("fit", help="fit a model and write it as JSON"),
@@ -337,9 +337,9 @@ def cmd_cv(cfg: dict) -> None:
     _validate_paths(cfg, ["panel"], errors)
     lcfg = _lasso_config(cfg, errors)
     estimator = cfg.get("estimator", "lasso")
-    if estimator not in ("lasso", "fgls-lasso"):
+    if estimator not in lasso.TUNED:
         errors.append(
-            f"--estimator {estimator!r}: cv selects the penalty of lasso or fgls-lasso"
+            f"--estimator {estimator!r}: cv selects the penalty of " + " or ".join(lasso.TUNED)
         )
     if errors:
         raise ConfigError(errors)
@@ -362,7 +362,7 @@ def cmd_fit(cfg: dict) -> None:
     pnl = panel.read_panel_csv(cfg["panel"])
     p = int(cfg["lag"])
     estimator = cfg["estimator"]
-    if estimator != "ols" and cfg.get("lam") is None:
+    if estimator in lasso.TUNED and cfg.get("lam") is None:
         plan = _plan(cfg, pnl.n_obs, p)
         lam, _ = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=estimator)
         lcfg = dc_replace(lcfg, lam=lam)
@@ -386,7 +386,7 @@ def cmd_forecast(cfg: dict) -> None:
     H = int(cfg.get("horizons", 4))
     origins = cfg["origins"]
     plan = None
-    if estimator != "ols" and cfg.get("lam") is None:
+    if estimator in lasso.TUNED and cfg.get("lam") is None:
         start_pos = pnl.position(origins[0])
         plan = _plan(cfg, start_pos + 1, p)
     fs = forecasting.recursive_exercise(

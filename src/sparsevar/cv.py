@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from sparsevar.lasso import LassoConfig, _fgls_refit, _path_moments, lambda_grid, lambda_max
+from sparsevar.lasso import TUNED, LassoConfig, _fgls_refit, _path_moments, lambda_grid, lambda_max
 from sparsevar.lasso import lasso_path, lasso_paths  # noqa: F401 (the bench traces cv.lasso_path)
 from sparsevar.panel import TimePanel, lag_embed, standardize
 
@@ -86,22 +86,15 @@ def select_lambda(
     Every fold's path runs in lockstep with the others in one ``lasso_paths``
     call on the shared grid, from the fold's moments alone; each fold stops on
     its own, so its path is the one it has alone, and a fold that runs out of
-    sweeps excludes only the penalties where it did. estimator is "lasso" or
-    "fgls-lasso"; the latter scores each path point after its FGLS stage 2,
+    sweeps excludes only the penalties where it did. estimator is one of
+    ``TUNED``; "fgls-lasso" scores each path point after its FGLS stage 2,
     the refit ``fit_fgls_lasso_var`` makes, one ``_fgls_refit`` for all folds.
     """
-    if estimator not in ("lasso", "fgls-lasso"):
+    if estimator not in TUNED:
         raise CvError(f"unknown estimator {estimator!r}")
     if plan.min_train <= p:
         raise CvError(f"min_train = {plan.min_train} must exceed lag order p = {p}")
     splits = make_splits(panel.n_obs, plan)
-
-    # shared grid anchored at the largest training window's lambda_max so the
-    # losses are comparable per penalty and no post-training data is touched
-    largest_train = splits[-1][0]
-    std_anchor, _ = standardize(panel.slice_rows(largest_train.start, largest_train.stop))
-    embed_anchor = lag_embed(std_anchor, p)
-    lams = lambda_grid(lambda_max(embed_anchor.Y, embed_anchor.Z), cfg.grid)
 
     folds, moments = [], []
     for fold, (train, val) in enumerate(splits):
@@ -125,6 +118,9 @@ def select_lambda(
         actual = panel.values[val.start: val.stop]
         # the lasso needs only the moments; FGLS stage 2 re-reads the samples
         folds.append((embed if estimator == "fgls-lasso" else None, stats, val_Z, actual))
+    # shared grid anchored at the last (largest) training window's lambda_max, so the
+    # losses are comparable per penalty and no post-training data is touched
+    lams = lambda_grid(lambda_max(embed.Y, embed.Z), cfg.grid)
 
     # every fold's path in lockstep: fits (n_lams, n_folds, K, m), ok (n_lams, n_folds)
     G, C, yy = (np.stack(parts) for parts in zip(*moments))

@@ -5,13 +5,13 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace as dc_replace
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
 from sparsevar.cv import WalkForwardPlan, select_lambda
-from sparsevar.lasso import LassoConfig, VarModel, fit_panel_vars
-from sparsevar.panel import PanelError, TimePanel, csv_records, stack_state
+from sparsevar.lasso import TUNED, LassoConfig, VarModel, fit_panel_vars
+from sparsevar.panel import TimePanel, csv_records, stack_state
 
 
 class ForecastError(ValueError):
@@ -33,7 +33,6 @@ class ForecastSet:
     names: tuple[str, ...]
     values: np.ndarray
     actuals: np.ndarray
-    target_dates: tuple[tuple[date, ...], ...] = ()
     nonconverged_origins: tuple[date, ...] = ()
 
     def __post_init__(self):
@@ -45,18 +44,12 @@ class ForecastSet:
             )
 
 
-def iterate_forecast(
-    model: VarModel,
-    history: np.ndarray,
-    h: int,
-    standardized: bool = False,
-) -> np.ndarray:
+def iterate_forecast(model: VarModel, history: np.ndarray, h: int) -> np.ndarray:
     """h-step point forecasts by iterating y_{T+s|T} = A_1 y_{T+s-1|T} + ...
 
-    history holds the last p observations, oldest first. Raw units are assumed
-    and the model's standardization statistics applied on the way in and out;
-    pass ``standardized=True`` to work entirely in standardized units. The
-    intercept is zero in standardized space. Returns an (h, K) array.
+    history holds the last p observations, oldest first, in raw units; the
+    model's standardization statistics, if any, are applied on the way in and
+    out. The intercept is zero in standardized space. Returns an (h, K) array.
     """
     if h < 1:
         raise ForecastError(f"horizon must be >= 1, got {h}")
@@ -66,19 +59,14 @@ def iterate_forecast(
         raise ForecastError(
             f"history must be ({model.p}, {K}), got {history.shape}"
         )
-    if not standardized and model.stats is not None:
-        buf = [model.stats.transform(row) for row in history]
-    else:
-        buf = [row.copy() for row in history]
+    buf = list(history if model.stats is None else model.stats.transform(history))
     out = np.empty((h, K))
     for s in range(h):
         z = stack_state(np.asarray(buf[-model.p:]))
         y_next = model.A @ z
         out[s] = y_next
         buf.append(y_next)
-    if not standardized and model.stats is not None:
-        out = model.stats.inverse(out)
-    return out
+    return out if model.stats is None else model.stats.inverse(out)
 
 
 def recursive_exercise(
@@ -121,13 +109,12 @@ def recursive_exercise(
             f"need >= {p + min_train}"
         )
 
-    if plan is not None and estimator != "ols":
+    if plan is not None and estimator in TUNED:
         lam, _ = select_lambda(panel.slice_rows(0, i0 + 1), p, cfg, plan, estimator=estimator)
         cfg = dc_replace(cfg, lam=lam)
 
     positions = range(i0, i1 + 1)
-    models = fit_panel_vars(lambda o: panel.slice_rows(0, positions[o] + 1), len(positions),
-                            p, cfg, estimator)
+    models = fit_panel_vars([panel.slice_rows(0, i + 1) for i in positions], p, cfg, estimator)
     nonconverged = [panel.dates[i] for i, model in zip(positions, models) if not model.converged]
     if nonconverged and not allow_nonconverged:
         raise ForecastError(f"fit did not converge at origin(s) {', '.join(map(str, nonconverged))}"
@@ -135,26 +122,16 @@ def recursive_exercise(
     K = panel.n_series
     values = np.empty((len(positions), H, K))
     actuals = np.full((len(positions), H, K), np.nan)
-    target_dates: list[tuple[date, ...]] = []
-    last_date = panel.dates[-1]
     for o, (idx, model) in enumerate(zip(positions, models)):
         values[o] = iterate_forecast(model, panel.values[idx + 1 - p: idx + 1], H)
-        dates_o = []
-        for h in range(1, H + 1):
-            t = idx + h
-            if t < panel.n_obs:
-                actuals[o, h - 1] = panel.values[t]
-                dates_o.append(panel.dates[t])
-            else:
-                dates_o.append(last_date + timedelta(days=t - (panel.n_obs - 1)))
-        target_dates.append(tuple(dates_o))
+        realized = panel.values[idx + 1: idx + 1 + H]  # fewer than H rows near the sample end
+        actuals[o, :len(realized)] = realized
     return ForecastSet(
         origins=tuple(panel.dates[i] for i in positions),
         horizons=tuple(range(1, H + 1)),
         names=panel.names,
         values=values,
         actuals=actuals,
-        target_dates=tuple(target_dates),
         nonconverged_origins=tuple(nonconverged),
     )
 

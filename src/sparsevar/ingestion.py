@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import calendar
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from sparsevar.panel import PanelError, TimePanel, csv_records
+from sparsevar.panel import TimePanel, csv_records
 
 
 class IngestionError(ValueError):

@@ -27,7 +27,7 @@ import contextlib
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from sparsevar.panel import (
 )
 
 log = logging.getLogger("sparsevar.lasso")
+
+ESTIMATORS = ("ols", "lasso", "fgls-lasso")  # "ols" is the lasso at lambda = 0
+TUNED = ("lasso", "fgls-lasso")  # the estimators whose penalty cross-validation selects
 
 
 class LassoError(ValueError):
@@ -138,9 +141,6 @@ class VarModel:
     def n_series(self) -> int:
         return self.A.shape[0]
 
-    def support(self) -> np.ndarray:
-        return self.A != 0
-
     def to_json(self) -> str:
         doc = {
             "p": self.p,
@@ -181,23 +181,6 @@ class VarModel:
             estimator=str(solver.get("estimator", "lasso")),
             objective_history=tuple(float(v) for v in solver.get("objective_history", ())),
         )
-
-
-@dataclass(frozen=True)
-class BicScore:
-    """Per-equation and total BIC; noiseless flags mark RSS = 0 equations."""
-
-    per_equation: np.ndarray
-    total: float
-    noiseless: np.ndarray
-
-
-def soft_threshold(z, gamma):
-    """Shrink toward zero: z - clip(z, -gamma, gamma) = sign(z) max(|z| - gamma, 0), or +0.0."""
-    if not np.all(np.asarray(gamma) >= 0):  # NaN too
-        raise LassoError("soft threshold requires gamma >= 0")
-    out = z - np.minimum(np.maximum(z, np.negative(gamma)), gamma)
-    return float(out) if np.isscalar(z) else out
 
 
 def _check_regressors(Z: np.ndarray, names: list[str] | None = None) -> None:
@@ -441,7 +424,7 @@ def lasso_path(
 
 def _fit_stack(gather: Callable[[int], tuple], n: int, cfg: LassoConfig,
                estimator: str) -> list[VarModel]:
-    """The one fit path: n independent fits at cfg.lam in one lockstep solve.
+    """The one fit path: n independent fits at cfg.lam ("ols": at 0) in one lockstep solve.
 
     gather(i) builds item i's (LagEmbedding, stats) anew; only the stats and, in
     stage 1, the moments Z Z^T / N, Y Z^T / N and ||Y||^2 / N are kept, and the
@@ -450,8 +433,9 @@ def _fit_stack(gather: Callable[[int], tuple], n: int, cfg: LassoConfig,
     stopping rule, so each item gets its solo fit bit for bit; "fgls-lasso"
     adds one ``_fgls_refit`` of every item's equations.
     """
-    if n < 1 or estimator not in ("ols", "lasso", "fgls-lasso"):
+    if n < 1 or estimator not in ESTIMATORS:
         raise LassoError(f"unknown estimator {estimator!r}" if n > 0 else f"{n} items to fit")
+    cfg = replace(cfg, lam=0.0) if estimator == "ols" else cfg
 
     def moments(i: int) -> tuple:
         embed, stats = gather(i)
@@ -487,7 +471,7 @@ def fit_lasso_var(
     stats: StandardizationStats | None = None,
     estimator: str = "lasso",
 ) -> VarModel:
-    """Fit all K equations at the configured penalty (lambda = 0 gives OLS).
+    """Fit all K equations at the configured penalty ("ols", or lambda = 0, gives OLS).
 
     The one-item ``_fit_stack``, from zero on the whole embedding's moments;
     non-convergence within max_sweeps sets the model's converged flag.
@@ -501,17 +485,8 @@ def _residual_cov(Y: np.ndarray, Z: np.ndarray, A: np.ndarray) -> np.ndarray:
     return (sigma_u + sigma_u.T) / 2
 
 
-def prais_winsten(M: np.ndarray, rho: float) -> np.ndarray:
-    """Quasi-difference along the last axis; first column scaled by sqrt(1 - rho^2)."""
-    M = np.asarray(M, dtype=float)
-    out = np.empty_like(M)
-    out[..., 0] = np.sqrt(1.0 - rho * rho) * M[..., 0]
-    out[..., 1:] = M[..., 1:] - rho * M[..., :-1]
-    return out
-
-
 def _whitened_moments(Y: np.ndarray, Z: np.ndarray, rho: np.ndarray, out=None) -> tuple:
-    """G, C and yy of each (point, equation) row of rho (P, K) on ``prais_winsten`` data.
+    """G, C and yy of each (point, equation) row of rho (P, K) on Prais-Winsten data.
 
     Whitening is linear: with X = [Y; Z], S0 = X X^T, S1 = sum_t x_t x_{t-1}^T and
     D = S0 - x_0 x_0^T - x_{n-1} x_{n-1}^T, n S_w(rho) = S0 - rho (S1 + S1^T) + rho^2 D.
@@ -613,34 +588,15 @@ def _bic(rss: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
         return n * np.log(rss / n) + s * np.log(n)
 
 
-def bic_score(model: VarModel, embed: LagEmbedding) -> BicScore:
-    """Per-equation N ln(RSS_k / N) + s_k ln(N) and the total across equations.
-
-    An RSS of zero (noiseless data) yields a -inf sentinel with the matching
-    noiseless flag set rather than an error.
-    """
-    Y, Z = embed.Y, embed.Z
-    if model.A.shape != (Y.shape[0], Z.shape[0]):
-        raise LassoError("model does not match embedding dimensions")
-    resid = Y - model.A @ Z
-    rss = np.einsum("kn,kn->k", resid, resid)
-    noiseless = rss == 0.0
-    per_eq = _bic(rss, np.count_nonzero(model.A, axis=1), Y.shape[1])
-    total = float(per_eq.sum()) if not noiseless.any() else float("-inf")
-    return BicScore(per_equation=per_eq, total=total, noiseless=noiseless)
-
-
-def fit_panel_vars(window: Callable[[int], TimePanel], n: int, p: int, cfg: LassoConfig,
+def fit_panel_vars(panels: Sequence[TimePanel], p: int, cfg: LassoConfig,
                    estimator: str = "lasso") -> list[VarModel]:
-    """``fit_panel_var`` of window(0) .. window(n - 1) in one ``_fit_stack``, each as alone;
-    window(i) is called wherever its samples are read, so must return the same panel."""
-    cfg = replace(cfg, lam=0.0) if estimator == "ols" else cfg
+    """``fit_panel_var`` of each panel in one ``_fit_stack``, each as alone."""
 
     def gather(i: int) -> tuple:
-        std_panel, stats = standardize(window(i))
+        std_panel, stats = standardize(panels[i])
         return lag_embed(std_panel, p), stats
 
-    return _fit_stack(gather, n, cfg, estimator)
+    return _fit_stack(gather, len(panels), cfg, estimator)
 
 
 def fit_panel_var(
@@ -651,9 +607,8 @@ def fit_panel_var(
 ) -> VarModel:
     """Standardize, lag-embed and fit a panel: one item of the stacked fit ``fit_panel_vars``.
 
-    estimator: "ols" (lambda forced to 0), "lasso", or "fgls-lasso".
+    estimator: one of ``ESTIMATORS``.
     """
-    cfg = replace(cfg, lam=0.0) if estimator == "ols" else cfg
     std_panel, stats = standardize(panel)
     embed = lag_embed(std_panel, p)
     if estimator == "fgls-lasso":

@@ -146,7 +146,6 @@ class LagEmbedding:
     Z: np.ndarray  # (K p) x (T - p)
     p: int
     names: tuple[str, ...] = ()
-    target_dates: tuple[date, ...] = ()
 
     @property
     def n_series(self) -> int:
@@ -239,7 +238,7 @@ def lag_embed(panel: TimePanel, p: int) -> LagEmbedding:
         Z[(lag - 1) * K: lag * K, :] = vals[p - lag: T - lag].T
     Y.setflags(write=False)
     Z.setflags(write=False)
-    return LagEmbedding(Y=Y, Z=Z, p=p, names=panel.names, target_dates=panel.dates[p:])
+    return LagEmbedding(Y=Y, Z=Z, p=p, names=panel.names)
 
 
 def stack_state(history: np.ndarray) -> np.ndarray:

@@ -42,6 +42,8 @@ def test_package_names_load_on_first_use():
 
     assert simulate is synthetic.simulate
     assert sparsevar.select_lambda is cv.select_lambda
+    for name in sparsevar.__all__:  # a stale export fails here
+        getattr(sparsevar, name)
     with pytest.raises(AttributeError):
         sparsevar.parallel_map
 

@@ -38,7 +38,7 @@ class TestIterateForecast:
 
     def test_scalar_halving_hand_iteration(self):
         model = model_from([[0.5]], 1, 1)
-        out = iterate_forecast(model, np.array([[1.0]]), 3, standardized=True)
+        out = iterate_forecast(model, np.array([[1.0]]), 3)
         np.testing.assert_allclose(out[:, 0], [0.5, 0.25, 0.125], atol=1e-15)
 
     def test_matches_zero_noise_simulator_grid(self, rng):
@@ -55,7 +55,7 @@ class TestIterateForecast:
                 model = model_from(truth.A, p, k)
                 start = 10
                 history = pnl.values[start: start + p]
-                out = iterate_forecast(model, history, 6, standardized=True)
+                out = iterate_forecast(model, history, 6)
                 np.testing.assert_allclose(
                     out, pnl.values[start + p: start + p + 6], atol=1e-10
                 )
@@ -65,7 +65,7 @@ class TestIterateForecast:
         A = rng.uniform(-0.3, 0.3, size=(k, k * p))
         model = model_from(A, p, k)
         history = rng.standard_normal((p, k))
-        out = iterate_forecast(model, history, 1, standardized=True)
+        out = iterate_forecast(model, history, 1)
         z = np.concatenate([history[-1], history[-2]])
         np.testing.assert_array_equal(out[0], A @ z)
 
@@ -236,8 +236,7 @@ class TestLockstepOrigins:
     def test_each_origin_equals_its_solo_fit(self, estimator):
         pnl = self.panel()
         idx = self.rows(pnl)
-        stacked = fit_panel_vars(lambda o: pnl.slice_rows(0, idx[o] + 1), len(idx), 2,
-                                 self.cfg, estimator)
+        stacked = fit_panel_vars([pnl.slice_rows(0, i + 1) for i in idx], 2, self.cfg, estimator)
         fs = self.exercise(pnl, self.cfg, estimator)
         assert len({len(m.objective_history) for m in stacked}) > 1  # origins stop apart
         for o, (i, model) in enumerate(zip(idx, stacked)):
@@ -261,8 +260,7 @@ class TestLockstepOrigins:
     def test_every_nonconverged_origin_is_named(self, estimator):
         pnl = self.panel()
         idx = self.rows(pnl)
-        free = fit_panel_vars(lambda o: pnl.slice_rows(0, idx[o] + 1), len(idx), 2,
-                              self.cfg, estimator)
+        free = fit_panel_vars([pnl.slice_rows(0, i + 1) for i in idx], 2, self.cfg, estimator)
         capped = replace(self.cfg, max_sweeps=max(m.sweeps for m in free) - 1)
         hit = tuple(pnl.dates[i] for i, m in zip(idx, free) if m.sweeps > capped.max_sweeps)
         assert 0 < len(hit) < len(idx)
@@ -336,7 +334,6 @@ class TestSelectionPolicies:
         np.testing.assert_array_equal(first.values, per_origin.values)
         np.testing.assert_array_equal(first.actuals, per_origin.actuals)
         assert first.origins == per_origin.origins
-        assert first.target_dates == per_origin.target_dates
 
 
 class TestForecastCsv:
