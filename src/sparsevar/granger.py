@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,28 +128,40 @@ def _bic_select(
 _PIVOT_TOL = float(np.sqrt(np.finfo(float).eps))
 
 
-def _name_collinear(X: np.ndarray, labels: list[str]) -> list[str]:
-    """Regressors (rows of X) in a near-linear dependency, by QR with column pivoting:
-    the pivots from the first whose squared R diagonal is at most ``_PIVOT_TOL`` times
-    its sum of squares (at least the last pivot), and every earlier pivot that enters
+def _name_collinear(S: np.ndarray, labels: list[str]) -> list[str]:
+    """Regressors in a near-linear dependency, by a Cholesky factor L of their cross-product
+    S pivoted on the largest remaining diagonal: the pivots from the first with L_jj^2 <=
+    ``_PIVOT_TOL`` S_jj (at least the last pivot), and every earlier pivot that enters
     their fit with more than sqrt(_PIVOT_TOL) of their norm."""
-    from scipy import linalg  # deferred: scipy made up most of importing sparsevar.cli
-
-    _, r, piv = linalg.qr(X.T, mode="economic", pivoting=True)
-    norms, diag = np.linalg.norm(X, axis=1)[piv], np.abs(np.diag(r))
-    small = diag ** 2 <= _PIVOT_TOL * norms ** 2
-    rank = int(np.argmax(small)) if small.any() else len(piv) - 1
-    coef = linalg.solve_triangular(r[:rank, :rank], r[:rank, rank:])
+    A, piv = S.copy(), np.arange(len(S))
+    for rank in range(len(S)):  # stops at the first small pivot, else at the last
+        j = rank + int(np.argmax(np.diagonal(A)[rank:]))
+        A[[rank, j]], piv[[rank, j]] = A[[j, rank]], piv[[j, rank]]
+        A[:, [rank, j]] = A[:, [j, rank]]
+        if A[rank, rank] <= _PIVOT_TOL * S[piv[rank], piv[rank]]:
+            break
+        A[rank:, rank] /= np.sqrt(A[rank, rank])
+        A[rank + 1:, rank + 1:] -= np.outer(A[rank + 1:, rank], A[rank + 1:, rank])
+    coef = np.linalg.solve(np.tril(A[:rank, :rank]).T, A[rank:, :rank].T)
+    norms = np.sqrt(np.diagonal(S))[piv]
     loads = (np.abs(coef) * norms[:rank, None] > np.sqrt(_PIVOT_TOL) * norms[rank:]).any(axis=1)
     return sorted(labels[j] for j in np.concatenate([piv[:rank][loads], piv[rank:]]))
 
 
 def _chi2_sf(x: float, dof: int) -> float:
-    """Chi-squared upper tail probability, bit for bit ``scipy.stats.chi2.sf``
-    for x >= 0; a statistic rounded below 0 gets 1, as it does there."""
-    from scipy import special  # deferred: scipy made up most of importing sparsevar.cli
-
-    return float(special.chdtrc(dof, max(x, 0.0)))
+    """Chi-squared upper tail Q(dof/2, y), y = x/2, at integer dof: erfc(sqrt(y)) if dof is
+    odd, plus y^a e^-y / Gamma(a + 1) for a = dof/2 - 1, dof/2 - 2, ... >= 0, each one exp
+    of an exactly summed exponent (it underflows only with the term). x <= 0 gives 1."""
+    if x <= 0.0:
+        return 1.0
+    y, log_y = x / 2.0, math.log(x / 2.0)
+    hi = float(np.float32(log_y))  # 24 bits, so a * hi is exact
+    terms = [math.erfc(math.sqrt(y)) if dof % 2 else 0.0]
+    for a in (dof % 2 / 2.0 + j for j in range(dof // 2)):
+        parts = [a * hi, a * (log_y - hi), -y, -math.lgamma(a + 1.0)]
+        e = math.fsum(parts)
+        terms.append(math.exp(e) * (1.0 + math.fsum(parts + [-e])))  # e's rounding, restored
+    return min(math.fsum(terms), 1.0)  # near x = 0 the sum can round above 1
 
 
 def _split_rows(K: int, p: int, cause_idx: list[int]) -> tuple[list[int], list[int]]:
@@ -184,9 +197,9 @@ def _lm_test(
     reads p-values alone). Rank rule: a regressor is collinear
     when its pivot L_jj^2 (its sum of squares outside the span of the regressors
     before it) is at most ``_PIVOT_TOL`` = sqrt(eps) ~ 1.5e-8 times M_jj, or when
-    the factorization fails; ``_name_collinear`` then names the columns from the
-    samples. ``robust=True`` scores ``_robust_lm`` on the samples' restricted
-    residuals instead.
+    the factorization fails; ``_name_collinear`` then names the columns from that
+    same S = M[regressors, regressors]. ``robust=True`` scores ``_robust_lm`` on the
+    samples' restricted residuals instead.
     """
     n, dof, nc = embed.n_cols, len(gc_rows), len(control_rows)
     if dof + nc >= n:
@@ -203,8 +216,7 @@ def _lm_test(
         L = None
     if L is None or np.any(np.diagonal(L) ** 2 <= _PIVOT_TOL * np.diagonal(S)):
         labels = embed.regressor_names()
-        bad = _name_collinear(embed.Z[control_rows + gc_rows],
-                              [labels[j] for j in control_rows + gc_rows])
+        bad = _name_collinear(S, [labels[j] for j in control_rows + gc_rows])
         raise GrangerError(f"collinear regressors in final design: {bad}")
 
     z = np.linalg.solve(L, M[effect, x])
@@ -368,12 +380,8 @@ def write_matrix_csv(net: NetworkResult, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["to", *net.variables])
-        for i, name in enumerate(net.variables):
-            row = [name]
-            for j in range(len(net.variables)):
-                v = net.p_matrix[i, j]
-                row.append("NA" if np.isnan(v) else "%.17g" % v)
-            writer.writerow(row)
+        for name, row in zip(net.variables, net.p_matrix):
+            writer.writerow([name, *("NA" if np.isnan(v) else "%.17g" % v for v in row)])
 
 
 def write_failures_csv(net: NetworkResult, path) -> None:

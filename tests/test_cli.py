@@ -16,13 +16,66 @@ from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-@pytest.mark.parametrize("module", ["sparsevar", "sparsevar.cli"])
-def test_import_does_not_load_scipy(module):
-    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+# imports sparsevar and sparsevar.cli, then runs granger (plain, robust, and on a panel
+# with an exact-copy series) with every scipy import raising
+SCIPY_BLOCKED_CHILD = """
+import importlib.abc, json, sys
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+import sparsevar
+import sparsevar.cli
+
+try:
+    import scipy  # noqa: F401
+    blocked = False
+except ImportError:
+    blocked = True
+panel, copies, out = sys.argv[1:]
+common = ["--lag", "2", "--grid", "20,0.001"]
+codes = [sparsevar.cli.main(["granger", "--panel", path, *common, *flags, "--out", out + sub])
+         for path, flags, sub in [(panel, [], "/plain"), (panel, ["--robust"], "/robust"),
+                                  (copies, [], "/copies")]]
+print(json.dumps({"blocked": blocked, "codes": codes,
+                  "scipy": sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")}))
+"""
+
+
+def test_granger_runs_with_scipy_blocked(tmp_path):
+    spec = SyntheticSpec(k=3, p=2, t=200,
+                         recipe=SparseRecipe(density=0.3, magnitude=0.35, seed=5), seed=5)
+    pnl, _ = simulate(spec)
+    panel, copies = tmp_path / "panel.csv", tmp_path / "copies.csv"
+    write_panel_csv(pnl, panel)
+    write_panel_csv(TimePanel(pnl.dates, ("a", "b", "a_copy"),
+                              np.column_stack([pnl.values[:, :2], pnl.values[:, 0]])), copies)
     env = dict(os.environ, PYTHONPATH=SRC)
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_CHILD, str(panel), str(copies),
+                           str(tmp_path / "out")], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report == {"blocked": True, "codes": [0, 0, 0], "scipy": []}
+
+    cfg = LassoConfig(grid=LassoGrid(20, 1e-3))
+    for sub, robust in [("plain", False), ("robust", True)]:
+        net = granger.granger_network(read_panel_csv(panel), 2, cfg=cfg, robust=robust)
+        matrix = read_csv(tmp_path / "out" / sub / "granger_matrix.csv")
+        written = np.array([[np.nan if v == "NA" else float(v) for v in row[1:]]
+                            for row in matrix[1:]])
+        np.testing.assert_array_equal(written, net.p_matrix)
+    # each pair whose final design holds a lag of a and its copy names both; the pairs
+    # b -> a and b -> a_copy select the first lags only
+    both = "collinear regressors in final design: ['a.l1', 'a.l2', 'a_copy.l1', 'a_copy.l2']"
+    first = "collinear regressors in final design: ['a.l1', 'a_copy.l1']"
+    assert read_csv(tmp_path / "out" / "copies" / "granger_failures.csv") == [
+        ["from", "to", "reason"], ["b", "a", first], ["a_copy", "a", both], ["a", "b", both],
+        ["a_copy", "b", both], ["a", "a_copy", both], ["b", "a_copy", first]]
 
 
 def test_synthetic_does_not_load_the_estimation_stack():

@@ -8,7 +8,6 @@ from sparsevar import forecasting
 from sparsevar.cv import WalkForwardPlan, select_lambda
 from sparsevar.forecasting import (
     ForecastError,
-    ForecastSet,
     iterate_forecast,
     read_forecast_csv,
     recursive_exercise,

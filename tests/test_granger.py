@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -13,6 +15,7 @@ from sparsevar.granger import (
     GrangerError,
     GrangerSpec,
     _bic_select,
+    _chi2_sf,
     _cross_products,
     _lm_test,
     _split_rows,
@@ -408,6 +411,61 @@ class TestLmFromMoments:
         net = granger_network(panel, 2, THRESHOLD, CFG, robust=robust)
         single = single_pair_p_values(panel, net.variables, CFG, robust)
         np.testing.assert_array_equal(net.p_matrix, single)
+
+
+# the LM statistic of test_no_cancellation_near_p_one's pair (dof 1), where p ~ 0.9996
+NEAR_P_ONE = 2.2e-7
+
+
+def chi2_grid(dofs, n_x):
+    """(dof, x) over a log grid from 1e-12 to 3000; x = 3000 is past where the tail
+    of every dof up to 200 falls below 1e-300."""
+    return [(dof, float(x)) for dof in dofs for x in np.geomspace(1e-12, 3000.0, n_x)]
+
+
+class TestChi2Sf:
+    def test_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        dof, x = np.array([(1, NEAR_P_ONE), *chi2_grid(range(1, 201), 60)]).T
+        ref = special.chdtrc(dof, x)
+        assert np.all(ref[x == 3000.0] < 1e-300)
+        keep = ref >= 1e-300
+        got = [_chi2_sf(xi, int(k)) for k, xi in zip(dof[keep], x[keep])]
+        np.testing.assert_allclose(got, ref[keep], rtol=5e-13, atol=0.0)
+
+    def test_matches_extended_precision(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for dof, x in [(1, NEAR_P_ONE), *chi2_grid(range(1, 201, 3), 30)]:
+                ref = mpmath.gammainc(mpmath.mpf(dof) / 2, mpmath.mpf(x) / 2, regularized=True)
+                if ref >= 1e-300:
+                    assert abs(_chi2_sf(x, dof) - ref) <= 2e-13 * ref, (dof, x)
+
+    def test_statistic_at_or_below_zero_gets_one(self):
+        cases = [(-1e-300, 1), (-3.0, 4), (0.0, 1), (0.0, 7)]
+        assert [_chi2_sf(x, dof) for x, dof in cases] == [1.0] * 4
+
+    @pytest.mark.parametrize("x", [1e-12, NEAR_P_ONE, 0.5, 3.84, 40.0, 1300.0])
+    def test_one_dof_is_erfc(self, x):
+        assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+
+    @pytest.mark.parametrize("dof", [1, 2, 3, 50, 200])
+    def test_far_tail_is_zero_without_warning(self, dof):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [_chi2_sf(x, dof) for x in (1e4, 1e6, 1e300)] == [0.0] * 3
+
+    def test_falls_with_x_and_rises_with_dof(self):
+        """Monotone up to the accuracy checked against mpmath: near p = 1 the terms'
+        rounding (a few e-15 of a sum of ~1) can outweigh a step in x or dof."""
+        tol = 2e-13
+        x = np.geomspace(1e-6, 2000.0, 400)
+        for dof in (1, 2, 5, 30, 200):
+            p = np.array([_chi2_sf(float(xi), dof) for xi in x])
+            assert np.all(np.diff(p) <= tol * p[:-1]) and p[0] > 0.999 and p[-1] < 1e-290
+        for xi in (1e-3, 1.0, 50.0, 700.0):
+            p = np.array([_chi2_sf(xi, dof) for dof in range(1, 201)])
+            assert np.all(np.diff(p) >= -tol * p[1:]) and p[0] < p[-1]
 
 
 # a K=20, T=600, p=2 network, plain then robust; prints each p-value matrix's bytes

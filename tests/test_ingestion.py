@@ -1,4 +1,3 @@
-import math
 from datetime import date, datetime, timezone
 
 import numpy as np

@@ -1,7 +1,7 @@
 import csv
 import math
 import warnings
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 import pytest
