@@ -16,6 +16,15 @@ from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
+@pytest.mark.parametrize("module", ["sparsevar", "sparsevar.cli"])
+def test_import_does_not_load_scipy(module):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
+
+
 # imports sparsevar and sparsevar.cli, then runs granger (plain, robust, and on a panel
 # with an exact-copy series) with every scipy import raising
 SCIPY_BLOCKED_CHILD = """
