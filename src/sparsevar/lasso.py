@@ -17,8 +17,8 @@ every origin's equations, in one ``_cd_gram`` call as groups of one row. Each
 coordinate step is 8 numpy calls; its threshold rho - clip(rho, -lambda / 2,
 lambda / 2) makes every zero +0.0. Every Gram is exactly symmetric, so a step
 reads its row j for column j, and compaction moves the live Grams within G.
-A group whose signs held over a sweep gets an exact finish (``_finish``): the
-active-set and KKT check of glmnet, carried to one linear solve per row.
+After every sweep, as in glmnet, each live group small enough is solved exactly on
+the sweep's active set (``_finish``); the KKT check alone decides if it stops there.
 """
 
 from __future__ import annotations
@@ -218,16 +218,17 @@ def _objective(W: np.ndarray, G: np.ndarray, C: np.ndarray, yy: np.ndarray,
 
 
 def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np.ndarray,
-            W0: np.ndarray, obj: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact active-set finish of the live groups whose signs held over the sweep W0 -> W.
+            obj: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact active-set finish of the live groups after a sweep, whatever it changed.
 
     Each row solves G_AA x_A = c_A - (lambda / 2) sign(W_A) on its active set A,
     padded with identity rows to k, the group's own largest active count rounded
     up to a multiple of 4 or m (padding moves a solve's bits, so k is not the
-    batch's); one batched ``np.linalg.solve`` per k, in chunks of at most G / 64
-    or 256 KB of scratch. A group is tried when
-    k^3 <= 4 m^2 + 512, where its solves cost about one sweep (measured: 8 m^2
-    slowed the paper-scale Granger network by 8 %), and accepted, W taking the
+    batch's); one batched ``np.linalg.solve`` per k, in chunks whose scratch (each
+    Gram's copy, four (k, k) arrays per row) is at most G / 64 or 128 KB. A group
+    is tried when k^3 <= max(4 m^2, 20^3), on its own m and k only (20 unknowns
+    and fewer are bound by call overhead; above, a solve costs about a sweep and
+    8 m^2 slowed the paper-scale network by 8 %), and accepted, W taking the
     solution, when no active coefficient changes sign or becomes zero, every
     inactive one has |c_j - g_j^T x| <= lambda / 2 and the objective passes the
     descent check. A singular system rejects its own group only. Returns
@@ -236,24 +237,22 @@ def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np
     g, R, m = W.shape
     k = (W != 0) @ np.ones(m, dtype=np.float32)  # active counts, exact: 3x np.count_nonzero
     pad = np.minimum((k.max(axis=1).astype(int) + 3) & -4, m)
-    cand = live & (pad > 0) & (pad ** 3 <= 4 * m * m + 512)
-    cand[cand] = (np.sign(W[cand]) == np.sign(W0[cand])).all(axis=(1, 2))
+    cand = live & (pad > 0) & (pad ** 3 <= max(4 * m * m, 20 ** 3))
     if not cand.any():
         return cand, obj
     done, fin, hi = np.zeros(g, dtype=bool), obj.copy(), lam[..., None] / 2.0
     with np.errstate(all="ignore"):
         for s in sorted(set(pad[cand].tolist())):
             grp = np.flatnonzero(cand & (pad == s))
-            step = max(1, max(G.size // 64, 1 << 15) // (m * m + 3 * R * s * s))
+            step = max(1, max(G.size // 64, 1 << 14) // (m * m + 4 * R * s * s))
             for part in (grp[i:i + step] for i in range(0, len(grp), step)):
                 n, Gp, Cp, X = len(part), G[part], C[part], W[part]
                 sign = np.sign(X)
                 order = np.argsort(sign == 0, axis=2, kind="stable")[..., :s]  # active first
                 valid = np.arange(s) < k[part][..., None]
                 rows = order + m * np.arange(n)[:, None, None]  # rows of Gp.reshape(-1, m)
-                M = np.where(valid[..., :, None] & valid[..., None, :],
-                             Gp.reshape(-1).take(rows[..., None] * m + order[..., None, :]),
-                             np.eye(s))
+                M = Gp.reshape(-1).take(rows[..., None] * m + order[..., None, :])
+                np.copyto(M, np.eye(s), where=~(valid[..., :, None] & valid[..., None, :]))
                 at = np.arange(n * R).reshape(n, R, 1) * m + order  # flat offsets in X and Cp
                 b = Cp.reshape(-1).take(at) - hi[part] * sign.reshape(-1).take(at)
                 b[~valid] = 0.0
@@ -270,6 +269,7 @@ def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np
                       & ((np.abs(Cp - X @ Gp) <= hi[part]) | (sign != 0)).all(axis=(1, 2))
                       & (np.sign(X) == sign).all(axis=(1, 2)))
                 W[part[ok]], done[part[ok]], fin[part[ok]] = X[ok], True, f[ok]
+                del Gp, M  # the next chunk's copies are not made beside these
     return done, fin
 
 
@@ -286,13 +286,13 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
     of each Gram, contiguous, for column j, so every G[i] must be exactly symmetric.
     Each group keeps the joint stopping rule (max |W - W_start| over a sweep below
     tol), its own descent check and objective history, and its own ``_finish``
-    after every sweep: an accepted group stops at that sweep (sweeps count up to
-    the finish) at the exact optimum, whose objective ends its history. Stopped
-    groups leave the working arrays once half have stopped, the live Grams moving
-    to the front of G (G is overwritten, never copied), and a lone group runs on
-    2-D views (a batch of one costs more). Every decision reads the group's own
-    arrays only, so it returns the same bits in any batch. Returns per group
-    (sweeps, converged, objective values).
+    after every sweep, signs kept or not: an accepted group stops at that sweep
+    (sweeps count up to the finish) at the exact optimum, whose objective ends its
+    history. Stopped groups leave the working arrays once half have stopped, the
+    live Grams moving to the front of G (G is overwritten, never copied), and a
+    lone group runs on 2-D views (a batch of one costs more). Every decision reads
+    the group's own arrays only, so it returns the same bits in any batch. Returns
+    per group (sweeps, converged, objective values).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.min() < 0:
@@ -327,7 +327,7 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
         for x_j, g_j, c_j, s_j in cols:
             _cd_step(np.matmul(X, g_j, out=t), c_j, x_j, s_j, lo, hi, u)
         obj = _objective(W, Gw, Cw, yyw, lamw)
-        done, fin = _finish(Gw, Cw, yyw, lamw, W, W_start, obj, live)  # W moves where done
+        done, fin = _finish(Gw, Cw, yyw, lamw, W, obj, live)  # W moves where done
         stop = (done | (np.abs(W - W_start).max(axis=(1, 2)) < tol)).tolist()
         for k, (i, o, f) in enumerate(zip(groups.tolist(), obj.tolist(), fin.tolist())):
             if live[k]:
@@ -384,7 +384,7 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
     sequence. Each penalty is one ``_cd_gram`` call from the previous solution,
     on its own copy of G (``_cd_gram`` overwrites G, and G is left as it came);
     every path keeps its own stopping rule and exact finish, so it takes exactly
-    the sweeps it takes alone (one, from a warm start with the optimum's signs)
+    the sweeps it takes alone (one where its first sweep finds the active set)
     and yields the same coefficients bit for bit. Yields per
     penalty (lam: a float, or the (g, R) grid row; A (g, R, m); converged (g,);
     sweeps (g,); objective histories).

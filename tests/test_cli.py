@@ -280,10 +280,11 @@ def read_csv(path):
 
 class TestCvCommand:
     def test_excluded_penalties_are_written(self, tmp_path, panel_csv):
-        # one sweep converges only where the warm start already has the
-        # optimum's signs (the exact finish then ends it): at the top of the
-        # grid, from a zero warm start, and here at the last point in both folds
-        argv = ["cv", "--panel", panel_csv, "--lag", "1", "--grid", "5,0.01",
+        # one sweep converges wherever it finds the optimum's active set (the
+        # exact finish then ends it). At lag 1 (two regressors) it does so at
+        # every point; at lag 3 (six) it misses at the second point in fold 1
+        # and at the third in fold 0, and converges at the other three
+        argv = ["cv", "--panel", panel_csv, "--lag", "3", "--grid", "5,0.01",
                 "--n-splits", "2", "--test-size", "20"]
         with pytest.warns(UserWarning, match="excluded"):
             assert main([*argv, "--tol", "1e-14", "--max-sweeps", "1",
@@ -291,12 +292,12 @@ class TestCvCommand:
         report = read_csv(tmp_path / "capped" / "cv_report.csv")
         lams = [row[0] for row in report[1:-1:2]]
         assert report[0] == ["lambda", "fold", "loss"] and len(lams) == 5
-        assert all(row[2] == "" for row in report[3:-3])
-        assert all(row[2] != "" for row in report[1:3] + report[-3:-1])
+        assert all(row[2] == "" for row in report[3:7])
+        assert all(row[2] != "" for row in report[1:3] + report[7:-1])
         excluded = read_csv(tmp_path / "capped" / "cv_excluded.csv")
-        assert excluded == [["lambda", "reason"]] + [
-            [lam, "fit did not converge in fold 0, 1"] for lam in lams[1:3]] + [
-            [lams[3], "fit did not converge in fold 1"]]
+        assert excluded == [["lambda", "reason"],
+                            [lams[1], "fit did not converge in fold 1"],
+                            [lams[2], "fit did not converge in fold 0"]]
         assert main([*argv, "--out", str(tmp_path / "free")]) == 0
         assert read_csv(tmp_path / "free" / "cv_excluded.csv") == [["lambda", "reason"]]
 

@@ -139,18 +139,17 @@ class TestSelectLambda:
             select_lambda(pnl, 3, LassoConfig(), plan)
 
     def test_nonconverged_penalties_excluded_with_warning(self):
-        # max_sweeps=1 converges only where the warm start already has the
-        # optimum's signs, so that the exact finish ends the one sweep: at the
-        # top of the grid (the empty model) and, here, at the last point. The
-        # second point, started from the empty model, cannot; the middle three
-        # penalties must be excluded
+        # max_sweeps=1 converges wherever the one sweep finds the optimum's
+        # active set, so that the exact finish ends it: at the top of the grid
+        # (the empty model) and, here, at the last two points. The second and
+        # third points cannot; those two penalties must be excluded
         pnl, _ = sparse_panel(6, t=300)
         plan = WalkForwardPlan(n_splits=1, test_size=30, min_train=150)
         cfg = LassoConfig(tol=1e-14, max_sweeps=1, grid=LassoGrid(n_points=5))
         with pytest.warns(UserWarning, match="excluded"):
             lam, report = select_lambda(pnl, 1, cfg, plan)
-        assert np.all(np.isnan(report.losses[1:4])) and np.isfinite(report.losses[[0, 4]]).all()
-        assert report.excluded == tuple(report.lams[1:4])
+        assert np.all(np.isnan(report.losses[1:3])) and np.isfinite(report.losses[[0, 3, 4]]).all()
+        assert report.excluded == tuple(report.lams[1:3])
         assert lam == report.lams[np.nanargmin(report.losses[:, 0])]
 
     def test_fgls_estimator_runs(self):
@@ -220,7 +219,7 @@ class TestLockstepFolds:
         # at this cap folds 0 and 1 run out of sweeps, at one penalty; fold 2
         # converges everywhere, and the other penalties keep their losses
         pnl, _ = sparse_panel(7, t=300)
-        capped = replace(self.cfg, max_sweeps=2)
+        capped = replace(self.cfg, max_sweeps=1)
         with pytest.warns(UserWarning, match="excluded: fit did not converge in fold 0, 1$"):
             lam, report = select_lambda(pnl, 1, capped, self.plan)
         lams, losses, ok = fold_at_a_time(pnl, 1, capped, self.plan, "lasso")
@@ -313,7 +312,7 @@ class TestReportCsv:
         write_cv_excluded_csv(report, path)
         lines = path.read_text().strip().splitlines()
         assert lines == ["lambda,reason"] + [
-            "%.17g,fit did not converge in fold 0" % lam for lam in report.lams[1:4]
+            "%.17g,fit did not converge in fold 0" % lam for lam in report.lams[1:3]
         ]
         _, clean = select_lambda(pnl, 1, replace(cfg, tol=1e-7, max_sweeps=1000), plan)
         write_cv_excluded_csv(clean, path)

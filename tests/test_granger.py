@@ -44,7 +44,7 @@ CFG = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
 # a coarser grid for the equivalence tests, which hold on any grid
 COARSE = LassoConfig(grid=LassoGrid(n_points=20, ratio=1e-3))
 # a sweep cap on COARSE that some, not all, causes' selection paths hit
-CAP_SWEEPS = 4
+CAP_SWEEPS = 3
 
 
 @pytest.fixture(scope="module")

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsevar.cv import WalkForwardPlan, select_lambda
+from sparsevar.granger import granger_network
 from sparsevar.lasso import (
     LassoConfig,
     LassoError,
@@ -72,9 +74,9 @@ def _cd_solve(
     Coordinates are visited in fixed lag-major order (the row order of Z);
     no randomization, so results are reproducible and schedule-independent.
     Each update touches all N sample columns. ``lasso._cd_gram`` runs the
-    same iteration in covariance form. After a sweep that kept every sign,
-    ``lasso._finish`` may stop it at the exact optimum; the finished objective
-    then replaces the sweep's.
+    same iteration in covariance form. After every sweep, ``lasso._finish`` may
+    stop it at the exact optimum; the finished objective then replaces the
+    sweep's.
     Returns (A, sweeps, converged, per-sweep objective values).
     """
     if lam < 0:
@@ -92,7 +94,7 @@ def _cd_solve(
     sweeps = 0
     for sweep in range(max_sweeps):
         sweeps = sweep + 1
-        max_change, A_start = 0.0, A.copy()
+        max_change = 0.0
         for j in range(m):
             nj = norms[j]
             if nj == 0.0:
@@ -112,7 +114,7 @@ def _cd_solve(
         obj = objective_value(A, Y, Z, lam)
         _check_descent(sweeps, prev_obj, obj)
         done, fin = _finish(G[None], C[None], np.array([yy]), np.array([[lam]]), A[None],
-                            A_start[None], np.array([obj]), np.ones(1, dtype=bool))
+                            np.array([obj]), np.ones(1, dtype=bool))
         prev_obj = float(fin[0])
         history.append(prev_obj)
         if done[0] or max_change < tol:
@@ -159,7 +161,6 @@ def _cd_gram_signmax(G, C, yy, lam, tol, max_sweeps, A):
                                 scale[groups].T[:, :, None, None]))
                 half_lam = lamw[..., None] / 2.0
         max_change = 0.0 if lone else np.zeros((len(groups), 1, 1))
-        W_start = W.copy()
         for x_j, g_j, c_j, s_j in cols:
             rho_j = c_j - X @ g_j + x_j * s_j
             new = np.sign(rho_j) * np.maximum(np.abs(rho_j) - half_lam, 0.0) / s_j
@@ -177,7 +178,7 @@ def _cd_gram_signmax(G, C, yy, lam, tol, max_sweeps, A):
         else:
             l1 = (lamw[:, None, :] @ np.abs(W).sum(axis=2)[:, :, None])[:, 0, 0]
         obj = yyw - 2.0 * (W * Cw).sum(axis=(1, 2)) + ((W @ Gw) * W).sum(axis=(1, 2)) + l1
-        done, fin = _finish(Gw, Cw, yyw, lamw, W, W_start, obj, live)
+        done, fin = _finish(Gw, Cw, yyw, lamw, W, obj, live)
         for k, (i, o, f, change, d) in enumerate(zip(groups.tolist(), obj.tolist(), fin.tolist(),
                                                      np.ravel(max_change).tolist(), done.tolist())):
             if live[k]:
@@ -338,8 +339,12 @@ class TestFitLassoVar:
             )
 
     def test_nonconvergence_flagged_not_raised(self):
+        # one sweep from zero at lambda = 1e-6 finds the full active set, which
+        # the exact finish then solves; at this penalty it leaves one coefficient
+        # of the optimum's active set at zero, so the finish is rejected
         emb, _, _ = embed_from_seed(3)
-        model = fit_lasso_var(emb, LassoConfig(lam=1e-6, tol=1e-14, max_sweeps=1))
+        lam = 0.1 * lambda_max(emb.Y, emb.Z)
+        model = fit_lasso_var(emb, LassoConfig(lam=lam, tol=1e-14, max_sweeps=1))
         assert not model.converged
         assert model.sweeps == 1
 
@@ -544,8 +549,10 @@ class TestLockstepPaths:
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_capped_group_leaves_the_others_unchanged(self, per_row):
+        # on per-row grids the first three paths all peak at 3 sweeps; the
+        # fourth peaks at 2, so the cap below binds some groups, not all
         cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
-        data, moments, lams = stacked_paths([21, 22, 23], 4, 4, 2, per_row, cfg)
+        data, moments, lams = stacked_paths([21, 22, 23, 24], 4, 4, 2, per_row, cfg)
         free = list(lasso_paths(*moments, lams, cfg))
         peak = np.array([s for _, _, _, s, _ in free]).max(axis=0)
         capped = replace(cfg, max_sweeps=int(peak.max()) - 1)  # below the slowest groups only
@@ -726,8 +733,9 @@ class TestLeanStep:
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_gram_cap_that_stops_one_group(self, per_row):
-        _, moments, lams = stacked_paths([21, 22, 23], 4, 4, 2, per_row, self.cfg)
-        pens = list(lams) if per_row else [np.full((3, 1), lam) for lam in lams]
+        # the paths of TestLockstepPaths.test_capped_group_leaves_the_others_unchanged
+        _, moments, lams = stacked_paths([21, 22, 23, 24], 4, 4, 2, per_row, self.cfg)
+        pens = list(lams) if per_row else [np.full((4, 1), lam) for lam in lams]
         free = self.assert_same(moments, pens, self.cfg.max_sweeps)
         peak = np.array([sweeps for _, sweeps, _, _ in free]).max(axis=0)
         cap = int(peak.max()) - 1
@@ -790,13 +798,15 @@ def moments_of(emb):
 
 
 class TestExactFinish:
-    """``lasso._finish`` stops a group whose signs held over a sweep at the exact
-    optimum of its active set, and rejects a group whose system is singular
-    without touching the others."""
+    """``lasso._finish``, tried after every sweep and for every group of at most 20
+    unknowns per row, stops a group at the exact optimum of the sweep's active set
+    when the KKT check holds, and rejects a group whose system is singular without
+    touching the others."""
 
-    # m = k p <= 9: a full active set of m unknowns passes the cost rule
-    # k^3 <= 4 m^2 + 512 only there, so larger OLS fits still stop at tol
-    @pytest.mark.parametrize("seed,k,p", [(0, 3, 1), (1, 4, 2), (2, 5, 1), (3, 3, 3)])
+    # m = k p from 3 to 20: a solve of at most 20 unknowns is always admitted,
+    # so an OLS fit takes the finish once a sweep has made every coefficient active
+    @pytest.mark.parametrize("seed,k,p", [(0, 3, 1), (1, 4, 2), (2, 5, 1), (3, 3, 3),
+                                          (4, 5, 2), (5, 4, 4), (6, 10, 2)])
     def test_ols_fit_matches_least_squares(self, seed, k, p):
         emb, _, _ = embed_from_seed(seed, k=k, p=p, t=400)
         model = fit_lasso_var(emb, LassoConfig(lam=0.0))
@@ -850,6 +860,41 @@ class TestExactFinish:
             assert (out[0][i], out[1][i], out[2][i]) == (solo[0][0], solo[1][0], solo[2][0])
         regular = [0, 2, 3]
         assert out[1].all() and (out[0][regular] < out[0][1]).all()
+
+
+class TestSweepCounts:
+    """Deterministic solver work: the group-sweeps (each ``_cd_gram`` call's sweeps,
+    summed over its groups) of two seeded runs on the bench grid may not exceed
+    the counts measured with the finish tried after every sweep and solves of up
+    to 20 unknowns always admitted. A change that makes the solver sweep more fails."""
+
+    cfg = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
+
+    @staticmethod
+    def group_sweeps(monkeypatch, run) -> int:
+        total = []
+
+        def counted(*args):
+            out = _cd_gram(*args)
+            total.append(int(out[0].sum()))
+            return out
+
+        monkeypatch.setattr("sparsevar.lasso._cd_gram", counted)
+        run()
+        return sum(total)
+
+    def test_granger_network_bic_paths(self, monkeypatch):
+        panel, _ = simulate(SyntheticSpec(
+            k=5, p=2, t=600, recipe=SparseRecipe(density=0.2, magnitude=0.25, seed=17), seed=17))
+        sweeps = self.group_sweeps(monkeypatch, lambda: granger_network(panel, 2, cfg=self.cfg))
+        assert sweeps <= 264
+
+    def test_three_fold_cv_paths(self, monkeypatch):
+        panel, _ = simulate(SyntheticSpec(
+            k=10, p=2, t=1000, recipe=SparseRecipe(density=0.2, magnitude=0.25, seed=18), seed=18))
+        plan = WalkForwardPlan(n_splits=3, test_size=50, min_train=700)
+        sweeps = self.group_sweeps(monkeypatch, lambda: select_lambda(panel, 2, self.cfg, plan))
+        assert sweeps <= 237
 
 
 class TestKkt:
