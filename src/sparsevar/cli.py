@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda": dict(dest="lam", type=float, help="fixed penalty"),
         "--grid": dict(type=_parse_grid, help="penalty grid as N,RATIO"),
         "--tol": dict(type=float, help="solver tolerance"),
-        "--max-sweeps": dict(type=int, help="solver sweep cap"),
+        "--max-sweeps": dict(type=int, help="solver sweep cap per penalty; an exact solve that "
+                                            "settles a fit before any sweep counts as one"),
         "--horizons": dict(type=int, help="max forecast horizon H"),
         "--origins": dict(type=_parse_origins, help="forecast origins as START:END (ISO dates)"),
         "--threshold": dict(type=float, help="edge p-value threshold"),

@@ -17,8 +17,9 @@ every origin's equations, in one ``_cd_gram`` call as groups of one row. Each
 coordinate step is 8 numpy calls; its threshold rho - clip(rho, -lambda / 2,
 lambda / 2) makes every zero +0.0. Every Gram is exactly symmetric, so a step
 reads its row j for column j, and compaction moves the live Grams within G.
-After every sweep, as in glmnet, each live group small enough is solved exactly on
-the sweep's active set (``_finish``); the KKT check alone decides if it stops there.
+Each group small enough is solved exactly on the signs its warm start predicts
+before any sweep (``_settle``), and after every sweep, as in glmnet, on the sweep's
+active set (``_finish``); the KKT check alone decides if it stops there.
 """
 
 from __future__ import annotations
@@ -67,8 +68,10 @@ class LassoGrid:
 class LassoConfig:
     """Penalty, convergence control and grid definition for the solver.
 
-    tol is the largest absolute coefficient change allowed in a sweep at
-    convergence; max_sweeps caps the number of full passes.
+    tol is the largest absolute coefficient change allowed in a sweep at convergence;
+    max_sweeps caps the sweeps (full passes) per penalty, which ``VarModel.sweeps``
+    counts, one ``objective_history`` value each; an exact solve that settles a fit
+    before any pass counts as its one sweep.
     """
 
     lam: float = 0.0
@@ -209,35 +212,39 @@ def _cd_step(t: np.ndarray, c_j, x_j: np.ndarray, s_j, lo, hi, u: np.ndarray) ->
     np.divide(t, s_j, out=x_j)
 
 
-def _objective(W: np.ndarray, G: np.ndarray, C: np.ndarray, yy: np.ndarray,
+def _objective(W: np.ndarray, WG: np.ndarray, C: np.ndarray, yy: np.ndarray,
                lam: np.ndarray) -> np.ndarray:
-    """Per group yy - 2 <W, C> + <W G, W> + the penalty."""
+    """Per group yy - 2 <W, C> + <W G, W> + the penalty, from the product WG = W @ G."""
     l1 = (lam[:, 0] * np.abs(W).sum(axis=(1, 2)) if lam.shape[1] == 1
           else (lam[:, None, :] @ np.abs(W).sum(axis=2)[:, :, None])[:, 0, 0])
-    return yy - 2.0 * (W * C).sum(axis=(1, 2)) + ((W @ G) * W).sum(axis=(1, 2)) + l1
+    return yy - 2.0 * (W * C).sum(axis=(1, 2)) + (WG * W).sum(axis=(1, 2)) + l1
+
+
+def _admitted(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Active counts of pattern S (g, R, m), per group pads and pad^3 <= max(4 m^2, 20^3)."""
+    k = (S != 0) @ np.ones(S.shape[2], dtype=np.float32)  # exact: 3x np.count_nonzero
+    pad = np.minimum((k.max(axis=1).astype(int) + 3) & -4, S.shape[2])
+    return k, pad, pad ** 3 <= max(4 * S.shape[2] ** 2, 20 ** 3)
 
 
 def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np.ndarray,
-            obj: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact active-set finish of the live groups after a sweep, whatever it changed.
+            obj: np.ndarray, live: np.ndarray, S: np.ndarray | None = None) -> tuple:
+    """Exact solves of the live groups on a sign pattern: W's signs, or S (g, R, m).
 
-    Each row solves G_AA x_A = c_A - (lambda / 2) sign(W_A) on its active set A,
-    padded with identity rows to k, the group's own largest active count rounded
-    up to a multiple of 4 or m (padding moves a solve's bits, so k is not the
-    batch's); one batched ``np.linalg.solve`` per k, in chunks whose scratch (each
-    Gram's copy, four (k, k) arrays per row) is at most G / 64 or 128 KB. A group
-    is tried when k^3 <= max(4 m^2, 20^3), on its own m and k only (20 unknowns
-    and fewer are bound by call overhead; above, a solve costs about a sweep and
-    8 m^2 slowed the paper-scale network by 8 %), and accepted, W taking the
-    solution, when no active coefficient changes sign or becomes zero, every
-    inactive one has |c_j - g_j^T x| <= lambda / 2 and the objective passes the
-    descent check. A singular system rejects its own group only. Returns
-    (accepted, objective: the finished one where accepted, else obj).
-    """
+    Each row solves G_AA x_A = c_A - (lambda / 2) s_A on its active set A, padded with
+    identity rows to the group's own pad (padding moves a solve's bits); one batched
+    ``np.linalg.solve`` per pad, in chunks whose scratch (each Gram's copy, four
+    (pad, pad) arrays per row) is at most G / 64 or 128 KB. A group is tried when
+    ``_admitted`` (20 unknowns and fewer are bound by call overhead; above, a solve
+    costs about a sweep, and 8 m^2 slowed the paper-scale network by 8 %), and
+    accepted, W taking x, when every active sign holds, every inactive coordinate has
+    |c_j - g_j^T x| <= lambda / 2 and the objective passes the descent check against
+    obj. A singular system rejects its own group only. A rejected group's S, if given,
+    becomes its held signs plus x's violators, signed like their gradient. Returns
+    (accepted, objectives: x's where accepted, else obj's)."""
     g, R, m = W.shape
-    k = (W != 0) @ np.ones(m, dtype=np.float32)  # active counts, exact: 3x np.count_nonzero
-    pad = np.minimum((k.max(axis=1).astype(int) + 3) & -4, m)
-    cand = live & (pad > 0) & (pad ** 3 <= max(4 * m * m, 20 ** 3))
+    k, pad, admitted = _admitted(W if S is None else S)
+    cand = live & admitted
     if not cand.any():
         return cand, obj
     done, fin, hi = np.zeros(g, dtype=bool), obj.copy(), lam[..., None] / 2.0
@@ -246,31 +253,60 @@ def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np
             grp = np.flatnonzero(cand & (pad == s))
             step = max(1, max(G.size // 64, 1 << 14) // (m * m + 4 * R * s * s))
             for part in (grp[i:i + step] for i in range(0, len(grp), step)):
-                n, Gp, Cp, X = len(part), G[part], C[part], W[part]
-                sign = np.sign(X)
+                n, Cp, h = len(part), C[part], hi[part]
+                sign = np.sign(W[part]) if S is None else S[part]
                 order = np.argsort(sign == 0, axis=2, kind="stable")[..., :s]  # active first
-                valid = np.arange(s) < k[part][..., None]
-                rows = order + m * np.arange(n)[:, None, None]  # rows of Gp.reshape(-1, m)
-                M = Gp.reshape(-1).take(rows[..., None] * m + order[..., None, :])
-                np.copyto(M, np.eye(s), where=~(valid[..., :, None] & valid[..., None, :]))
+                free = np.arange(s) >= k[part][..., None]  # identity rows and columns
+                # no index of M's size: the gather's only scratch is numpy's fixed buffers
+                M = G[part[:, None, None, None], order[..., :, None], order[..., None, :]]
+                np.copyto(M, np.eye(s), where=free[..., :, None] | free[..., None, :])
                 at = np.arange(n * R).reshape(n, R, 1) * m + order  # flat offsets in X and Cp
-                b = Cp.reshape(-1).take(at) - hi[part] * sign.reshape(-1).take(at)
-                b[~valid] = 0.0
+                b = Cp.reshape(-1).take(at) - h * sign.reshape(-1).take(at)
+                b[free] = 0.0
                 try:
-                    x = np.linalg.solve(M, b[..., None])[..., 0]
+                    x = np.linalg.solve(M, b[..., None])[..., 0] if s else b
                 except np.linalg.LinAlgError:  # one by one; a singular system stays NaN
                     x = np.full(b.shape, np.nan)
                     for i in np.ndindex(b.shape[:-1]):
                         with contextlib.suppress(np.linalg.LinAlgError):
                             x[i] = np.linalg.solve(M[i], b[i])
+                del M  # the rest of the chunk is not made beside it
+                X, valid = np.zeros(Cp.shape), ~free
                 X.reshape(-1)[at[valid]] = x[valid]
-                f = _objective(X, Gp, Cp, yy[part], lam[part])
-                ok = ((f <= obj[part] + 1e-12 * (1.0 + np.abs(obj[part])))
-                      & ((np.abs(Cp - X @ Gp) <= hi[part]) | (sign != 0)).all(axis=(1, 2))
-                      & (np.sign(X) == sign).all(axis=(1, 2)))
+                XG, held = X @ G[part], np.sign(X) == sign
+                f, D, o = _objective(X, XG, Cp, yy[part], lam[part]), Cp - XG, obj[part]
+                viol = np.abs(D) > h
+                ok = ((f <= o + 1e-12 * (1.0 + np.abs(o))) & held.all(axis=(1, 2))
+                      & ~(viol & (sign == 0)).any(axis=(1, 2)))
                 W[part[ok]], done[part[ok]], fin[part[ok]] = X[ok], True, f[ok]
-                del Gp, M  # the next chunk's copies are not made beside these
+                if S is not None and not ok.all():
+                    S[part[~ok]] = np.where(sign != 0, sign * held,
+                                            np.where(viol, np.sign(D), 0))[~ok]
     return done, fin
+
+
+def _settle(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray,
+            A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Up to four exact solves (``_finish``) of each group from its warm start A.
+
+    The first pattern is A's signs plus every coordinate whose gradient |c_j - g_j^T a|
+    is strictly above lambda / 2 (the coordinate step's test), signed like it; it and
+    the warm objective come from one A G, formed for the groups admitted at A's counts.
+    Returns (settled, objectives); A takes the settled optima and is untouched elsewhere."""
+    g, R, m = A.shape
+    live, S, hi = _admitted(A)[2], np.zeros(A.shape, dtype=np.int8), lam[..., None] / 2.0
+    obj, idx, done = np.full(g, np.inf), np.flatnonzero(live), np.zeros(g, dtype=bool)
+    step = max(1, max(G.size // 64, 1 << 14) // (m * m + 2 * R * m))
+    for part in (idx[i:i + step] for i in range(0, len(idx), step)):
+        W, Gp, Cp = A[part], G[part], C[part]
+        WG = W @ Gp
+        obj[part], D = _objective(W, WG, Cp, yy[part], lam[part]), Cp - WG
+        S[part] = np.where(W != 0, np.sign(W), np.where(np.abs(D) > hi[part], np.sign(D), 0))
+    for _ in range(4):
+        if live.any():
+            ok, obj = _finish(G, C, yy, lam, A, obj, live, S)
+            done, live = done | ok, live & ~ok
+    return done, obj
 
 
 def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol: float,
@@ -281,36 +317,38 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
     yy[i] = ||Y||_F^2 / N, which carry all a residual-form sweep reads from the
     samples, so a sweep costs O(g R m^2) whatever N is; lam is (g, 1), one
     penalty per group, or (g, R), one per row; A (g, R, m) is the warm start.
-    Coordinates are visited in fixed lag-major order, one batched 8-call step
-    (``matmul`` and ``_cd_step``, zeros +0.0) over the groups each; it reads row j
-    of each Gram, contiguous, for column j, so every G[i] must be exactly symmetric.
-    Each group keeps the joint stopping rule (max |W - W_start| over a sweep below
-    tol), its own descent check and objective history, and its own ``_finish``
-    after every sweep, signs kept or not: an accepted group stops at that sweep
-    (sweeps count up to the finish) at the exact optimum, whose objective ends its
-    history. Stopped groups leave the working arrays once half have stopped, the
-    live Grams moving to the front of G (G is overwritten, never copied), and a
-    lone group runs on 2-D views (a batch of one costs more). Every decision reads
-    the group's own arrays only, so it returns the same bits in any batch. Returns
-    per group (sweeps, converged, objective values).
+    A group ``_settle`` settles stops at the exact optimum, that solve its one sweep.
+    The others sweep from A in fixed lag-major order, one batched 8-call step
+    (``matmul`` and ``_cd_step``, zeros +0.0) per coordinate; it reads row j of each
+    Gram, contiguous, for column j, so every G[i] must be exactly symmetric. Each
+    group keeps the joint stopping rule (max |W - W_start| over a sweep below tol),
+    its own descent check, one objective per sweep, and its own ``_finish`` after
+    every sweep, which stops it at the exact optimum. Stopped groups leave the
+    working arrays once half have stopped, the live Grams moving to the front of G
+    (G is overwritten, never copied), and a lone group runs on 2-D views (a batch of
+    one costs more). Every decision reads the group's own arrays only, so it returns
+    the same bits in any batch. Returns per group (sweeps, converged, objectives).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.min() < 0:
         raise LassoError(f"lambda must be >= 0, got {lam}")
-    g = len(C)
-    sweeps, converged = np.full(g, max_sweeps), np.zeros(g, dtype=bool)
-    history: list[list[float]] = [[] for _ in range(g)]
+    settled, first = _settle(G, C, yy, lam, A)
+    sweeps, converged = np.where(settled, 1, max_sweeps), settled.copy()
+    history: list[list[float]] = [[f] if s else [] for s, f in zip(settled, first.tolist())]
+    if settled.all():
+        return sweeps, converged, history
     # a zero-variance regressor (zero row and column of G) stays at zero
     diag = np.diagonal(G, axis1=1, axis2=2)
     scale = np.where(diag > 0, diag, 1.0)
-    groups, live, W = np.arange(g), np.ones(g, dtype=bool), None
+    groups, live, W = np.arange(len(C)), ~settled, None
     for sweep in range(1, max_sweeps + 1):
         if W is None or 2 * np.count_nonzero(live) <= len(live):
             if W is not None:  # the stopped groups are already in A
                 A[groups[live]] = W[live]
-                for dst, src in enumerate(np.flatnonzero(live).tolist()):
-                    G[dst] = G[src]  # dst <= src: every live Gram moves before it is overwritten
-                groups, live = groups[live], live[live]
+            for dst, src in enumerate(np.flatnonzero(live).tolist()):
+                if dst < src:  # every live Gram moves before it is overwritten
+                    G[dst] = G[src]
+            groups, live = groups[live], live[live]
             lone = len(groups) == 1
             sel = slice(groups[0], groups[0] + 1) if lone else groups  # a slice gives views
             W, Gw, Cw, yyw, lamw = A[sel], G[:len(groups)], C[sel], yy[sel], lam[sel]
@@ -326,7 +364,7 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
         W_start = W.copy()
         for x_j, g_j, c_j, s_j in cols:
             _cd_step(np.matmul(X, g_j, out=t), c_j, x_j, s_j, lo, hi, u)
-        obj = _objective(W, Gw, Cw, yyw, lamw)
+        obj = _objective(W, W @ Gw, Cw, yyw, lamw)
         done, fin = _finish(Gw, Cw, yyw, lamw, W, obj, live)  # W moves where done
         stop = (done | (np.abs(W - W_start).max(axis=(1, 2)) < tol)).tolist()
         for k, (i, o, f) in enumerate(zip(groups.tolist(), obj.tolist(), fin.tolist())):
@@ -383,9 +421,9 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
     an (n_points, g, R) grid whose [:, i, r] column is row r of path i's own
     sequence. Each penalty is one ``_cd_gram`` call from the previous solution,
     on its own copy of G (``_cd_gram`` overwrites G, and G is left as it came);
-    every path keeps its own stopping rule and exact finish, so it takes exactly
-    the sweeps it takes alone (one where its first sweep finds the active set)
-    and yields the same coefficients bit for bit. Yields per
+    every path keeps its own exact solves and stopping rule, so it takes exactly
+    the sweeps it takes alone (one where an exact solve from the previous point
+    settles it) and yields the same coefficients bit for bit. Yields per
     penalty (lam: a float, or the (g, R) grid row; A (g, R, m); converged (g,);
     sweeps (g,); objective histories).
     """
@@ -569,17 +607,9 @@ def kkt_violation(model: VarModel, embed: LagEmbedding, lam: float | None = None
         raise LassoError(
             f"model A shape {A.shape} does not match embedding ({Y.shape[0]}, {Z.shape[0]})"
         )
-    n = Y.shape[1]
-    grad = (2.0 / n) * (A @ Z - Y) @ Z.T
-    active = A != 0
-    viol_active = np.abs(grad + lam * np.sign(A))[active]
-    viol_inactive = np.maximum(np.abs(grad[~active]) - lam, 0.0)
-    worst = 0.0
-    if viol_active.size:
-        worst = max(worst, float(viol_active.max()))
-    if viol_inactive.size:
-        worst = max(worst, float(viol_inactive.max()))
-    return worst
+    grad = (2.0 / Y.shape[1]) * (A @ Z - Y) @ Z.T
+    viol = np.where(A != 0, np.abs(grad + lam * np.sign(A)), np.abs(grad) - lam)
+    return float(viol.max(initial=0.0))
 
 
 def _bic(rss: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:

@@ -280,11 +280,11 @@ def read_csv(path):
 
 class TestCvCommand:
     def test_excluded_penalties_are_written(self, tmp_path, panel_csv):
-        # one sweep converges wherever it finds the optimum's active set (the
-        # exact finish then ends it). At lag 1 (two regressors) it does so at
-        # every point; at lag 3 (six) it misses at the second point in fold 1
-        # and at the third in fold 0, and converges at the other three
-        argv = ["cv", "--panel", panel_csv, "--lag", "3", "--grid", "5,0.01",
+        # exact solves settle every penalty of 20 regressors or fewer before
+        # any sweep (lag 10 excludes nothing). At lag 11 (22 regressors) the
+        # dense points are beyond admission and need sweeps: one sweep misses
+        # at the third point in fold 1 and at the last two in both folds
+        argv = ["cv", "--panel", panel_csv, "--lag", "11", "--grid", "5,0.01",
                 "--n-splits", "2", "--test-size", "20"]
         with pytest.warns(UserWarning, match="excluded"):
             assert main([*argv, "--tol", "1e-14", "--max-sweeps", "1",
@@ -292,12 +292,13 @@ class TestCvCommand:
         report = read_csv(tmp_path / "capped" / "cv_report.csv")
         lams = [row[0] for row in report[1:-1:2]]
         assert report[0] == ["lambda", "fold", "loss"] and len(lams) == 5
-        assert all(row[2] == "" for row in report[3:7])
-        assert all(row[2] != "" for row in report[1:3] + report[7:-1])
+        assert all(row[2] == "" for row in report[5:-1])
+        assert all(row[2] != "" for row in report[1:5])
         excluded = read_csv(tmp_path / "capped" / "cv_excluded.csv")
         assert excluded == [["lambda", "reason"],
-                            [lams[1], "fit did not converge in fold 1"],
-                            [lams[2], "fit did not converge in fold 0"]]
+                            [lams[2], "fit did not converge in fold 1"],
+                            [lams[3], "fit did not converge in fold 0, 1"],
+                            [lams[4], "fit did not converge in fold 0, 1"]]
         assert main([*argv, "--out", str(tmp_path / "free")]) == 0
         assert read_csv(tmp_path / "free" / "cv_excluded.csv") == [["lambda", "reason"]]
 

@@ -139,17 +139,17 @@ class TestSelectLambda:
             select_lambda(pnl, 3, LassoConfig(), plan)
 
     def test_nonconverged_penalties_excluded_with_warning(self):
-        # max_sweeps=1 converges wherever the one sweep finds the optimum's
-        # active set, so that the exact finish ends it: at the top of the grid
-        # (the empty model) and, here, at the last two points. The second and
-        # third points cannot; those two penalties must be excluded
-        pnl, _ = sparse_panel(6, t=300)
+        # at lag 4 (m = 24 regressors) the first two points settle by exact
+        # solves before any sweep; the last three are too dense for one
+        # (24^3 > 20^3) and need 38 to 43 sweeps, so under max_sweeps=1 those
+        # three penalties must be excluded
+        pnl, _ = sparse_panel(6, k=6, t=300)
         plan = WalkForwardPlan(n_splits=1, test_size=30, min_train=150)
         cfg = LassoConfig(tol=1e-14, max_sweeps=1, grid=LassoGrid(n_points=5))
         with pytest.warns(UserWarning, match="excluded"):
-            lam, report = select_lambda(pnl, 1, cfg, plan)
-        assert np.all(np.isnan(report.losses[1:3])) and np.isfinite(report.losses[[0, 3, 4]]).all()
-        assert report.excluded == tuple(report.lams[1:3])
+            lam, report = select_lambda(pnl, 4, cfg, plan)
+        assert np.all(np.isnan(report.losses[2:])) and np.isfinite(report.losses[:2]).all()
+        assert report.excluded == tuple(report.lams[2:])
         assert lam == report.lams[np.nanargmin(report.losses[:, 0])]
 
     def test_fgls_estimator_runs(self):
@@ -216,13 +216,16 @@ class TestLockstepFolds:
         np.testing.assert_array_equal(report.losses, losses)
 
     def test_capped_fold_excludes_only_its_points(self):
-        # at this cap folds 0 and 1 run out of sweeps, at one penalty; fold 2
-        # converges everywhere, and the other penalties keep their losses
+        # at lag 5 (m = 25) the dense points sweep; fold 2 needs at most 24
+        # sweeps per penalty, folds 0 and 1 need 27 and 25 at the fourth point
+        # and 25 each at the fifth. At this cap folds 0 and 1 run out of sweeps
+        # at those two penalties; fold 2 converges everywhere, and the other
+        # penalties keep their losses
         pnl, _ = sparse_panel(7, t=300)
-        capped = replace(self.cfg, max_sweeps=1)
+        capped = replace(self.cfg, max_sweeps=24)
         with pytest.warns(UserWarning, match="excluded: fit did not converge in fold 0, 1$"):
-            lam, report = select_lambda(pnl, 1, capped, self.plan)
-        lams, losses, ok = fold_at_a_time(pnl, 1, capped, self.plan, "lasso")
+            lam, report = select_lambda(pnl, 5, capped, self.plan)
+        lams, losses, ok = fold_at_a_time(pnl, 5, capped, self.plan, "lasso")
         assert ok[:, 2].all() and not ok[:, :2].all() and ok[:, :2].any()
         np.testing.assert_array_equal(report.losses, losses)
         assert report.excluded == tuple(lams[~ok.all(axis=1)])
@@ -303,17 +306,18 @@ class TestReportCsv:
         assert float(lines[-1].split("=")[1]) == lam
 
     def test_excluded_csv(self, tmp_path):
-        pnl, _ = sparse_panel(6, t=300)
+        # TestSelectLambda.test_nonconverged_penalties_excluded_with_warning's run
+        pnl, _ = sparse_panel(6, k=6, t=300)
         plan = WalkForwardPlan(n_splits=1, test_size=30, min_train=150)
         cfg = LassoConfig(tol=1e-14, max_sweeps=1, grid=LassoGrid(n_points=5))
         with pytest.warns(UserWarning, match="excluded"):
-            _, report = select_lambda(pnl, 1, cfg, plan)
+            _, report = select_lambda(pnl, 4, cfg, plan)
         path = tmp_path / "excluded.csv"
         write_cv_excluded_csv(report, path)
         lines = path.read_text().strip().splitlines()
         assert lines == ["lambda,reason"] + [
-            "%.17g,fit did not converge in fold 0" % lam for lam in report.lams[1:3]
+            "%.17g,fit did not converge in fold 0" % lam for lam in report.lams[2:]
         ]
-        _, clean = select_lambda(pnl, 1, replace(cfg, tol=1e-7, max_sweeps=1000), plan)
+        _, clean = select_lambda(pnl, 4, replace(cfg, tol=1e-7, max_sweeps=1000), plan)
         write_cv_excluded_csv(clean, path)
         assert path.read_text().strip().splitlines() == ["lambda,reason"]

@@ -178,13 +178,15 @@ class TestRecursiveExercise:
             )
 
     def test_nonconverged_flagged_or_raises(self):
+        # lag 7: 21 regressors, all active at this penalty, too many for an
+        # exact solve (21^3 > 20^3), so one sweep cannot converge the fit
         pnl, _ = noisy_panel(seed=2)
         cfg = LassoConfig(lam=1e-4, tol=1e-12, max_sweeps=1)
         start = end = pnl.dates[-5]
         with pytest.raises(ForecastError, match="converge"):
-            recursive_exercise(pnl, 2, cfg, "lasso", start, end, H=2)
+            recursive_exercise(pnl, 7, cfg, "lasso", start, end, H=2)
         fs = recursive_exercise(
-            pnl, 2, cfg, "lasso", start, end, H=2, allow_nonconverged=True
+            pnl, 7, cfg, "lasso", start, end, H=2, allow_nonconverged=True
         )
         assert fs.nonconverged_origins == (start,)
 
@@ -207,15 +209,17 @@ def assert_bitwise(a, b):
 class TestLockstepOrigins:
     """Every origin of an exercise is refitted in one lockstep solve; each
     origin's model and forecasts must be those of ``fit_panel_var`` on that
-    origin's window alone, bit for bit. On this AR(1)-error panel the origins
-    stop after different sweep counts, and the models hold signed zeros."""
+    origin's window alone, bit for bit. On this AR(1)-error panel (m = 22
+    regressors, so the dense OLS fits are beyond exact solves and sweep) the
+    origins stop after different sweep counts, and the models hold signed
+    zeros."""
 
     cfg = LassoConfig(lam=0.11, tol=1e-9)
     H = 3
 
     @staticmethod
     def panel():
-        spec = SyntheticSpec(k=3, p=2, t=260, error="ar1", rho=0.5,
+        spec = SyntheticSpec(k=11, p=2, t=260, error="ar1", rho=0.5,
                              recipe=SparseRecipe(density=0.3, magnitude=0.3, seed=7), seed=7)
         return simulate(spec)[0]
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -30,6 +31,7 @@ from sparsevar.lasso import (
     _fgls_refit,
     _finish,
     _path_moments,
+    _settle,
     _whitened_moments,
 )
 from sparsevar.panel import LagEmbedding, lag_embed, standardize
@@ -49,9 +51,10 @@ def embed_from_seed(seed, k=3, p=1, t=300, density=0.5, magnitude=0.3):
 
 
 # Residual-form coordinate descent, the reference that the covariance-form
-# core lasso._cd_gram is checked against: same coordinate order, update,
-# threshold, exact finish (lasso._finish, on the path's moments) and stopping
-# rule, with the objective read from a fresh residual.
+# core lasso._cd_gram is checked against: same exact solves from the warm start
+# (lasso._settle), coordinate order, update, threshold, exact finish
+# (lasso._finish, on the path's moments) and stopping rule, with the objective
+# read from a fresh residual.
 
 
 def objective_value(A: np.ndarray, Y: np.ndarray, Z: np.ndarray, lam: float) -> float:
@@ -74,9 +77,10 @@ def _cd_solve(
     Coordinates are visited in fixed lag-major order (the row order of Z);
     no randomization, so results are reproducible and schedule-independent.
     Each update touches all N sample columns. ``lasso._cd_gram`` runs the
-    same iteration in covariance form. After every sweep, ``lasso._finish`` may
-    stop it at the exact optimum; the finished objective then replaces the
-    sweep's.
+    same iteration in covariance form. ``lasso._settle`` may stop it at the
+    exact optimum before the first sweep (one sweep, its objective the
+    history), and after every sweep ``lasso._finish`` may; the finished
+    objective then replaces the sweep's.
     Returns (A, sweeps, converged, per-sweep objective values).
     """
     if lam < 0:
@@ -86,6 +90,9 @@ def _cd_solve(
     G, C, yy = _path_moments(Y, Z)
     norms = np.einsum("jn,jn->j", Z, Z) / n
     A = np.zeros((K, m)) if A0 is None else np.array(A0, dtype=float)
+    settled, first = _settle(G[None], C[None], np.array([yy]), np.array([[lam]]), A[None])
+    if settled[0]:
+        return A, 1, True, [float(first[0])]
     R = Y - A @ Z if A0 is not None else Y.copy()
     half_lam = lam / 2.0
     history: list[float] = []
@@ -126,9 +133,10 @@ def _cd_solve(
 # The covariance-form solver with the sign-and-max step: 16 numpy calls per
 # coordinate, the threshold as sign(rho) * max(|rho| - lambda / 2, 0), the change
 # tracked at every coordinate and a column written only when it moved. It reads
-# row j of each (symmetric) Gram for column j and ends a sweep with the same
-# ``lasso._finish`` as ``lasso._cd_gram`` does, but compacts by copies
-# G[groups] and leaves G as it came. The lean step of
+# row j of each (symmetric) Gram for column j, starts with the same
+# ``lasso._settle`` and ends a sweep with the same ``lasso._finish`` as
+# ``lasso._cd_gram`` does, but compacts by copies G[groups] and leaves G as it
+# came. The lean step of
 # ``lasso._cd_step`` must reproduce its coefficients (up to the sign of zero),
 # sweeps, convergence flags and objective histories exactly, for groups of
 # several rows and for the one-row groups of FGLS stage 2.
@@ -137,16 +145,19 @@ def _cd_solve(
 def _cd_gram_signmax(G, C, yy, lam, tol, max_sweeps, A):
     lam = np.asarray(lam, dtype=float)
     g = len(C)
-    sweeps, converged = np.full(g, max_sweeps), np.zeros(g, dtype=bool)
-    history = [[] for _ in range(g)]
+    settled, first = _settle(G, C, yy, lam, A)
+    sweeps, converged = np.where(settled, 1, max_sweeps), settled.copy()
+    history = [[f] if s else [] for s, f in zip(settled.tolist(), first.tolist())]
+    if settled.all():
+        return sweeps, converged, history
     diag = np.diagonal(G, axis1=1, axis2=2)
     scale = np.where(diag > 0, diag, 1.0)
-    groups, live, W = np.arange(g), np.ones(g, dtype=bool), None
+    groups, live, W = np.arange(g), ~settled, None
     for sweep in range(1, max_sweeps + 1):
         if W is None or 2 * np.count_nonzero(live) <= len(live):
             if W is not None:
                 A[groups[live]] = W[live]
-                groups, live = groups[live], live[live]
+            groups, live = groups[live], live[live]
             lone = len(groups) == 1
             sel = slice(groups[0], groups[0] + 1) if lone else groups
             W, Gw, Cw, yyw, lamw = A[sel], G[sel], C[sel], yy[sel], lam[sel]
@@ -339,11 +350,11 @@ class TestFitLassoVar:
             )
 
     def test_nonconvergence_flagged_not_raised(self):
-        # one sweep from zero at lambda = 1e-6 finds the full active set, which
-        # the exact finish then solves; at this penalty it leaves one coefficient
-        # of the optimum's active set at zero, so the finish is rejected
-        emb, _, _ = embed_from_seed(3)
-        lam = 0.1 * lambda_max(emb.Y, emb.Z)
+        # m = 24 regressors, up to 23 of them active per equation at the optimum:
+        # a pattern that dense is beyond admission (24^3 > 20^3), so no exact
+        # solve can settle the fit, and one sweep from zero does not converge it
+        emb, _, _ = embed_from_seed(3, k=6, p=4)
+        lam = 0.01 * lambda_max(emb.Y, emb.Z)
         model = fit_lasso_var(emb, LassoConfig(lam=lam, tol=1e-14, max_sweeps=1))
         assert not model.converged
         assert model.sweeps == 1
@@ -380,6 +391,7 @@ class TestPathEquivalence:
             (4, 4, 2, 302, 2),    # m = 8, n = 300
             (4, 4, 5, 2005, 3),   # m = 20, n = 2000
             (10, 10, 2, 1002, 4), # m = 20, n = 1000
+            (4, 6, 4, 402, 5),    # m = 24: dense points beyond admission sweep
         ],
     )
     def test_matches_residual_form(self, rows, k, p, t, seed):
@@ -405,7 +417,8 @@ class TestPathEquivalence:
             )
             assert kkt_violation(model, sub) <= 100 * cfg.tol
 
-    @pytest.mark.parametrize("seed,k,p,t", [(0, 3, 1, 300), (1, 4, 2, 402), (2, 10, 2, 502)])
+    @pytest.mark.parametrize("seed,k,p,t", [(0, 3, 1, 300), (1, 4, 2, 402), (2, 10, 2, 502),
+                                            (3, 6, 4, 402)])
     @pytest.mark.parametrize("frac", [0.5, 0.1, 0.01, 0.0])
     def test_fixed_penalty_fit_matches_residual_form(self, seed, k, p, t, frac):
         emb, _, _ = embed_from_seed(seed, k=k, p=p, t=t, density=0.3, magnitude=0.25)
@@ -419,7 +432,7 @@ class TestPathEquivalence:
         assert np.max(np.abs(model.A - ref)) <= 1e-12
         np.testing.assert_array_equal(model.A == 0.0, ref == 0.0)
 
-    @pytest.mark.parametrize("k,seed", [(1, 5), (4, 6), (10, 7)])
+    @pytest.mark.parametrize("k,seed", [(1, 5), (4, 6), (10, 7), (12, 6)])
     def test_fgls_stage2_matches_residual_form(self, k, seed):
         # one stacked stage 2 for 8 path points, each point with its own penalty
         cfg = LassoConfig(grid=LassoGrid(n_points=8, ratio=1e-2))
@@ -436,8 +449,10 @@ class TestPathEquivalence:
             np.testing.assert_array_equal(A[i] == 0.0, ref == 0.0)
 
     def test_fgls_stage2_capped_row_leaves_the_others_unchanged(self):
+        # m = 24: the rows of the last three points are too dense for an exact
+        # solve and sweep 27 to 44 times; every other row settles without a sweep
         cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
-        Y, Z, A1, lams = ar1_stage1_path(4, 6, cfg)
+        Y, Z, A1, lams = ar1_stage1_path(12, 6, cfg)
         A, _, sweeps, converged, history = _fgls_refit([(Y, Z, len(lams))], A1, lams, cfg)
         cap = int(sweeps.max()) - 1
         capped = replace(cfg, max_sweeps=cap)
@@ -524,16 +539,22 @@ def compactions(sweeps):
 
 class TestLockstepPaths:
     """``lasso_paths`` runs independent paths in lockstep; each must be the
-    path it is alone, bit for bit."""
+    path it is alone, bit for bit. With m <= 20 every point settles before any
+    sweep; with m = 24 the dense points are beyond admission and sweep, so
+    groups stop apart."""
 
     @pytest.mark.parametrize("per_row", [False, True])
-    @pytest.mark.parametrize("rows,k,p", [(1, 3, 2), (4, 4, 2), (10, 10, 2)])
+    @pytest.mark.parametrize("rows,k,p", [(1, 3, 2), (4, 4, 2), (10, 10, 2),
+                                          (1, 6, 4), (4, 6, 4), (10, 12, 2)])
     def test_each_group_equals_its_solo_path(self, rows, k, p, per_row):
         cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
         data, (G, C, yy), lams = stacked_paths([11, 12, 13, 14], rows, k, p, per_row, cfg)
         stacked = list(lasso_paths(G, C, yy, lams, cfg))
         sweeps = np.array([s for _, _, _, s, _ in stacked])
-        assert (sweeps.min(axis=1) < sweeps.max(axis=1)).any()  # groups stop apart
+        if k * p <= 20:
+            assert (sweeps == 1).all()
+        else:
+            assert (sweeps.min(axis=1) < sweeps.max(axis=1)).any()  # groups stop apart
         for i, (Y, Z) in enumerate(data):
             grid = lams[:, i] if per_row else lams
             solo = list(lasso_paths(G[i: i + 1], C[i: i + 1], yy[i: i + 1],
@@ -549,10 +570,10 @@ class TestLockstepPaths:
 
     @pytest.mark.parametrize("per_row", [False, True])
     def test_capped_group_leaves_the_others_unchanged(self, per_row):
-        # on per-row grids the first three paths all peak at 3 sweeps; the
-        # fourth peaks at 2, so the cap below binds some groups, not all
+        # the four paths peak at 20, 30, 28 and 50 sweeps (20, 30, 29 and 47 on
+        # per-row grids), so the cap below binds the slowest group only
         cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
-        data, moments, lams = stacked_paths([21, 22, 23, 24], 4, 4, 2, per_row, cfg)
+        data, moments, lams = stacked_paths([21, 22, 23, 24], 4, 6, 4, per_row, cfg)
         free = list(lasso_paths(*moments, lams, cfg))
         peak = np.array([s for _, _, _, s, _ in free]).max(axis=0)
         capped = replace(cfg, max_sweeps=int(peak.max()) - 1)  # below the slowest groups only
@@ -579,7 +600,7 @@ class TestLockstepPaths:
         # _cd_gram overwrites G when groups stop apart; lasso_paths solves each
         # penalty on a copy, so the caller may read G again (granger scores BIC from it)
         cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
-        _, (G, C, yy), lams = stacked_paths([11, 12, 13, 14], 4, 4, 2, False, cfg)
+        _, (G, C, yy), lams = stacked_paths([11, 12, 13, 14], 4, 6, 4, False, cfg)
         before = G.copy()
         points = list(lasso_paths(G, C, yy, lams, cfg))
         assert max(compactions(sweeps) for _, _, _, sweeps, _ in points) >= 1
@@ -616,7 +637,7 @@ class TestLockstepFits:
 
     @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
     def test_each_panel_equals_its_solo_fit(self, estimator):
-        panels = ar1_panels([31, 32, 33, 34])
+        panels = ar1_panels([31, 32, 33, 34], k=12)  # m = 24: dense fits sweep
         cfg = LassoConfig(lam=0.12, tol=1e-10)
         stacked = fit_panel_vars(panels, 2, cfg, estimator)
         assert len({len(m.objective_history) for m in stacked}) > 1  # panels stop apart
@@ -633,9 +654,10 @@ class TestLockstepFits:
 
     def test_fgls_stage2_of_several_designs_equals_one_call_each(self):
         # three designs' whole stage-1 paths in one _cd_gram call of one-row groups;
-        # its rows stop apart, so the live Grams move to the front of G more than once
+        # its dense rows (m = 24) sweep and stop apart, so the live Grams move to
+        # the front of G more than once
         cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
-        designs = [ar1_stage1_path(4, seed, cfg) for seed in (6, 7, 8)]
+        designs = [ar1_stage1_path(12, seed, cfg) for seed in (6, 7, 8)]
         A1 = np.concatenate([d[2] for d in designs])
         lams = np.concatenate([d[3] for d in designs])
         A, rho, sweeps, converged, history = _fgls_refit(
@@ -697,7 +719,8 @@ class TestLeanStep:
     """``_cd_gram`` equals the sign-and-max step kept above (``_cd_gram_signmax``),
     on groups of several rows and on FGLS stage 2's one-row groups: coefficients
     ``==``-equal, sweeps, convergence flags and objective histories identical,
-    and every zero coefficient +0.0."""
+    and every zero coefficient +0.0. With m = 24 the dense points are beyond
+    admission and sweep; the others settle without a sweep."""
 
     cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
 
@@ -717,7 +740,7 @@ class TestLeanStep:
     @pytest.mark.parametrize("per_row", [False, True])
     @pytest.mark.parametrize("groups", [1, 4])
     def test_gram_equals_signmax_step(self, groups, per_row, case):
-        _, (G, C, yy), lams = stacked_paths([11, 12, 13, 14][:groups], 4, 4, 2, per_row,
+        _, (G, C, yy), lams = stacked_paths([11, 12, 13, 14][:groups], 4, 6, 4, per_row,
                                             self.cfg)
         pens = list(lams) if per_row else [np.full((groups, 1), lam) for lam in lams]
         if case == "lambda-zero":
@@ -734,7 +757,7 @@ class TestLeanStep:
     @pytest.mark.parametrize("per_row", [False, True])
     def test_gram_cap_that_stops_one_group(self, per_row):
         # the paths of TestLockstepPaths.test_capped_group_leaves_the_others_unchanged
-        _, moments, lams = stacked_paths([21, 22, 23, 24], 4, 4, 2, per_row, self.cfg)
+        _, moments, lams = stacked_paths([21, 22, 23, 24], 4, 6, 4, per_row, self.cfg)
         pens = list(lams) if per_row else [np.full((4, 1), lam) for lam in lams]
         free = self.assert_same(moments, pens, self.cfg.max_sweeps)
         peak = np.array([sweeps for _, sweeps, _, _ in free]).max(axis=0)
@@ -747,7 +770,7 @@ class TestLeanStep:
     @pytest.mark.parametrize("case", ["path", "lambda-zero", "capped"])
     def test_rows_equal_signmax_step_on_ar1_panels(self, monkeypatch, case):
         cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
-        designs = [ar1_stage1_path(4, seed, cfg) for seed in (6, 7, 8)]
+        designs = [ar1_stage1_path(12, seed, cfg) for seed in (6, 7, 8)]
         A1 = np.concatenate([d[2] for d in designs])
         lams = np.concatenate([d[3] for d in designs]) * (case != "lambda-zero")
         if case == "capped":
@@ -771,20 +794,21 @@ class TestLeanStep:
             assert (lean[0] == 0).any()
 
     def test_rows_zero_variance_regressor_stays_zero(self):
+        # the last point's rows (m = 24), dense enough to sweep
         cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
-        Y, Z, A1, lams = ar1_stage1_path(4, 6, cfg)
-        G, C, yy = _whitened_moments(Y, Z, np.full((len(lams), 4), 0.5))
-        G, C, yy = G[:8], C[:8, None], yy[:8]
+        Y, Z, A1, lams = ar1_stage1_path(12, 6, cfg)
+        G, C, yy = _whitened_moments(Y, Z, np.full((len(lams), 12), 0.5))
+        G, C, yy = G[-8:], C[-8:, None], yy[-8:]
         G[:, 2, :] = G[:, :, 2] = C[..., 2] = 0.0
-        A0 = A1.reshape(-1, 1, A1.shape[2])[:8].copy()
+        A0 = A1.reshape(-1, 1, A1.shape[2])[-8:].copy()
         A0[..., 2] = 0.0
         outs = []
         for solver in (_cd_gram, _cd_gram_signmax):
             A = A0.copy()
-            outs.append((A,) + solver(G.copy(), C, yy, np.repeat(lams, 4)[:8, None], cfg.tol,
+            outs.append((A,) + solver(G.copy(), C, yy, np.repeat(lams, 12)[-8:, None], cfg.tol,
                                       cfg.max_sweeps, A))
         (A, sweeps, conv, hist), (A_r, sweeps_r, conv_r, hist_r) = outs
-        assert np.array_equal(A, A_r) and (A[..., 2] == 0).all()
+        assert (sweeps > 1).all() and np.array_equal(A, A_r) and (A[..., 2] == 0).all()
         assert not np.signbit(A[A == 0]).any()
         assert_bitwise(sweeps, sweeps_r)
         assert_bitwise(conv, conv_r)
@@ -798,13 +822,14 @@ def moments_of(emb):
 
 
 class TestExactFinish:
-    """``lasso._finish``, tried after every sweep and for every group of at most 20
-    unknowns per row, stops a group at the exact optimum of the sweep's active set
-    when the KKT check holds, and rejects a group whose system is singular without
-    touching the others."""
+    """``lasso._finish``, tried on the warm start's predicted pattern before any
+    sweep (``lasso._settle``) and on the active set after every sweep, for every
+    group of at most 20 unknowns per row, stops a group at the exact optimum of
+    that pattern when the KKT check holds, and rejects a group whose system is
+    singular without touching the others."""
 
-    # m = k p from 3 to 20: a solve of at most 20 unknowns is always admitted,
-    # so an OLS fit takes the finish once a sweep has made every coefficient active
+    # m = k p from 3 to 20: a solve of at most 20 unknowns is always admitted, so
+    # an OLS fit from zero settles by exact solves, every coefficient active
     @pytest.mark.parametrize("seed,k,p", [(0, 3, 1), (1, 4, 2), (2, 5, 1), (3, 3, 3),
                                           (4, 5, 2), (5, 4, 4), (6, 10, 2)])
     def test_ols_fit_matches_least_squares(self, seed, k, p):
@@ -862,39 +887,139 @@ class TestExactFinish:
         assert out[1].all() and (out[0][regular] < out[0][1]).all()
 
 
+    def test_chunk_peak_memory_is_near_its_gather(self):
+        # one chunk (one group of 200 rows, 20 of m = 24 coefficients active per
+        # row): its gathered systems M take 640 KB; the gather forms no index of
+        # M's size beside it, so the traced peak stays near M
+        import tracemalloc
+
+        rng = np.random.default_rng(0)
+        R, m, s = 200, 24, 20
+        Z = rng.standard_normal((m, 300))
+        G, C = (Z @ Z.T / 300)[None], rng.standard_normal((1, R, m))
+        W = rng.standard_normal((1, R, m))
+        W[..., s:] = 0.0
+        tracemalloc.start()
+        try:
+            _finish(G, C, np.array([10.0]), np.array([[0.01]]), W, np.array([np.inf]),
+                    np.ones(1, dtype=bool))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (R * s * s * 8)
+
+
+class TestSettle:
+    """``lasso._settle``: exact solves from the warm start before any sweep."""
+
+    def test_mixed_batch_each_group_equals_its_solo_run(self):
+        # four m = 24 groups, each at its own penalty: three settle before any
+        # sweep; the fourth, at 1e-3 lambda_max, is too dense for an exact solve
+        # (24^3 > 20^3) and sweeps. Then the next penalty of each, from there
+        embs = [embed_from_seed(seed, k=6, p=4, t=300 + 40 * i, density=0.3, magnitude=0.25)[0]
+                for i, seed in enumerate((40, 41, 42, 43))]
+        G, C, yy = (np.stack(parts) for parts in zip(*map(moments_of, embs)))
+        top = np.array([[f * lambda_max(e.Y, e.Z)] for e, f in zip(embs, (0.5, 0.3, 1e-3, 0.2))])
+        settles = [True, True, False, True]
+        A = np.zeros(C.shape)
+        for lam in (top, 0.8 * top):
+            assert list(_settle(G, C, yy, lam, A.copy())[0]) == settles
+            A0 = A.copy()
+            sweeps, converged, history = _cd_gram(G.copy(), C, yy, lam, 1e-8, 1000, A)
+            assert converged.all() and list(sweeps == 1) == settles
+            for i in range(4):
+                A_i = A0[i:i + 1].copy()
+                solo = _cd_gram(G[i:i + 1].copy(), C[i:i + 1], yy[i:i + 1], lam[i:i + 1], 1e-8,
+                                1000, A_i)
+                assert_bitwise(A[i], A_i[0])
+                assert (sweeps[i], converged[i], history[i]) == (solo[0][0], solo[1][0], solo[2][0])
+                assert len(history[i]) == sweeps[i]
+
+
+SCENARIOS = {
+    # the seeded K = 5 network on the bench grid: 5 causes' BIC paths, m = 8
+    "granger": lambda cfg: granger_network(simulate(SyntheticSpec(
+        k=5, p=2, t=600, recipe=SparseRecipe(density=0.2, magnitude=0.25, seed=17), seed=17))[0],
+        2, cfg=cfg),
+    # a 3-fold CV on the bench grid, K = 10, m = 20
+    "cv": lambda cfg: select_lambda(simulate(SyntheticSpec(
+        k=10, p=2, t=1000, recipe=SparseRecipe(density=0.2, magnitude=0.25, seed=18), seed=18))[0],
+        2, cfg, WalkForwardPlan(n_splits=3, test_size=50, min_train=700)),
+}
+
+
+class TestPinnedOutputs:
+    """Each of the SCENARIOS' path coefficients (every point of every path, in
+    order) and outputs (the network's p-values; the CV loss table, grid and
+    lambda*), pinned bitwise as sha256 digests recorded before the solver tried
+    exact solves from the warm start, which must not move them. Recorded with
+    numpy 2.4 on OpenBLAS 0.3.31 (x86-64); a BLAS that rounds its products
+    otherwise moves the digests with no fault in the solver."""
+
+    cfg = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
+    PINS = {
+        "granger": ("f0dcf1b33932e0f100314204e10497bef362395fc9cd26b2c7d9d0b7e725464b",
+                    "daf7b3aa73c87b4583fb8cfe7bacd6abba64e1e099326178da38ec48ae3f4b84"),
+        "cv": ("23f28a98921a47c6690ab0d3c594386d1da1cec0d80714717a97c83678787b5b",
+               "de18b282c78e749e9f744004afd57791a005c72b87e5f555e6e7c4f66d5abd6a"),
+    }
+
+    @pytest.mark.parametrize("scenario", ["granger", "cv"])
+    def test_coefficients_and_outputs(self, monkeypatch, scenario):
+        coefficients = hashlib.sha256()
+
+        def recorded(*args):
+            for point in lasso_paths(*args):
+                coefficients.update(point[1].tobytes())
+                yield point
+
+        monkeypatch.setattr(f"sparsevar.{scenario}.lasso_paths", recorded)  # the module's path runs
+        out = SCENARIOS[scenario](self.cfg)
+        if scenario == "granger":
+            outputs = out.p_matrix.tobytes()
+        else:
+            lam, report = out
+            outputs = report.losses.tobytes() + report.lams.tobytes() + np.float64(lam).tobytes()
+        assert (coefficients.hexdigest(), hashlib.sha256(outputs).hexdigest()) == self.PINS[scenario]
+
+
 class TestSweepCounts:
-    """Deterministic solver work: the group-sweeps (each ``_cd_gram`` call's sweeps,
-    summed over its groups) of two seeded runs on the bench grid may not exceed
-    the counts measured with the finish tried after every sweep and solves of up
-    to 20 unknowns always admitted. A change that makes the solver sweep more fails."""
+    """Deterministic solver work on two seeded runs on the bench grid: coordinate
+    group-sweeps (each ``_cd_gram`` call's sweeps summed over its groups, less the
+    groups ``_settle`` settled, whose one sweep is an exact solve) and exact-solve
+    batches (``_finish`` calls, before and after sweeps). Neither may exceed the
+    count measured with four exact solves from the warm start before any sweep. A
+    change that makes the solver sweep or solve more fails."""
 
     cfg = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
 
-    @staticmethod
-    def group_sweeps(monkeypatch, run) -> int:
-        total = []
+    def work(self, monkeypatch, scenario) -> tuple[int, int]:
+        """(coordinate group-sweeps, exact-solve batches) of the scenario."""
+        counts = {"_cd_gram": 0, "_settle": 0, "_finish": 0}
 
-        def counted(*args):
-            out = _cd_gram(*args)
-            total.append(int(out[0].sum()))
-            return out
+        def counted(name, fn, count):
+            def call(*args):
+                out = fn(*args)
+                counts[name] += count(out)
+                return out
+            return call
 
-        monkeypatch.setattr("sparsevar.lasso._cd_gram", counted)
-        run()
-        return sum(total)
+        def groups(out):
+            return int(out[0].sum())
+
+        for name, fn, count in [("_cd_gram", _cd_gram, groups), ("_settle", _settle, groups),
+                                ("_finish", _finish, lambda out: 1)]:
+            monkeypatch.setattr(f"sparsevar.lasso.{name}", counted(name, fn, count))
+        SCENARIOS[scenario](self.cfg)
+        return counts["_cd_gram"] - counts["_settle"], counts["_finish"]
 
     def test_granger_network_bic_paths(self, monkeypatch):
-        panel, _ = simulate(SyntheticSpec(
-            k=5, p=2, t=600, recipe=SparseRecipe(density=0.2, magnitude=0.25, seed=17), seed=17))
-        sweeps = self.group_sweeps(monkeypatch, lambda: granger_network(panel, 2, cfg=self.cfg))
-        assert sweeps <= 264
+        coordinate_sweeps, exact_solve_batches = self.work(monkeypatch, "granger")
+        assert coordinate_sweeps <= 0 and exact_solve_batches <= 72
 
     def test_three_fold_cv_paths(self, monkeypatch):
-        panel, _ = simulate(SyntheticSpec(
-            k=10, p=2, t=1000, recipe=SparseRecipe(density=0.2, magnitude=0.25, seed=18), seed=18))
-        plan = WalkForwardPlan(n_splits=3, test_size=50, min_train=700)
-        sweeps = self.group_sweeps(monkeypatch, lambda: select_lambda(panel, 2, self.cfg, plan))
-        assert sweeps <= 237
+        coordinate_sweeps, exact_solve_batches = self.work(monkeypatch, "cv")
+        assert coordinate_sweeps <= 0 and exact_solve_batches <= 88
 
 
 class TestKkt:
