@@ -322,6 +322,11 @@ def granger_network(
         raise GrangerError(f"lag order must be >= 1, got {p}")
     cfg = cfg or LassoConfig()
     names = tuple(variables) if variables is not None else panel.names
+    if not names:
+        raise GrangerError("no variables given")
+    duplicates = sorted({name for name in names if names.count(name) > 1})
+    if duplicates:
+        raise GrangerError(f"duplicate names in variables: {', '.join(duplicates)}")
     for name in names:
         panel.index_of(name)
     std_panel, _ = standardize(panel)

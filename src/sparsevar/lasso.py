@@ -17,9 +17,10 @@ every origin's equations, in one ``_cd_gram`` call as groups of one row. Each
 coordinate step is 8 numpy calls; its threshold rho - clip(rho, -lambda / 2,
 lambda / 2) makes every zero +0.0. Every Gram is exactly symmetric, so a step
 reads its row j for column j, and compaction moves the live Grams within G.
-Each group small enough is solved exactly on the signs its warm start predicts
-before any sweep (``_settle``), and after every sweep, as in glmnet, on the sweep's
-active set (``_finish``); the KKT check alone decides if it stops there.
+The one exact stage comes before any sweep: ``_settle`` solves each group small
+enough on the signs its warm start predicts, and the KKT check alone decides if it
+stops there (at lambda = 0 no sign is read, so an admitted OLS fit settles in one
+solve). A group that sweeps stops by tol or at the sweep cap.
 """
 
 from __future__ import annotations
@@ -228,8 +229,8 @@ def _admitted(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np.ndarray,
-            obj: np.ndarray, live: np.ndarray, S: np.ndarray | None = None) -> tuple:
-    """Exact solves of the live groups on a sign pattern: W's signs, or S (g, R, m).
+            obj: np.ndarray, live: np.ndarray, S: np.ndarray) -> tuple:
+    """Exact solves of the live groups on the sign pattern S (g, R, m).
 
     Each row solves G_AA x_A = c_A - (lambda / 2) s_A on its active set A, padded with
     identity rows to the group's own pad (padding moves a solve's bits); one batched
@@ -239,11 +240,12 @@ def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np
     costs about a sweep, and 8 m^2 slowed the paper-scale network by 8 %), and
     accepted, W taking x, when every active sign holds, every inactive coordinate has
     |c_j - g_j^T x| <= lambda / 2 and the objective passes the descent check against
-    obj. A singular system rejects its own group only. A rejected group's S, if given,
-    becomes its held signs plus x's violators, signed like their gradient. Returns
-    (accepted, objectives: x's where accepted, else obj's)."""
+    obj; a row at lambda = 0 reads no sign of S, so any sign holds there. A singular
+    system rejects its own group only. A rejected group's S becomes its held signs
+    plus x's violators, signed like their gradient. Returns (accepted, objectives:
+    x's where accepted, else obj's)."""
     g, R, m = W.shape
-    k, pad, admitted = _admitted(W if S is None else S)
+    k, pad, admitted = _admitted(S)
     cand = live & admitted
     if not cand.any():
         return cand, obj
@@ -254,7 +256,7 @@ def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np
             step = max(1, max(G.size // 64, 1 << 14) // (m * m + 4 * R * s * s))
             for part in (grp[i:i + step] for i in range(0, len(grp), step)):
                 n, Cp, h = len(part), C[part], hi[part]
-                sign = np.sign(W[part]) if S is None else S[part]
+                sign = S[part]
                 order = np.argsort(sign == 0, axis=2, kind="stable")[..., :s]  # active first
                 free = np.arange(s) >= k[part][..., None]  # identity rows and columns
                 # no index of M's size: the gather's only scratch is numpy's fixed buffers
@@ -273,13 +275,13 @@ def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np
                 del M  # the rest of the chunk is not made beside it
                 X, valid = np.zeros(Cp.shape), ~free
                 X.reshape(-1)[at[valid]] = x[valid]
-                XG, held = X @ G[part], np.sign(X) == sign
+                XG, held = X @ G[part], (np.sign(X) == sign) | (h == 0.0)
                 f, D, o = _objective(X, XG, Cp, yy[part], lam[part]), Cp - XG, obj[part]
                 viol = np.abs(D) > h
                 ok = ((f <= o + 1e-12 * (1.0 + np.abs(o))) & held.all(axis=(1, 2))
                       & ~(viol & (sign == 0)).any(axis=(1, 2)))
                 W[part[ok]], done[part[ok]], fin[part[ok]] = X[ok], True, f[ok]
-                if S is not None and not ok.all():
+                if not ok.all():
                     S[part[~ok]] = np.where(sign != 0, sign * held,
                                             np.where(viol, np.sign(D), 0))[~ok]
     return done, fin
@@ -317,17 +319,16 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
     yy[i] = ||Y||_F^2 / N, which carry all a residual-form sweep reads from the
     samples, so a sweep costs O(g R m^2) whatever N is; lam is (g, 1), one
     penalty per group, or (g, R), one per row; A (g, R, m) is the warm start.
-    A group ``_settle`` settles stops at the exact optimum, that solve its one sweep.
-    The others sweep from A in fixed lag-major order, one batched 8-call step
-    (``matmul`` and ``_cd_step``, zeros +0.0) per coordinate; it reads row j of each
-    Gram, contiguous, for column j, so every G[i] must be exactly symmetric. Each
-    group keeps the joint stopping rule (max |W - W_start| over a sweep below tol),
-    its own descent check, one objective per sweep, and its own ``_finish`` after
-    every sweep, which stops it at the exact optimum. Stopped groups leave the
-    working arrays once half have stopped, the live Grams moving to the front of G
-    (G is overwritten, never copied), and a lone group runs on 2-D views (a batch of
-    one costs more). Every decision reads the group's own arrays only, so it returns
-    the same bits in any batch. Returns per group (sweeps, converged, objectives).
+    A group ``_settle`` settles stops at that exact optimum, its one sweep; no exact
+    solve follows a sweep. The others sweep from A in fixed lag-major order, one batched
+    8-call step (``matmul`` and ``_cd_step``, zeros +0.0) per coordinate, a lone group
+    as a batch of one; it reads row j of each Gram, contiguous, for column j, so every
+    G[i] must be exactly symmetric. Each group stops by the joint rule (max
+    |W - W_start| over a sweep below tol) or at max_sweeps, with its own descent check
+    and one objective per sweep. Stopped groups leave the working arrays once half have
+    stopped, the live Grams moving to the front of G (G is overwritten, never copied).
+    Every decision reads the group's own arrays only, so it returns the same bits in
+    any batch. Returns per group (sweeps, converged, objectives).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.min() < 0:
@@ -349,28 +350,21 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
                 if dst < src:  # every live Gram moves before it is overwritten
                     G[dst] = G[src]
             groups, live = groups[live], live[live]
-            lone = len(groups) == 1
-            sel = slice(groups[0], groups[0] + 1) if lone else groups  # a slice gives views
-            W, Gw, Cw, yyw, lamw = A[sel], G[:len(groups)], C[sel], yy[sel], lam[sel]
-            if lone:  # per coordinate j: views of column j of W and C, row j of G, and G[j, j]
-                X = W[0]
-                cols = list(zip(X.T, Gw[0], Cw[0].T, scale[groups[0]]))
-            else:  # the same per group, as (g, rows, 1) views
-                X = W
-                cols = list(zip(W.transpose(2, 0, 1)[..., None], Gw.transpose(1, 0, 2)[..., None],
-                                Cw.transpose(2, 0, 1)[..., None], scale[groups].T[:, :, None, None]))
-            hi = lamw[0] / 2.0 if lone else lamw[..., None] / 2.0
+            W, Gw, Cw, yyw, lamw = A[groups], G[:len(groups)], C[groups], yy[groups], lam[groups]
+            # per coordinate j: (g, rows, 1) views of column j of W and C, row j of G, and G[j, j]
+            cols = list(zip(W.transpose(2, 0, 1)[..., None], Gw.transpose(1, 0, 2)[..., None],
+                            Cw.transpose(2, 0, 1)[..., None], scale[groups].T[:, :, None, None]))
+            hi = lamw[..., None] / 2.0
             lo, (t, u) = -hi, np.empty((2,) + cols[0][2].shape)  # made once per compaction
         W_start = W.copy()
         for x_j, g_j, c_j, s_j in cols:
-            _cd_step(np.matmul(X, g_j, out=t), c_j, x_j, s_j, lo, hi, u)
+            _cd_step(np.matmul(W, g_j, out=t), c_j, x_j, s_j, lo, hi, u)
         obj = _objective(W, W @ Gw, Cw, yyw, lamw)
-        done, fin = _finish(Gw, Cw, yyw, lamw, W, obj, live)  # W moves where done
-        stop = (done | (np.abs(W - W_start).max(axis=(1, 2)) < tol)).tolist()
-        for k, (i, o, f) in enumerate(zip(groups.tolist(), obj.tolist(), fin.tolist())):
+        stop = (np.abs(W - W_start).max(axis=(1, 2)) < tol).tolist()
+        for k, (i, o) in enumerate(zip(groups.tolist(), obj.tolist())):
             if live[k]:
                 _check_descent(sweep, history[i][-1] if history[i] else np.inf, o)
-                history[i].append(f)
+                history[i].append(o)
                 if stop[k]:
                     live[k], sweeps[i], converged[i], A[i] = False, sweep, True, W[k]
         if not live.any():
@@ -421,9 +415,9 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
     an (n_points, g, R) grid whose [:, i, r] column is row r of path i's own
     sequence. Each penalty is one ``_cd_gram`` call from the previous solution,
     on its own copy of G (``_cd_gram`` overwrites G, and G is left as it came);
-    every path keeps its own exact solves and stopping rule, so it takes exactly
-    the sweeps it takes alone (one where an exact solve from the previous point
-    settles it) and yields the same coefficients bit for bit. Yields per
+    every path keeps its own stopping rule, so it takes exactly the sweeps it
+    takes alone and yields the same coefficients bit for bit: one where the exact
+    solves from the previous point settle it, else sweeps until tol. Yields per
     penalty (lam: a float, or the (g, R) grid row; A (g, R, m); converged (g,);
     sweeps (g,); objective histories).
     """

@@ -318,6 +318,16 @@ class TestPdsGranger:
         with pytest.raises(GrangerError, match="lag order"):
             granger_network(simulated[0], 0)
 
+    @pytest.mark.parametrize("variables,message", [
+        (("y1", "y2", "y1", "y3", "y3"), "duplicate names in variables: y1, y3"),
+        ((), "no variables given"),
+    ])
+    def test_rejects_repeated_or_no_variables(self, simulated, monkeypatch, variables, message):
+        # rejected as GrangerSpec rejects its causes, before the panel is standardized
+        monkeypatch.setattr(granger, "standardize", None)
+        with pytest.raises(GrangerError, match=message):
+            granger_network(simulated[0], 2, cfg=COARSE, variables=variables)
+
 
 def lstsq_lm(embed, effect, gc_rows, control_rows, robust):
     """Reference for ``_lm_test``: the final LM test by least squares on the

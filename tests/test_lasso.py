@@ -52,9 +52,8 @@ def embed_from_seed(seed, k=3, p=1, t=300, density=0.5, magnitude=0.3):
 
 # Residual-form coordinate descent, the reference that the covariance-form
 # core lasso._cd_gram is checked against: same exact solves from the warm start
-# (lasso._settle), coordinate order, update, threshold, exact finish
-# (lasso._finish, on the path's moments) and stopping rule, with the objective
-# read from a fresh residual.
+# (lasso._settle, on the path's moments), coordinate order, update, threshold
+# and stopping rule, with the objective read from a fresh residual.
 
 
 def objective_value(A: np.ndarray, Y: np.ndarray, Z: np.ndarray, lam: float) -> float:
@@ -79,8 +78,7 @@ def _cd_solve(
     Each update touches all N sample columns. ``lasso._cd_gram`` runs the
     same iteration in covariance form. ``lasso._settle`` may stop it at the
     exact optimum before the first sweep (one sweep, its objective the
-    history), and after every sweep ``lasso._finish`` may; the finished
-    objective then replaces the sweep's.
+    history); otherwise it sweeps until the largest change is below tol.
     Returns (A, sweeps, converged, per-sweep objective values).
     """
     if lam < 0:
@@ -120,11 +118,9 @@ def _cd_solve(
         # fresh residual for an exact objective (R accumulates drift otherwise)
         obj = objective_value(A, Y, Z, lam)
         _check_descent(sweeps, prev_obj, obj)
-        done, fin = _finish(G[None], C[None], np.array([yy]), np.array([[lam]]), A[None],
-                            np.array([obj]), np.ones(1, dtype=bool))
-        prev_obj = float(fin[0])
-        history.append(prev_obj)
-        if done[0] or max_change < tol:
+        prev_obj = obj
+        history.append(obj)
+        if max_change < tol:
             converged = True
             break
     return A, sweeps, converged, history
@@ -133,10 +129,9 @@ def _cd_solve(
 # The covariance-form solver with the sign-and-max step: 16 numpy calls per
 # coordinate, the threshold as sign(rho) * max(|rho| - lambda / 2, 0), the change
 # tracked at every coordinate and a column written only when it moved. It reads
-# row j of each (symmetric) Gram for column j, starts with the same
-# ``lasso._settle`` and ends a sweep with the same ``lasso._finish`` as
-# ``lasso._cd_gram`` does, but compacts by copies G[groups] and leaves G as it
-# came. The lean step of
+# row j of each (symmetric) Gram for column j and starts with the same
+# ``lasso._settle`` as ``lasso._cd_gram`` does, but compacts by copies G[groups],
+# leaves G as it came and runs a lone group on 2-D views. The lean step of
 # ``lasso._cd_step`` must reproduce its coefficients (up to the sign of zero),
 # sweeps, convergence flags and objective histories exactly, for groups of
 # several rows and for the one-row groups of FGLS stage 2.
@@ -189,13 +184,12 @@ def _cd_gram_signmax(G, C, yy, lam, tol, max_sweeps, A):
         else:
             l1 = (lamw[:, None, :] @ np.abs(W).sum(axis=2)[:, :, None])[:, 0, 0]
         obj = yyw - 2.0 * (W * Cw).sum(axis=(1, 2)) + ((W @ Gw) * W).sum(axis=(1, 2)) + l1
-        done, fin = _finish(Gw, Cw, yyw, lamw, W, obj, live)
-        for k, (i, o, f, change, d) in enumerate(zip(groups.tolist(), obj.tolist(), fin.tolist(),
-                                                     np.ravel(max_change).tolist(), done.tolist())):
+        for k, (i, o, change) in enumerate(zip(groups.tolist(), obj.tolist(),
+                                               np.ravel(max_change).tolist())):
             if live[k]:
                 _check_descent(sweep, history[i][-1] if history[i] else np.inf, o)
-                history[i].append(f)
-                if d or change < tol:
+                history[i].append(o)
+                if change < tol:
                     live[k], sweeps[i], converged[i], A[i] = False, sweep, True, W[k]
         if not live.any():
             return sweeps, converged, history
@@ -822,21 +816,23 @@ def moments_of(emb):
 
 
 class TestExactFinish:
-    """``lasso._finish``, tried on the warm start's predicted pattern before any
-    sweep (``lasso._settle``) and on the active set after every sweep, for every
-    group of at most 20 unknowns per row, stops a group at the exact optimum of
-    that pattern when the KKT check holds, and rejects a group whose system is
-    singular without touching the others."""
+    """``lasso._finish``, the solver's only exact solve, tried by ``lasso._settle``
+    on the warm start's predicted pattern before any sweep, for every group of at
+    most 20 unknowns per row: it stops a group at the exact optimum of that
+    pattern when the KKT check holds, reads no signs in a row at lambda = 0, and
+    rejects a group whose system is singular without touching the others."""
 
-    # m = k p from 3 to 20: a solve of at most 20 unknowns is always admitted, so
-    # an OLS fit from zero settles by exact solves, every coefficient active
+    # m = k p from 3 to 20: a solve of at most 20 unknowns is always admitted, and
+    # at lambda = 0 any sign is kept, so an OLS fit from zero settles in one exact
+    # solve, every coefficient active
     @pytest.mark.parametrize("seed,k,p", [(0, 3, 1), (1, 4, 2), (2, 5, 1), (3, 3, 3),
-                                          (4, 5, 2), (5, 4, 4), (6, 10, 2)])
+                                          (4, 5, 2), (5, 4, 4), (6, 10, 2), (2, 6, 3)])
     def test_ols_fit_matches_least_squares(self, seed, k, p):
         emb, _, _ = embed_from_seed(seed, k=k, p=p, t=400)
         model = fit_lasso_var(emb, LassoConfig(lam=0.0))
         A_ols = np.linalg.lstsq(emb.Z.T, emb.Y.T, rcond=None)[0].T
-        assert model.converged and np.max(np.abs(model.A - A_ols)) <= 1e-12
+        assert (model.converged, model.sweeps) == (True, 1)
+        assert np.max(np.abs(model.A - A_ols)) <= 1e-12
 
     @pytest.mark.parametrize("seed,k,p", [(0, 3, 1), (1, 4, 2), (4, 4, 2), (5, 6, 1)])
     def test_every_converged_fit_is_exact(self, seed, k, p):
@@ -899,10 +895,11 @@ class TestExactFinish:
         G, C = (Z @ Z.T / 300)[None], rng.standard_normal((1, R, m))
         W = rng.standard_normal((1, R, m))
         W[..., s:] = 0.0
+        S = np.sign(W).astype(np.int8)
         tracemalloc.start()
         try:
             _finish(G, C, np.array([10.0]), np.array([[0.01]]), W, np.array([np.inf]),
-                    np.ones(1, dtype=bool))
+                    np.ones(1, dtype=bool), S)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -987,7 +984,7 @@ class TestSweepCounts:
     """Deterministic solver work on two seeded runs on the bench grid: coordinate
     group-sweeps (each ``_cd_gram`` call's sweeps summed over its groups, less the
     groups ``_settle`` settled, whose one sweep is an exact solve) and exact-solve
-    batches (``_finish`` calls, before and after sweeps). Neither may exceed the
+    batches (``_finish`` calls, all from ``_settle``). Neither may exceed the
     count measured with four exact solves from the warm start before any sweep. A
     change that makes the solver sweep or solve more fails."""
 
