@@ -17,10 +17,13 @@ every origin's equations, in one ``_cd_gram`` call as groups of one row. Each
 coordinate step is 8 numpy calls; its threshold rho - clip(rho, -lambda / 2,
 lambda / 2) makes every zero +0.0. Every Gram is exactly symmetric, so a step
 reads its row j for column j, and compaction moves the live Grams within G.
-The one exact stage comes before any sweep: ``_settle`` solves each group small
-enough on the signs its warm start predicts, and the KKT check alone decides if it
-stops there (at lambda = 0 no sign is read, so an admitted OLS fit settles in one
-solve). A group that sweeps stops by tol or at the sweep cap.
+The one exact stage, ``_settle``, comes before any sweep and solves each group small
+enough on a predicted sign pattern; the KKT check alone decides if it stops there, one
+sweep (at lambda = 0 no sign is read: an admitted OLS fit settles in one solve). A path
+is piecewise linear in lambda (LARS), so ``lasso_paths`` settles blocks of up to 8 next
+penalties per exact-stage call, each on a pattern extrapolated from the last two points,
+and keeps the prefix that passes the test of a one-penalty-at-a-time walk. A group that
+sweeps stops by tol or at the sweep cap.
 """
 
 from __future__ import annotations
@@ -228,39 +231,50 @@ def _admitted(S: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return k, pad, pad ** 3 <= max(4 * S.shape[2] ** 2, 20 ** 3)
 
 
-def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np.ndarray,
-            obj: np.ndarray, live: np.ndarray, S: np.ndarray) -> tuple:
-    """Exact solves of the live groups on the sign pattern S (g, R, m).
+def _predict(A, AG, A2, A2G, C, t, hi) -> np.ndarray:
+    """Sign pattern at lambda = lambda_1 - t (lambda_2 - lambda_1), linear in lambda (LARS) from
+    path point A at lambda_1 and A2 before it: x = A + t (A - A2), D = D_1 + t (D_1 - D_2),
+    D_i = C - A_i G. An active coordinate keeps its sign unless x crosses zero, where it
+    drops; an inactive one enters where |D| > lambda / 2 (hi), signed like D."""
+    D = C - AG
+    x, d = A + t * (A - A2), D + t * (D - (C - A2G))
+    return np.where(A != 0, np.sign(A) * (np.sign(x) == np.sign(A)),
+                    np.where(np.abs(d) > hi, np.sign(d), 0)).astype(np.int8)
 
+
+def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np.ndarray,
+            obj: np.ndarray, live: np.ndarray, S: np.ndarray, grp: np.ndarray,
+            WG: np.ndarray | None = None, nxt: np.ndarray | None = None) -> tuple:
+    """Exact solves of the live items on their sign patterns S (items, R, m).
+
+    Item i is penalty lam[i] of group grp[i], whose G, C and yy it indexes, never copies.
     Each row solves G_AA x_A = c_A - (lambda / 2) s_A on its active set A, padded with
-    identity rows to the group's own pad (padding moves a solve's bits); one batched
-    ``np.linalg.solve`` per pad, in chunks whose scratch (each Gram's copy, four
-    (pad, pad) arrays per row) is at most G / 64 or 128 KB. A group is tried when
-    ``_admitted`` (20 unknowns and fewer are bound by call overhead; above, a solve
-    costs about a sweep, and 8 m^2 slowed the paper-scale network by 8 %), and
-    accepted, W taking x, when every active sign holds, every inactive coordinate has
-    |c_j - g_j^T x| <= lambda / 2 and the objective passes the descent check against
-    obj; a row at lambda = 0 reads no sign of S, so any sign holds there. A singular
-    system rejects its own group only. A rejected group's S becomes its held signs
-    plus x's violators, signed like their gradient. Returns (accepted, objectives:
-    x's where accepted, else obj's)."""
+    identity rows to the item's own pad (padding moves a solve's bits); one batched
+    ``np.linalg.solve`` per pad, in chunks whose arrays (Grams G[grp], systems M of R s^2
+    per item, the R s-sized b and x, the R m-sized X, X G and gradient) take at most G / 64
+    or 1 MB, so a bench-scale block is one chunk. An item is tried when ``_admitted`` (20
+    unknowns and fewer are bound by call overhead; above, a solve costs about a sweep),
+    and accepted, W (and WG, if given) taking x (x G), when every active sign holds (at
+    lambda = 0 any sign), every inactive coordinate has |c_j - g_j^T x| <= lambda / 2 and
+    the objective passes the descent check against obj. A singular system rejects its own
+    item only. A rejected item's S becomes its held signs plus x's violators, signed like
+    their gradient. Returns (accepted, objectives: x's where accepted, else obj's, and x's
+    objective at the penalties nxt where accepted, if WG is given)."""
     g, R, m = W.shape
     k, pad, admitted = _admitted(S)
     cand = live & admitted
-    if not cand.any():
-        return cand, obj
-    done, fin, hi = np.zeros(g, dtype=bool), obj.copy(), lam[..., None] / 2.0
+    done, fin, ahead = np.zeros(g, dtype=bool), obj.copy(), np.full(g, np.nan)
+    hi = lam[..., None] / 2.0
     with np.errstate(all="ignore"):
         for s in sorted(set(pad[cand].tolist())):
-            grp = np.flatnonzero(cand & (pad == s))
-            step = max(1, max(G.size // 64, 1 << 14) // (m * m + 4 * R * s * s))
-            for part in (grp[i:i + step] for i in range(0, len(grp), step)):
-                n, Cp, h = len(part), C[part], hi[part]
-                sign = S[part]
+            its = np.flatnonzero(cand & (pad == s))
+            step = max(1, max(G.size // 64, 1 << 17) // (m * m + R * s * (s + 2) + 3 * R * m))
+            for part in (its[i:i + step] for i in range(0, len(its), step)):
+                n, gp, h, sign, Cp = len(part), grp[part], hi[part], S[part], C[grp[part]]
                 order = np.argsort(sign == 0, axis=2, kind="stable")[..., :s]  # active first
                 free = np.arange(s) >= k[part][..., None]  # identity rows and columns
                 # no index of M's size: the gather's only scratch is numpy's fixed buffers
-                M = G[part[:, None, None, None], order[..., :, None], order[..., None, :]]
+                M = G[gp[:, None, None, None], order[..., :, None], order[..., None, :]]
                 np.copyto(M, np.eye(s), where=free[..., :, None] | free[..., None, :])
                 at = np.arange(n * R).reshape(n, R, 1) * m + order  # flat offsets in X and Cp
                 b = Cp.reshape(-1).take(at) - h * sign.reshape(-1).take(at)
@@ -275,65 +289,79 @@ def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np
                 del M  # the rest of the chunk is not made beside it
                 X, valid = np.zeros(Cp.shape), ~free
                 X.reshape(-1)[at[valid]] = x[valid]
-                XG, held = X @ G[part], (np.sign(X) == sign) | (h == 0.0)
-                f, D, o = _objective(X, XG, Cp, yy[part], lam[part]), Cp - XG, obj[part]
+                XG, held = X @ G[gp], (np.sign(X) == sign) | (h == 0.0)
+                f, D, o = _objective(X, XG, Cp, yy[gp], lam[part]), Cp - XG, obj[part]
                 viol = np.abs(D) > h
                 ok = ((f <= o + 1e-12 * (1.0 + np.abs(o))) & held.all(axis=(1, 2))
                       & ~(viol & (sign == 0)).any(axis=(1, 2)))
                 W[part[ok]], done[part[ok]], fin[part[ok]] = X[ok], True, f[ok]
+                if WG is not None:
+                    WG[part[ok]] = XG[ok]
+                    ahead[part[ok]] = _objective(X, XG, Cp, yy[gp], nxt[part])[ok]
                 if not ok.all():
                     S[part[~ok]] = np.where(sign != 0, sign * held,
                                             np.where(viol, np.sign(D), 0))[~ok]
-    return done, fin
+    return done, fin, ahead
 
 
-def _settle(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray,
-            A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Up to four exact solves (``_finish``) of each group from its warm start A.
-
-    The first pattern is A's signs plus every coordinate whose gradient |c_j - g_j^T a|
-    is strictly above lambda / 2 (the coordinate step's test), signed like it; it and
-    the warm objective come from one A G, formed for the groups admitted at A's counts.
-    Returns (settled, objectives); A takes the settled optima and is untouched elsewhere."""
-    g, R, m = A.shape
-    live, S, hi = _admitted(A)[2], np.zeros(A.shape, dtype=np.int8), lam[..., None] / 2.0
-    obj, idx, done = np.full(g, np.inf), np.flatnonzero(live), np.zeros(g, dtype=bool)
-    step = max(1, max(G.size // 64, 1 << 14) // (m * m + 2 * R * m))
-    for part in (idx[i:i + step] for i in range(0, len(idx), step)):
-        W, Gp, Cp = A[part], G[part], C[part]
-        WG = W @ Gp
-        obj[part], D = _objective(W, WG, Cp, yy[part], lam[part]), Cp - WG
-        S[part] = np.where(W != 0, np.sign(W), np.where(np.abs(D) > hi[part], np.sign(D), 0))
-    for _ in range(4):
-        if live.any():
-            ok, obj = _finish(G, C, yy, lam, A, obj, live, S)
-            done, live = done | ok, live & ~ok
-    return done, obj
+def _settle(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np.ndarray,
+            S=None, obj=None, grp=None, head=None, WG=None, nxt=None) -> tuple:
+    """The exact stage: one ``_finish`` call on items that are blocks of each group's next
+    penalties, in order, each on its own predicted pattern S. A block's head starts from
+    the group's warm start, whose objective there obj is, and keeps up to four attempts,
+    each from the held signs and violators of the last. The speculative rest (obj inf) is
+    kept only as a prefix, by the test a sequential solve makes: an item passes
+    ``_finish``'s test, the item before it was kept, and its objective passes the descent
+    check against that item's objective at its own penalty (at nxt, from that item's X G
+    in ``_finish``). Without S, each group is a block of one from its warm start W (which
+    is written), tried when admitted at W's counts, on the t = 0 ``_predict`` pattern, its
+    objective and pattern from one W G per chunk. Returns (kept, objectives, the kept
+    items' objectives at nxt)."""
+    live, grp = np.ones(len(W), dtype=bool), np.arange(len(W)) if grp is None else grp
+    head = live if head is None else head
+    if S is None:
+        live, S, obj = _admitted(W)[2], np.zeros(W.shape, dtype=np.int8), np.full(len(W), np.inf)
+        idx, (g, R, m) = np.flatnonzero(live), W.shape
+        step = max(1, max(G.size // 64, 1 << 14) // (m * m + 2 * R * m))
+        for part in (idx[i:i + step] for i in range(0, len(idx), step)):
+            Wp, Cp = W[part], C[part]
+            WpG = Wp @ G[part]
+            obj[part] = _objective(Wp, WpG, Cp, yy[part], lam[part])
+            S[part] = _predict(Wp, WpG, Wp, WpG, Cp, 0.0, lam[part][..., None] / 2.0)
+    ok, f, ahead = _finish(G, C, yy, lam, W, obj, live, S, grp, WG, nxt)
+    for _ in range(3):
+        if (live & head & ~ok).any():
+            more, f, again = _finish(G, C, yy, lam, W, f, live & head & ~ok, S, grp, WG, nxt)
+            ok, ahead = ok | more, np.where(more, again, ahead)
+    for i in np.flatnonzero(~head).tolist():
+        o = ahead[i - 1]
+        ok[i] &= ok[i - 1] and f[i] <= o + 1e-12 * (1.0 + abs(o))
+    return ok, f, ahead
 
 
 def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol: float,
-             max_sweeps: int, A: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[list[float]]]:
+             max_sweeps: int, A: np.ndarray, exact: bool = True) -> tuple:
     """Covariance-form coordinate descent on g independent groups, updating A in place.
 
     Group i has moments G[i] = Z Z^T / N (m, m), C[i] = Y Z^T / N (R, m) and
     yy[i] = ||Y||_F^2 / N, which carry all a residual-form sweep reads from the
     samples, so a sweep costs O(g R m^2) whatever N is; lam is (g, 1), one
     penalty per group, or (g, R), one per row; A (g, R, m) is the warm start.
-    A group ``_settle`` settles stops at that exact optimum, its one sweep; no exact
-    solve follows a sweep. The others sweep from A in fixed lag-major order, one batched
-    8-call step (``matmul`` and ``_cd_step``, zeros +0.0) per coordinate, a lone group
-    as a batch of one; it reads row j of each Gram, contiguous, for column j, so every
-    G[i] must be exactly symmetric. Each group stops by the joint rule (max
-    |W - W_start| over a sweep below tol) or at max_sweeps, with its own descent check
-    and one objective per sweep. Stopped groups leave the working arrays once half have
-    stopped, the live Grams moving to the front of G (G is overwritten, never copied).
-    Every decision reads the group's own arrays only, so it returns the same bits in
-    any batch. Returns per group (sweeps, converged, objectives).
+    With exact, each group is first a block of one of ``_settle``, and one settled there
+    stops at that exact optimum, its one sweep; without, the caller made the exact stage.
+    The others sweep from A in fixed lag-major order, one batched 8-call step (``matmul``
+    and ``_cd_step``, zeros +0.0) per coordinate, a lone group as a batch of one; it reads
+    row j of each Gram, contiguous, for column j, so every G[i] must be exactly symmetric.
+    Each group stops by the joint rule (max |W - W_start| over a sweep below tol) or at
+    max_sweeps, with its own descent check and one objective per sweep. Stopped groups
+    leave the working arrays once half have stopped, the live Grams moving to the front of
+    G (G is overwritten, never copied). Every decision reads the group's own arrays only,
+    so it returns the same bits in any batch. Returns (sweeps, converged, objectives).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.min() < 0:
         raise LassoError(f"lambda must be >= 0, got {lam}")
-    settled, first = _settle(G, C, yy, lam, A)
+    settled, first = _settle(G, C, yy, lam, A)[:2] if exact else (np.zeros(len(C), bool),) * 2
     sweeps, converged = np.where(settled, 1, max_sweeps), settled.copy()
     history: list[list[float]] = [[f] if s else [] for s, f in zip(settled, first.tolist())]
     if settled.all():
@@ -350,7 +378,8 @@ def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol:
                 if dst < src:  # every live Gram moves before it is overwritten
                     G[dst] = G[src]
             groups, live = groups[live], live[live]
-            W, Gw, Cw, yyw, lamw = A[groups], G[:len(groups)], C[groups], yy[groups], lam[groups]
+            W, Gw, yyw, lamw = A[groups], G[:len(groups)], yy[groups], lam[groups]
+            Cw = C if len(groups) == len(C) else C[groups]  # read only: no copy of all of C
             # per coordinate j: (g, rows, 1) views of column j of W and C, row j of G, and G[j, j]
             cols = list(zip(W.transpose(2, 0, 1)[..., None], Gw.transpose(1, 0, 2)[..., None],
                             Cw.transpose(2, 0, 1)[..., None], scale[groups].T[:, :, None, None]))
@@ -413,19 +442,68 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
     G (g, m, m), C (g, R, m) and yy (g,) stack each path's ``_path_moments``.
     ``lams`` is one descending sequence shared by every row of every path, or
     an (n_points, g, R) grid whose [:, i, r] column is row r of path i's own
-    sequence. Each penalty is one ``_cd_gram`` call from the previous solution,
-    on its own copy of G (``_cd_gram`` overwrites G, and G is left as it came);
-    every path keeps its own stopping rule, so it takes exactly the sweeps it
-    takes alone and yields the same coefficients bit for bit: one where the exact
-    solves from the previous point settle it, else sweeps until tol. Yields per
-    penalty (lam: a float, or the (g, R) grid row; A (g, R, m); converged (g,);
-    sweeps (g,); objective histories).
+    sequence. Each round, every group admitted at its warm start's counts puts its next b
+    penalties into one ``_settle`` call, each on the pattern ``_predict`` extrapolates from
+    the group's last two points (t per row on per-row grids; t = 0 from one point); the
+    kept prefix settles them, one sweep each. b doubles after a block kept whole, else
+    falls to the kept length, at least 2; at most 8. The last two kept items' X G carry
+    over as the next block's warm gradients, the last one's objective at the next penalty
+    as its warm objective. A group whose head fails, or not admitted, sweeps one penalty
+    from its untouched warm start (``_cd_gram`` without its exact stage, on copies of its
+    Grams), waits while ahead of the slowest group, and restarts the prediction. No block
+    reaches 8 penalties past the slowest, so at most 8 penalties' results wait to be
+    yielded; a round's items hold at most max(g R m, 2^17) coefficients. Each path yields
+    its solo sweeps and coefficients bit for bit. Yields per penalty (lam: a float, or the
+    (g, R) grid row; A (g, R, m); converged, sweeps (g,); histories).
     """
-    A = np.zeros(C.shape)
-    for lam in np.asarray(lams, dtype=float):
-        pen = lam if lam.ndim else np.full((len(C), 1), lam)
-        sweeps, converged, history = _cd_gram(G.copy(), C, yy, pen, cfg.tol, cfg.max_sweeps, A)
-        yield (lam if lam.ndim else float(lam)), A.copy(), converged, sweeps, history
+    lams = np.asarray(lams, dtype=float)
+    n, (g, R, m) = len(lams), C.shape
+    pen = np.broadcast_to(lams.reshape(n, 1, 1), (n, g, 1)) if lams.ndim == 1 else lams
+    pos, blen, out = np.zeros(g, dtype=int), np.full(g, 2), [[] for _ in range(g)]
+    last = [[[np.zeros((R, m)), None, pen[0, i], None]] for i in range(g)]  # [A, A G, lam, f]
+    for j in range(n):
+        while pos.min() <= j:
+            lo, start = int(pos.min()), pos.copy()
+            act = np.flatnonzero(pos < min(n, lo + 8))
+            adm = _admitted(np.stack([last[i][-1][0] for i in act]))[2]
+            act, adm = act[adm | (pos[act] == lo)], act[adm]
+            share = max(1, max(g, (1 << 17) // (R * m)) // max(len(adm), 1))  # items' R m <= g R m
+            items = [(i, p) for i in adm.tolist() for p in
+                     range(pos[i], pos[i] + min(blen[i], n - pos[i], lo + 8 - pos[i], share))]
+            grp, at = np.array(items, dtype=int).reshape(-1, 2).T
+            lam, nxt, head = pen[at, grp], pen[np.minimum(at + 1, n - 1), grp], at == pos[grp]
+            S, obj = np.empty((len(grp), R, m), dtype=np.int8), np.full(len(grp), np.inf)
+            for i in adm.tolist():
+                for point in last[i]:  # a swept point's product
+                    point[1] = point[0] @ G[i] if point[1] is None else point[1]
+                (A2, A2G, l2, _), (A1, A1G, l1, f1), sel = last[i][0], last[i][-1], grp == i
+                obj[sel & head] = f1 if f1 is not None else _objective(
+                    A1[None], A1G[None], C[i:i + 1], yy[i:i + 1], lam[sel & head])
+                t = np.divide(l1 - lam[sel], l2 - l1, out=np.zeros(lam[sel].shape), where=l2 != l1)
+                S[sel] = _predict(A1, A1G, A2, A2G, C[i], t[..., None], lam[sel][..., None] / 2.0)
+            W, WG = np.zeros(S.shape), np.zeros(S.shape)
+            ok, f, ahead = _settle(G, C, yy, lam, W, S, obj, grp, head, WG, nxt)
+            for k, i in zip(np.flatnonzero(ok).tolist(), grp[ok].tolist()):
+                point = [W[k].copy(), WG[k].copy(), lam[k], ahead[k]]  # W, WG are freed
+                out[i].append((point[0], True, 1, [float(f[k])]))
+                last[i] = last[i][-1:] + [point]
+            pos += np.bincount(grp[ok], minlength=g)
+            del W, WG, S
+            kept, whole = pos[adm] - start[adm], np.bincount(grp, minlength=g)[adm]
+            blen[adm] = np.where(kept == whole, 2 * blen[adm], kept).clip(2, 8)
+            sw = act[pos[act] == start[act]]
+            if len(sw):
+                A, pens = np.stack([last[i][-1][0] for i in sw]), pen[pos[sw], sw]
+                for i in sw.tolist():  # the swept point restarts the prediction: free the old
+                    last[i] = None
+                sweeps, converged, history = _cd_gram(G[sw], C[sw], yy[sw], pens, cfg.tol,
+                                                      cfg.max_sweeps, A, exact=False)
+                for k, i in enumerate(sw.tolist()):
+                    out[i].append((A[k], converged[k], sweeps[k], history[k]))
+                    last[i], pos[i] = [[A[k], None, pens[k], None]], pos[i] + 1
+        A, converged, sweeps, history = zip(*(o.pop(0) for o in out))
+        yield ((lams[j] if lams.ndim > 1 else float(lams[j])), np.stack(A),
+               np.array(converged), np.array(sweeps), list(history))
 
 
 def lasso_path(

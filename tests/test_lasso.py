@@ -26,11 +26,14 @@ from sparsevar.lasso import (
     lasso_paths,
     _bic,
     _cd_gram,
+    _admitted,
     _cd_step,
     _check_descent,
     _fgls_refit,
     _finish,
+    _objective,
     _path_moments,
+    _predict,
     _settle,
     _whitened_moments,
 )
@@ -88,7 +91,7 @@ def _cd_solve(
     G, C, yy = _path_moments(Y, Z)
     norms = np.einsum("jn,jn->j", Z, Z) / n
     A = np.zeros((K, m)) if A0 is None else np.array(A0, dtype=float)
-    settled, first = _settle(G[None], C[None], np.array([yy]), np.array([[lam]]), A[None])
+    settled, first = _settle(G[None], C[None], np.array([yy]), np.array([[lam]]), A[None])[:2]
     if settled[0]:
         return A, 1, True, [float(first[0])]
     R = Y - A @ Z if A0 is not None else Y.copy()
@@ -140,7 +143,7 @@ def _cd_solve(
 def _cd_gram_signmax(G, C, yy, lam, tol, max_sweeps, A):
     lam = np.asarray(lam, dtype=float)
     g = len(C)
-    settled, first = _settle(G, C, yy, lam, A)
+    settled, first = _settle(G, C, yy, lam, A)[:2]
     sweeps, converged = np.where(settled, 1, max_sweeps), settled.copy()
     history = [[f] if s else [] for s, f in zip(settled.tolist(), first.tolist())]
     if settled.all():
@@ -617,6 +620,108 @@ class TestLockstepPaths:
             assert tuple(history[i]) == model.objective_history
 
 
+def sequential_paths(G, C, yy, lams, cfg):
+    """The walk of ``lasso_paths`` one penalty at a time, its blocks' reference: at each
+    penalty, one ``_cd_gram`` step per group, as one call per penalty makes it (the exact
+    stage, ``_settle``, on each group admitted at its warm start's counts, then sweeps from
+    the warm start for the rest), with the first pattern ``_predict`` extrapolates from the
+    group's last two path points, counting back to its last swept point at most. Every
+    product and objective is formed here afresh. Yields per penalty (A, converged, sweeps,
+    histories, settled by an exact solve)."""
+    lams, g = np.asarray(lams, dtype=float), len(C)
+    pens = [lam if lam.ndim else np.full((g, 1), lam) for lam in lams]
+    A, before = np.zeros(C.shape), [None] * g  # the path point before each warm start
+    for j, pen in enumerate(pens):
+        adm, settled, f = np.flatnonzero(_admitted(A)[2]), np.zeros(g, dtype=bool), {}
+        S, obj = np.empty((len(adm),) + C.shape[1:], dtype=np.int8), np.empty(len(adm))
+        for k, i in enumerate(adm):
+            l1, AG = pens[j - 1][i] if j else pen[i], A[i] @ G[i]
+            A2, l2 = before[i] or (A[i], l1)
+            t = np.divide(l1 - pen[i], l2 - l1, out=np.zeros(pen[i].shape), where=l2 != l1)
+            S[k] = _predict(A[i], AG, A2, A2 @ G[i], C[i], t[:, None], pen[i][:, None] / 2.0)
+            obj[k] = _objective(A[i][None], AG[None], C[i:i + 1], yy[i:i + 1], pen[i][None])[0]
+        new = A.copy()
+        if len(adm):
+            W = A[adm]
+            ok, objectives, _ = _settle(G, C, yy, pen[adm], W, S, obj, adm)
+            new[adm[ok]], settled[adm[ok]] = W[ok], True
+            f = dict(zip(adm[ok].tolist(), objectives[ok].tolist()))
+        sweeps, converged = np.ones(g, dtype=int), settled.copy()
+        history = [[f[i]] if settled[i] else [] for i in range(g)]
+        sw = np.flatnonzero(~settled)
+        if len(sw):
+            W = A[sw]
+            out = _cd_gram(G[sw], C[sw], yy[sw], pen[sw], cfg.tol, cfg.max_sweeps, W, exact=False)
+            new[sw], sweeps[sw], converged[sw] = W, out[0], out[1]
+            for k, i in enumerate(sw.tolist()):
+                history[i] = out[2][k]
+        before = [(A[i], pens[j - 1][i] if j else pen[i]) if settled[i] else None for i in range(g)]
+        A = new
+        yield A.copy(), converged, sweeps, history, settled
+
+
+class TestBlocks:
+    """``lasso_paths`` settles several upcoming penalties of each group in one exact-stage
+    call and keeps a speculative item only as a prefix, by the test a sequential solve
+    makes; every point must equal the one-penalty-at-a-time walk (``sequential_paths``) bit
+    for bit, sweeps, convergence and histories included."""
+
+    CASES = {
+        # a per-row-grid Granger batch: five designs of 4 rows on 8 regressors
+        "granger": ([11, 12, 13, 14, 15], 4, 4, 2, True),
+        # a shared-grid CV batch: three folds of 10 rows on 20 regressors
+        "cv": ([21, 22, 23], 10, 10, 2, False),
+        # m = 24: dense points are beyond admission, so groups sweep while others settle
+        "sweeps": ([31, 32, 33, 34], 4, 6, 4, False),
+    }
+
+    def test_blocks_equal_the_sequential_walk(self, monkeypatch):
+        cfg = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
+        rejected, settle = {}, _settle
+
+        def recorded(*args):
+            ok, f, ahead = settle(*args)
+            if len(args) > 8:  # a path's blocks: every item not a head is speculative
+                rejected[case] = rejected.get(case, 0) + int(np.count_nonzero(~args[8] & ~ok))
+            return ok, f, ahead
+
+        monkeypatch.setattr("sparsevar.lasso._settle", recorded)
+        for case, (seeds, rows, k, p, per_row) in self.CASES.items():
+            _, (G, C, yy), lams = stacked_paths(seeds, rows, k, p, per_row, cfg)
+            blocks = list(lasso_paths(G, C, yy, lams, cfg))
+            walk = list(sequential_paths(G, C, yy, lams, cfg))
+            mixed = False
+            for (lam, A, converged, sweeps, history), (A_s, conv_s, sweeps_s, hist_s, settled) \
+                    in zip(blocks, walk, strict=True):
+                assert_bitwise(A, A_s)
+                assert_bitwise(converged, conv_s)
+                np.testing.assert_array_equal(sweeps, sweeps_s)
+                assert history == hist_s
+                mixed |= bool(settled.any() and not settled.all())
+            assert mixed == (case == "sweeps")
+        assert rejected["granger"] + rejected["cv"] + rejected["sweeps"] > 0
+
+    def test_run_ahead_is_bounded(self):
+        # group 0's responses are scaled up 100-fold, so it is dense at every point of the
+        # shared grid, never admitted, and sweeps one penalty a round while the others
+        # settle blocks; its lag bounds what waits to be yielded, whatever the grid's length
+        import tracemalloc
+
+        peaks = []
+        for n_points in (50, 200):
+            cfg = LassoConfig(tol=1e-5, grid=LassoGrid(n_points=n_points, ratio=1e-3))
+            _, (G, C, yy), lams = stacked_paths([41, 42, 43, 44], 12, 12, 2, False, cfg)
+            C[0], yy[0] = 100.0 * C[0], 1e4 * yy[0]
+            tracemalloc.start()
+            try:
+                sweeps = [s[0] for _, _, _, s, _ in lasso_paths(G, C, yy, lams, cfg)]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert min(sweeps) > 1  # group 0 swept every point
+        assert peaks[1] <= 1.1 * peaks[0]
+
+
 def ar1_panels(seeds, k=4):
     """AR(1)-error simulate() panels of the same shape and different lengths."""
     return [simulate(SyntheticSpec(
@@ -899,7 +1004,7 @@ class TestExactFinish:
         tracemalloc.start()
         try:
             _finish(G, C, np.array([10.0]), np.array([[0.01]]), W, np.array([np.inf]),
-                    np.ones(1, dtype=bool), S)
+                    np.ones(1, dtype=bool), S, np.zeros(1, dtype=int))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -982,41 +1087,43 @@ class TestPinnedOutputs:
 
 class TestSweepCounts:
     """Deterministic solver work on two seeded runs on the bench grid: coordinate
-    group-sweeps (each ``_cd_gram`` call's sweeps summed over its groups, less the
-    groups ``_settle`` settled, whose one sweep is an exact solve) and exact-solve
-    batches (``_finish`` calls, all from ``_settle``). Neither may exceed the
-    count measured with four exact solves from the warm start before any sweep. A
-    change that makes the solver sweep or solve more fails."""
+    group-sweeps (each ``_cd_gram`` call's sweeps summed over its groups; on a path every
+    group of a ``_cd_gram`` call sweeps, since ``lasso_paths`` makes the exact stage in
+    its own blocks) and exact-solve batches (``_finish`` calls, all from ``_settle``).
+    Neither may exceed the count measured with blocks of upcoming penalties settled in
+    one ``_settle`` call. A change that makes the solver sweep or solve more, such as one
+    exact-stage call per penalty, fails."""
 
     cfg = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
 
     def work(self, monkeypatch, scenario) -> tuple[int, int]:
         """(coordinate group-sweeps, exact-solve batches) of the scenario."""
-        counts = {"_cd_gram": 0, "_settle": 0, "_finish": 0}
+        counts = {"_cd_gram": 0, "_finish": 0}
 
         def counted(name, fn, count):
-            def call(*args):
-                out = fn(*args)
-                counts[name] += count(out)
+            def call(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                counts[name] += count(out, kwargs)
                 return out
             return call
 
-        def groups(out):
+        def group_sweeps(out, kwargs):
+            assert kwargs == {"exact": False}  # a path's: its exact stage is the blocks'
             return int(out[0].sum())
 
-        for name, fn, count in [("_cd_gram", _cd_gram, groups), ("_settle", _settle, groups),
-                                ("_finish", _finish, lambda out: 1)]:
+        for name, fn, count in [("_cd_gram", _cd_gram, group_sweeps),
+                                ("_finish", _finish, lambda out, kwargs: 1)]:
             monkeypatch.setattr(f"sparsevar.lasso.{name}", counted(name, fn, count))
         SCENARIOS[scenario](self.cfg)
-        return counts["_cd_gram"] - counts["_settle"], counts["_finish"]
+        return counts["_cd_gram"], counts["_finish"]
 
     def test_granger_network_bic_paths(self, monkeypatch):
         coordinate_sweeps, exact_solve_batches = self.work(monkeypatch, "granger")
-        assert coordinate_sweeps <= 0 and exact_solve_batches <= 72
+        assert coordinate_sweeps <= 0 and exact_solve_batches <= 16
 
     def test_three_fold_cv_paths(self, monkeypatch):
         coordinate_sweeps, exact_solve_batches = self.work(monkeypatch, "cv")
-        assert coordinate_sweeps <= 0 and exact_solve_batches <= 88
+        assert coordinate_sweeps <= 0 and exact_solve_batches <= 37
 
 
 class TestKkt:
