@@ -467,20 +467,20 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
             act = np.flatnonzero(pos < min(n, lo + 8))
             adm = _admitted(np.stack([last[i][-1][0] for i in act]))[2]
             act, adm = act[adm | (pos[act] == lo)], act[adm]
-            share = max(1, max(g, (1 << 17) // (R * m)) // max(len(adm), 1))  # items' R m <= g R m
-            items = [(i, p) for i in adm.tolist() for p in
-                     range(pos[i], pos[i] + min(blen[i], n - pos[i], lo + 8 - pos[i], share))]
-            grp, at = np.array(items, dtype=int).reshape(-1, 2).T
+            share = max(1, max(g, (1 << 17) // (R * m)) // max(len(adm), 1))
+            b = np.minimum(blen[adm], min(n, lo + 8) - pos[adm]).clip(max=share)
+            grp, ends = np.repeat(adm, b), np.cumsum(b)  # each group's items in order
+            at = pos[grp] + np.arange(len(grp)) - np.repeat(ends - b, b)
             lam, nxt, head = pen[at, grp], pen[np.minimum(at + 1, n - 1), grp], at == pos[grp]
             S, obj = np.empty((len(grp), R, m), dtype=np.int8), np.full(len(grp), np.inf)
-            for i in adm.tolist():
+            for i, h, e in zip(adm.tolist(), (ends - b).tolist(), ends.tolist()):
                 for point in last[i]:  # a swept point's product
                     point[1] = point[0] @ G[i] if point[1] is None else point[1]
-                (A2, A2G, l2, _), (A1, A1G, l1, f1), sel = last[i][0], last[i][-1], grp == i
-                obj[sel & head] = f1 if f1 is not None else _objective(
-                    A1[None], A1G[None], C[i:i + 1], yy[i:i + 1], lam[sel & head])
-                t = np.divide(l1 - lam[sel], l2 - l1, out=np.zeros(lam[sel].shape), where=l2 != l1)
-                S[sel] = _predict(A1, A1G, A2, A2G, C[i], t[..., None], lam[sel][..., None] / 2.0)
+                (A2, A2G, l2, _), (A1, A1G, l1, f1) = last[i][0], last[i][-1]
+                obj[h] = f1 if f1 is not None else _objective(
+                    A1[None], A1G[None], C[i:i + 1], yy[i:i + 1], lam[h:h + 1])[0]
+                t = np.divide(l1 - lam[h:e], l2 - l1, out=np.zeros(lam[h:e].shape), where=l2 != l1)
+                S[h:e] = _predict(A1, A1G, A2, A2G, C[i], t[..., None], lam[h:e, :, None] / 2.0)
             W, WG = np.zeros(S.shape), np.zeros(S.shape)
             ok, f, ahead = _settle(G, C, yy, lam, W, S, obj, grp, head, WG, nxt)
             for k, i in zip(np.flatnonzero(ok).tolist(), grp[ok].tolist()):
@@ -489,8 +489,8 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
                 last[i] = last[i][-1:] + [point]
             pos += np.bincount(grp[ok], minlength=g)
             del W, WG, S
-            kept, whole = pos[adm] - start[adm], np.bincount(grp, minlength=g)[adm]
-            blen[adm] = np.where(kept == whole, 2 * blen[adm], kept).clip(2, 8)
+            kept = pos[adm] - start[adm]
+            blen[adm] = np.where(kept == b, 2 * blen[adm], kept).clip(2, 8)
             sw = act[pos[act] == start[act]]
             if len(sw):
                 A, pens = np.stack([last[i][-1][0] for i in sw]), pen[pos[sw], sw]
