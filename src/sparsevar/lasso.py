@@ -22,8 +22,9 @@ enough on a predicted sign pattern; the KKT check alone decides if it stops ther
 sweep (at lambda = 0 no sign is read: an admitted OLS fit settles in one solve). A path
 is piecewise linear in lambda (LARS), so ``lasso_paths`` settles blocks of up to 8 next
 penalties per exact-stage call, each on a pattern extrapolated from the last two points,
-and keeps the prefix that passes the test of a one-penalty-at-a-time walk. A group that
-sweeps stops by tol or at the sweep cap.
+keeps the prefix that passes the test of a one-penalty-at-a-time walk, carries the last
+kept X G into the next block and runs no group 8 penalties past the slowest. A group
+that sweeps stops by tol or at the sweep cap.
 """
 
 from __future__ import annotations
@@ -448,11 +449,11 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
     kept prefix settles them, one sweep each. b doubles after a block kept whole, else
     falls to the kept length, at least 2; at most 8. The last two kept items' X G carry
     over as the next block's warm gradients, the last one's objective at the next penalty
-    as its warm objective. A group whose head fails, or not admitted, sweeps one penalty
-    from its untouched warm start (``_cd_gram`` without its exact stage, on copies of its
-    Grams), waits while ahead of the slowest group, and restarts the prediction. No block
+    as its warm objective. A group not admitted waits while ahead of the slowest; it, or a
+    group whose head fails, sweeps one penalty from its untouched warm start (``_cd_gram``
+    without its exact stage, on copies of its Grams), and the prediction restarts. No block
     reaches 8 penalties past the slowest, so at most 8 penalties' results wait to be
-    yielded; a round's items hold at most max(g R m, 2^17) coefficients. Each path yields
+    yielded; a round's items fit one ``_finish`` chunk at pad m, heads apart. Each path yields
     its solo sweeps and coefficients bit for bit. Yields per penalty (lam: a float, or the
     (g, R) grid row; A (g, R, m); converged, sweeps (g,); histories).
     """
@@ -467,7 +468,7 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
             act = np.flatnonzero(pos < min(n, lo + 8))
             adm = _admitted(np.stack([last[i][-1][0] for i in act]))[2]
             act, adm = act[adm | (pos[act] == lo)], act[adm]
-            share = max(1, max(g, (1 << 17) // (R * m)) // max(len(adm), 1))
+            share = max(1, max(G.size // 64, 1 << 17) // (m * (m + R * (m + 5))) // (len(adm) or 1))
             b = np.minimum(blen[adm], min(n, lo + 8) - pos[adm]).clip(max=share)
             grp, ends = np.repeat(adm, b), np.cumsum(b)  # each group's items in order
             at = pos[grp] + np.arange(len(grp)) - np.repeat(ends - b, b)
@@ -482,7 +483,8 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
                 t = np.divide(l1 - lam[h:e], l2 - l1, out=np.zeros(lam[h:e].shape), where=l2 != l1)
                 S[h:e] = _predict(A1, A1G, A2, A2G, C[i], t[..., None], lam[h:e, :, None] / 2.0)
             W, WG = np.zeros(S.shape), np.zeros(S.shape)
-            ok, f, ahead = _settle(G, C, yy, lam, W, S, obj, grp, head, WG, nxt)
+            ok, f, ahead = (_settle(G, C, yy, lam, W, S, obj, grp, head, WG, nxt) if len(grp)
+                            else (head, obj, obj))  # no item: no exact-stage call
             for k, i in zip(np.flatnonzero(ok).tolist(), grp[ok].tolist()):
                 point = [W[k].copy(), WG[k].copy(), lam[k], ahead[k]]  # W, WG are freed
                 out[i].append((point[0], True, 1, [float(f[k])]))
