@@ -475,7 +475,7 @@ def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
             lam, nxt, head = pen[at, grp], pen[np.minimum(at + 1, n - 1), grp], at == pos[grp]
             S, obj = np.empty((len(grp), R, m), dtype=np.int8), np.full(len(grp), np.inf)
             for i, h, e in zip(adm.tolist(), (ends - b).tolist(), ends.tolist()):
-                for point in last[i]:  # a swept point's product
+                for point in last[i]:  # products of swept points and of the zero start
                     point[1] = point[0] @ G[i] if point[1] is None else point[1]
                 (A2, A2G, l2, _), (A1, A1G, l1, f1) = last[i][0], last[i][-1]
                 obj[h] = f1 if f1 is not None else _objective(
