@@ -40,7 +40,7 @@ def _parse_grid(text: str) -> lasso.LassoGrid:
 def _parse_origins(text: str) -> tuple[date, date]:
     try:
         start, end = text.split(":")
-        return date.fromisoformat(start), date.fromisoformat(end)
+        return panel.parse_date(start), panel.parse_date(end)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected START:END ISO dates: {text!r}")
 
@@ -57,97 +57,49 @@ def _parse_named(pairs: list[str], flag: str) -> dict[str, str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+# options of several subcommands; --config and --out come first in every one
+_OPTIONS = {
+    "--config": dict(help="JSON config file; flags override its keys"),
+    "--out": dict(help="output directory"),
+    "--lag": dict(type=int, help="VAR lag order p"),
+    "--estimator": dict(choices=lasso.ESTIMATORS, help="fit flavor"),
+    "--lambda": dict(dest="lam", type=float, help="fixed penalty"),
+    "--grid": dict(type=_parse_grid, help="penalty grid as N,RATIO"),
+    "--tol": dict(type=float, help="solver tolerance"),
+    "--max-sweeps": dict(type=int, help="solver sweep cap per penalty; an exact solve that "
+                                        "settles a fit before any sweep counts as one"),
+    "--horizons": dict(type=int, help="max forecast horizon H"),
+    "--origins": dict(type=_parse_origins, help="forecast origins as START:END (ISO dates)"),
+    "--threshold": dict(type=float, help="edge p-value threshold"),
+    "--seed": dict(type=int, help="random seed"),
+    "--n-splits": dict(type=int, help="walk-forward folds"),
+    "--test-size": dict(type=int, help="validation points per fold"),
+    "--min-train": dict(type=int, help="smallest training window"),
+    "--panel": dict(help="input panel CSV"),
+}
+_TUNING = ("--grid", "--tol", "--max-sweeps", "--n-splits", "--test-size", "--min-train")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser. Every subcommand of ``COMMANDS`` is registered by name and
+    help, but only ``command``'s options are added (every one's when None), the
+    same options either way. ``option_choices`` and ``option_types`` hold each
+    subcommand's choices and types by dest: config-file values skip argparse, so
+    ``_merge_config`` checks them against these.
+    """
     parser = argparse.ArgumentParser(
         prog="sparsevar",
         description="Sparse VAR estimation, tuning, forecasting and causality networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    options = {
-        "--lag": dict(type=int, help="VAR lag order p"),
-        "--estimator": dict(choices=lasso.ESTIMATORS, help="fit flavor"),
-        "--lambda": dict(dest="lam", type=float, help="fixed penalty"),
-        "--grid": dict(type=_parse_grid, help="penalty grid as N,RATIO"),
-        "--tol": dict(type=float, help="solver tolerance"),
-        "--max-sweeps": dict(type=int, help="solver sweep cap per penalty; an exact solve that "
-                                            "settles a fit before any sweep counts as one"),
-        "--horizons": dict(type=int, help="max forecast horizon H"),
-        "--origins": dict(type=_parse_origins, help="forecast origins as START:END (ISO dates)"),
-        "--threshold": dict(type=float, help="edge p-value threshold"),
-        "--seed": dict(type=int, help="random seed"),
-        "--n-splits": dict(type=int, help="walk-forward folds"),
-        "--test-size": dict(type=int, help="validation points per fold"),
-        "--min-train": dict(type=int, help="smallest training window"),
-    }
-    tuning = ("--grid", "--tol", "--max-sweeps", "--n-splits", "--test-size", "--min-train")
-
-    def common(sp, *flags):
-        sp.add_argument("--config", help="JSON config file; flags override its keys")
-        sp.add_argument("--out", help="output directory")
-        for flag in flags:
-            sp.add_argument(flag, **options[flag])
-        return sp
-
-    sp = common(sub.add_parser("simulate", help="write a synthetic panel plus ground truth"),
-                "--lag", "--seed")
-    sp.add_argument("--k", type=int, help="number of series")
-    sp.add_argument("--t", type=int, help="sample length")
-    sp.add_argument("--density", type=float, help="coefficient density")
-    sp.add_argument("--magnitude", type=float, help="coefficient magnitude")
-    sp.add_argument("--error", choices=["iid", "ar1"], help="error process")
-    sp.add_argument("--rho", type=float, help="AR(1) error parameter")
-    sp.add_argument("--sd", type=float, help="innovation standard deviation")
-
-    sp = common(sub.add_parser("ingest", help="build a unified daily panel"))
-    sp.add_argument("--prices", help="price CSV; log returns are computed")
-    sp.add_argument("--volume", help="volume CSV appended as-is")
-    sp.add_argument("--sentiment", action="append", default=[], metavar="NAME=PATH",
-                    help="scored-item CSV aggregated to a daily series")
-    sp.add_argument("--trends", action="append", default=[], metavar="NAME=DIR",
-                    help="directory of monthly chunk CSVs plus monthly.csv")
-    sp.add_argument("--alpha", type=float, help="sentiment normalization constant")
-    sp.add_argument("--fill", choices=["zero", "carry"], help="empty-day policy")
-
-    sp = common(sub.add_parser("cv", help="select the penalty by walk-forward loss"),
-                "--lag", *tuning)
-    # cmd_cv checks the estimator itself, so it is reported with every other problem
-    sp.add_argument("--estimator", help=" or ".join(lasso.TUNED))
-    sp.add_argument("--panel", help="input panel CSV")
-
-    sp = common(sub.add_parser("fit", help="fit a model and write it as JSON"),
-                "--lag", "--estimator", "--lambda", *tuning)
-    sp.add_argument("--panel", help="input panel CSV")
-
-    sp = common(sub.add_parser("forecast", help="run the expanding-origin exercise"),
-                "--lag", "--estimator", "--lambda", *tuning, "--horizons", "--origins")
-    sp.add_argument("--panel", help="input panel CSV")
-    sp.add_argument("--refit-policy", choices=["first", "per_origin"],
-                    help="penalty selection policy; the walk-forward plan fixes the "
-                         "folds, so both select the penalty once")
-
-    sp = common(sub.add_parser("evaluate", help="score forecast files"))
-    sp.add_argument("--forecast", action="append", default=[], metavar="NAME=PATH",
-                    help="forecast CSV to evaluate (repeatable)")
-    sp.add_argument("--benchmark", help="model name used as the accuracy-test baseline")
-    sp.add_argument("--mda-form", choices=["consecutive", "origin"],
-                    help="directional accuracy form")
-
-    sp = common(sub.add_parser("granger", help="all-pairs causality network"),
-                "--lag", "--grid", "--tol", "--max-sweeps", "--threshold")
-    sp.add_argument("--panel", help="input panel CSV")
-    sp.add_argument("--robust", action="store_true", default=None,
-                    help="heteroskedasticity-robust score test")
-
-    # config-file values skip argparse, so _merge_config checks them against these
-    parser.option_choices = {
-        name: {a.dest: a.choices for a in sp._actions if a.choices is not None}
-        for name, sp in sub.choices.items()
-    }
-    parser.option_types = {
-        name: {a.dest: a.type for a in sp._actions if a.type is not None}
-        for name, sp in sub.choices.items()
-    }
+    for name, (_, help_text, options) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for option in ("--config", "--out", *options) if command in (None, name) else ():
+            flag, kwargs = (option, _OPTIONS[option]) if isinstance(option, str) else option
+            sp.add_argument(flag, **kwargs)
+    parser.option_choices, parser.option_types = (
+        {name: {a.dest: getattr(a, key) for a in sp._actions if getattr(a, key) is not None}
+         for name, sp in sub.choices.items()} for key in ("choices", "type"))
     return parser
 
 
@@ -450,25 +402,59 @@ def cmd_granger(cfg: dict) -> None:
     granger.write_network_dot(net, os.path.join(out, "granger_network.dot"))
 
 
+# each subcommand: its function, its help, and its options after --config and --out,
+# each a flag of _OPTIONS or a (flag, add_argument keywords) pair
 COMMANDS = {
-    "simulate": cmd_simulate,
-    "ingest": cmd_ingest,
-    "cv": cmd_cv,
-    "fit": cmd_fit,
-    "forecast": cmd_forecast,
-    "evaluate": cmd_evaluate,
-    "granger": cmd_granger,
+    "simulate": (cmd_simulate, "write a synthetic panel plus ground truth", (
+        "--lag", "--seed",
+        ("--k", dict(type=int, help="number of series")),
+        ("--t", dict(type=int, help="sample length")),
+        ("--density", dict(type=float, help="coefficient density")),
+        ("--magnitude", dict(type=float, help="coefficient magnitude")),
+        ("--error", dict(choices=["iid", "ar1"], help="error process")),
+        ("--rho", dict(type=float, help="AR(1) error parameter")),
+        ("--sd", dict(type=float, help="innovation standard deviation")))),
+    "ingest": (cmd_ingest, "build a unified daily panel", (
+        ("--prices", dict(help="price CSV; log returns are computed")),
+        ("--volume", dict(help="volume CSV appended as-is")),
+        ("--sentiment", dict(action="append", default=[], metavar="NAME=PATH",
+                             help="scored-item CSV aggregated to a daily series")),
+        ("--trends", dict(action="append", default=[], metavar="NAME=DIR",
+                          help="directory of monthly chunk CSVs plus monthly.csv")),
+        ("--alpha", dict(type=float, help="sentiment normalization constant")),
+        ("--fill", dict(choices=["zero", "carry"], help="empty-day policy")))),
+    "cv": (cmd_cv, "select the penalty by walk-forward loss", (
+        # cmd_cv checks the estimator itself, so it is reported with every other problem
+        "--lag", *_TUNING, ("--estimator", dict(help=" or ".join(lasso.TUNED))), "--panel")),
+    "fit": (cmd_fit, "fit a model and write it as JSON",
+            ("--lag", "--estimator", "--lambda", *_TUNING, "--panel")),
+    "forecast": (cmd_forecast, "run the expanding-origin exercise", (
+        "--lag", "--estimator", "--lambda", *_TUNING, "--horizons", "--origins", "--panel",
+        ("--refit-policy", dict(choices=["first", "per_origin"],
+                                help="penalty selection policy; the walk-forward plan fixes "
+                                     "the folds, so both select the penalty once")))),
+    "evaluate": (cmd_evaluate, "score forecast files", (
+        ("--forecast", dict(action="append", default=[], metavar="NAME=PATH",
+                            help="forecast CSV to evaluate (repeatable)")),
+        ("--benchmark", dict(help="model name used as the accuracy-test baseline")),
+        ("--mda-form", dict(choices=["consecutive", "origin"],
+                            help="directional accuracy form")))),
+    "granger": (cmd_granger, "all-pairs causality network", (
+        "--lag", "--grid", "--tol", "--max-sweeps", "--threshold", "--panel",
+        ("--robust", dict(action="store_true", default=None,
+                          help="heteroskedasticity-robust score test")))),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     _setup_logging()
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         cfg = _merge_config(args, parser.option_choices[args.command],
                             parser.option_types[args.command])
-        COMMANDS[args.command](cfg)
+        COMMANDS[args.command][0](cfg)
     except ConfigError as exc:
         print(json.dumps({"error": "config", "messages": exc.messages}), file=sys.stderr)
         return 2

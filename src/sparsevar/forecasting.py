@@ -11,7 +11,7 @@ import numpy as np
 
 from sparsevar.cv import WalkForwardPlan, select_lambda
 from sparsevar.lasso import TUNED, LassoConfig, VarModel, fit_panel_vars
-from sparsevar.panel import TimePanel, csv_records, stack_state
+from sparsevar.panel import TimePanel, csv_records, parse_date, stack_state
 
 
 class ForecastError(ValueError):
@@ -165,13 +165,13 @@ def read_forecast_csv(path) -> ForecastSet:
     columns = ("origin", "horizon", "series", "forecast", "actual")
     for lineno, row in csv_records(path, columns, ForecastError):
         try:
-            origin = date.fromisoformat(row["origin"].strip())
+            origin = parse_date(row["origin"])
             h = int(row["horizon"])
             name = row["series"].strip()
             value = float(row["forecast"])
             actual_raw = row["actual"].strip()
             actual = float("nan") if actual_raw == "" else float(actual_raw)
-        except (ValueError, AttributeError):
+        except (ValueError, AttributeError, TypeError):  # a short row holds None
             raise ForecastError(f"{path}:{lineno}: bad row {row}") from None
         key = (origin, h, name)
         if key in cells:

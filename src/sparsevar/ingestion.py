@@ -10,7 +10,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from sparsevar.panel import TimePanel, csv_records
+from sparsevar.panel import TimePanel, csv_records, parse_date
 
 
 class IngestionError(ValueError):
@@ -154,7 +154,7 @@ def load_scored_items_csv(path) -> list[ScoredItem]:
         try:
             ts = datetime.fromisoformat(row["timestamp"].strip())
             x = float(row["valence_sum"])
-        except (ValueError, AttributeError):
+        except (ValueError, AttributeError, TypeError):
             raise IngestionError(f"{path}:{lineno}: bad row {row}") from None
         items.append(ScoredItem(ts, x))
     return items
@@ -168,7 +168,7 @@ def load_monthly_index_csv(path) -> MonthlyIndex:
             y, m = row["month"].strip().split("-")
             months.append((int(y), int(m)))
             weights.append(float(row["weight"]))
-        except (ValueError, AttributeError):
+        except (ValueError, AttributeError, TypeError):
             raise IngestionError(f"{path}:{lineno}: bad row {row}") from None
     return MonthlyIndex(tuple(months), np.array(weights))
 
@@ -190,9 +190,9 @@ def load_trend_chunks(directory) -> dict[tuple[int, int], np.ndarray]:
         days: list[tuple[date, float]] = []
         for lineno, row in csv_records(path, ("date", "value"), IngestionError):
             try:
-                d = date.fromisoformat(row["date"].strip())
+                d = parse_date(row["date"])
                 v = float(row["value"])
-            except (ValueError, AttributeError):
+            except (ValueError, AttributeError, TypeError):
                 raise IngestionError(f"{path}:{lineno}: bad row {row}") from None
             if (d.year, d.month) != (y, m):
                 raise IngestionError(f"{path}:{lineno}: date {d} outside {stem}")

@@ -538,9 +538,9 @@ def _fit_stack(gather: Callable[[int], tuple], n: int, cfg: LassoConfig,
                estimator: str) -> list[VarModel]:
     """The one fit path: n independent fits at cfg.lam ("ols": at 0) in one lockstep solve.
 
-    gather(i) builds item i's (LagEmbedding, stats) anew; only the stats and, in
-    stage 1, the moments Z Z^T / N, Y Z^T / N and ||Y||^2 / N are kept, and the
-    samples are gathered again for FGLS whitening and the residual covariance.
+    gather(i) builds item i's (LagEmbedding, stats), its samples anew on every call;
+    only the stats and, in stage 1, the moments Z Z^T / N, Y Z^T / N and ||Y||^2 / N
+    are kept, and the samples are gathered again for FGLS and the residual covariance.
     Stage 1 is one ``_cd_gram`` call from zero, one group per item with its own
     stopping rule, so each item gets its solo fit bit for bit; "fgls-lasso"
     adds one ``_fgls_refit`` of every item's equations.
@@ -694,11 +694,16 @@ def _bic(rss: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
 
 def fit_panel_vars(panels: Sequence[TimePanel], p: int, cfg: LassoConfig,
                    estimator: str = "lasso") -> list[VarModel]:
-    """``fit_panel_var`` of each panel in one ``_fit_stack``, each as alone."""
+    """``fit_panel_var`` of each panel in one ``_fit_stack``, each as alone. A panel is
+    standardized once; a later gather re-applies its stats, as ``standardize`` does."""
+    stats: list = [None] * len(panels)
 
     def gather(i: int) -> tuple:
-        std_panel, stats = standardize(panels[i])
-        return lag_embed(std_panel, p), stats
+        if stats[i] is None:
+            std_panel, stats[i] = standardize(panels[i])
+        else:
+            std_panel = panels[i].with_values(stats[i].transform(panels[i].values))
+        return lag_embed(std_panel, p), stats[i]
 
     return _fit_stack(gather, len(panels), cfg, estimator)
 

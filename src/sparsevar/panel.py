@@ -348,7 +348,20 @@ def csv_records(path, columns: tuple[str, ...], error: type[Exception]):
 
 
 def _date_ordinal(cell: str) -> int:
-    return date.fromisoformat(cell.strip()).toordinal()
+    """The day number of a date written exactly as YYYY-MM-DD, spaces around it allowed.
+
+    Python 3.11's ``date.fromisoformat`` also reads 20200102 and 2020-W01-3, which 3.10
+    rejects; of its forms, only YYYY-MM-DD has 10 characters with "-" at index 7.
+    """
+    text = cell.strip()
+    if len(text) != 10 or text[7] != "-":
+        raise ValueError(f"expected a YYYY-MM-DD date: {cell!r}")
+    return date.fromisoformat(text).toordinal()
+
+
+def parse_date(text: str) -> date:
+    """A date written exactly as YYYY-MM-DD: the panel reader's ``_date_ordinal``."""
+    return date.fromordinal(_date_ordinal(text))
 
 
 def _bad_line(path, n_fields: int, reason) -> PanelError:
@@ -415,4 +428,6 @@ def read_panel_csv(path) -> TimePanel:
     if gaps.size:
         prev, nxt = map(date.fromordinal, ordinals[gaps[0]: gaps[0] + 2].tolist())
         raise PanelError(f"{path}: missing dates between {prev} and {nxt}")
-    return TimePanel(tuple(map(date.fromordinal, ordinals.tolist())), tuple(names), table[:, 1:])
+    # days since 1970 as datetime64, whose tolist makes the dates in one C loop
+    days = (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
+    return TimePanel(tuple(days.tolist()), tuple(names), table[:, 1:])

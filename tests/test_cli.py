@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sparsevar import granger
-from sparsevar.cli import build_parser, main
+from sparsevar.cli import COMMANDS, build_parser, main
 from sparsevar.lasso import LassoConfig, LassoGrid
 from sparsevar.panel import TimePanel, read_panel_csv, write_panel_csv
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
@@ -108,6 +109,44 @@ def test_package_names_load_on_first_use():
         getattr(sparsevar, name)
     with pytest.raises(AttributeError):
         sparsevar.parallel_map
+
+
+class TestParser:
+    @staticmethod
+    def actions(parser, command):
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return [(a.option_strings, a.dest, a.type, a.choices, a.default, type(a))
+                for a in sub.choices[command]._actions]
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_one_subcommands_parser_has_the_full_parsers_actions(self, command):
+        full, one = build_parser(), build_parser(command)
+        assert self.actions(one, command) == self.actions(full, command)
+        assert len(self.actions(one, command)) > 3
+        assert all(len(self.actions(one, other)) == 1 for other in COMMANDS if other != command)
+        assert one.format_help() == full.format_help()
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        listed = capsys.readouterr().out.split("positional arguments:")[1]
+        assert [line.split()[0] for line in listed.splitlines()[2:9]] == [
+            "simulate", "ingest", "cv", "fit", "forecast", "evaluate", "granger"]
+
+    def test_unknown_subcommand_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["fitt", "--lag", "2"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'fitt'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("origins", ["20200102:2020-01-10", "2020-01-02:2020-W02-5"])
+    def test_origins_other_than_yyyy_mm_dd_are_rejected(self, capsys, origins):
+        # Python 3.11's date.fromisoformat reads 20200102 and 2020-W02-5 (2020-01-10)
+        with pytest.raises(SystemExit) as exit_:
+            main(["forecast", "--origins", origins])
+        assert exit_.value.code == 2
+        assert "expected START:END ISO dates" in capsys.readouterr().err
 
 
 def config_messages(capsys, argv):

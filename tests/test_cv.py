@@ -201,7 +201,8 @@ def fold_at_a_time(pnl, p, cfg, plan, estimator):
 
 class TestLockstepFolds:
     """Every fold's path runs in one lockstep call; each fold must still see
-    exactly the path it has alone."""
+    exactly the path it has alone, and each point's loss must be the one that
+    ``fold_at_a_time`` scores point by point."""
 
     plan = WalkForwardPlan(n_splits=3, test_size=30, min_train=150)
     cfg = LassoConfig(tol=1e-7, grid=LassoGrid(n_points=8))
@@ -211,6 +212,19 @@ class TestLockstepFolds:
         pnl, _ = sparse_panel(7, t=300)
         lam, report = select_lambda(pnl, 1, self.cfg, self.plan, estimator=estimator)
         lams, losses, ok = fold_at_a_time(pnl, 1, self.cfg, self.plan, estimator)
+        assert ok.all() and report.excluded == ()
+        np.testing.assert_array_equal(report.lams, lams)
+        np.testing.assert_array_equal(report.losses, losses)
+
+    @pytest.mark.parametrize("estimator", ["lasso", "fgls-lasso"])
+    def test_loss_table_equals_fold_at_a_time_in_several_scoring_chunks(self, estimator):
+        # 9 series by 200 validation points make 1,800 forecast values per point, so
+        # each fold scores its points 4 to a stacked product (at most 8,192 values)
+        pnl, _ = sparse_panel(5, k=9, t=560)
+        plan = WalkForwardPlan(n_splits=2, test_size=200, min_train=160)
+        cfg = LassoConfig(tol=1e-7, grid=LassoGrid(n_points=14))
+        lam, report = select_lambda(pnl, 1, cfg, plan, estimator=estimator)
+        lams, losses, ok = fold_at_a_time(pnl, 1, cfg, plan, estimator)
         assert ok.all() and report.excluded == ()
         np.testing.assert_array_equal(report.lams, lams)
         np.testing.assert_array_equal(report.losses, losses)

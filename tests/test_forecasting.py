@@ -394,6 +394,15 @@ class TestForecastCsv:
         with pytest.raises(ForecastError, match=r"gap\.csv:5: bad row"):
             read_forecast_csv(path)
 
+    @pytest.mark.parametrize("row", ["20200111,1,a,0.5,0.4", "2020-W02-6,1,a,0.5,0.4",
+                                     "2020-01-11"])
+    def test_other_date_forms_and_short_rows_are_bad_rows(self, tmp_path, row):
+        # both dates read as 2020-01-11 by Python 3.11's date.fromisoformat
+        path = tmp_path / "bad.csv"
+        path.write_text(f"origin,horizon,series,forecast,actual\n2020-01-10,1,a,0.5,0.4\n{row}\n")
+        with pytest.raises(ForecastError, match=r"bad\.csv:3: bad row"):
+            read_forecast_csv(path)
+
     def test_duplicate_cell_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(

@@ -223,6 +223,13 @@ class TestLoaderHeaders:
         (load_scored_items_csv, "items.csv", "timestamp,valence_sum\n2021-03-01T09:00:00,4\n\n\nx,1\n"),
         (load_monthly_index_csv, "monthly.csv", "month,weight\n2021-01,100\n\n\n2021-02,x\n"),
         (load_trend_chunks, "2021-02.csv", "date,value\n2021-02-01,1.0\n\n\n2021-02-02,x\n"),
+        # short rows, and dates that Python 3.11's date.fromisoformat reads as 2021-02-02
+        (load_scored_items_csv, "items.csv",
+         "timestamp,valence_sum\n2021-03-01T09:00:00,4\n\n\n2021-03-01T10:00:00\n"),
+        (load_monthly_index_csv, "monthly.csv", "month,weight\n2021-01,100\n\n\n2021-02\n"),
+        (load_trend_chunks, "2021-02.csv", "date,value\n2021-02-01,1.0\n\n\n2021-02-02\n"),
+        (load_trend_chunks, "2021-02.csv", "date,value\n2021-02-01,1.0\n\n\n20210202,2.0\n"),
+        (load_trend_chunks, "2021-02.csv", "date,value\n2021-02-01,1.0\n\n\n2021-W05-2,2.0\n"),
     ])
     def test_error_names_the_physical_line_after_blank_lines(self, tmp_path, load, name, text):
         (tmp_path / name).write_text(text)

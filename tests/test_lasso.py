@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsevar import lasso as lasso_mod
 from sparsevar.cv import WalkForwardPlan, select_lambda
 from sparsevar.granger import granger_network
 from sparsevar.lasso import (
@@ -708,7 +709,7 @@ class TestBlocks:
         import tracemalloc
 
         peaks = []
-        for n_points in (50, 200):
+        for n_points in (30, 120):
             cfg = LassoConfig(tol=1e-5, grid=LassoGrid(n_points=n_points, ratio=1e-3))
             _, (G, C, yy), lams = stacked_paths([41, 42, 43, 44], 12, 12, 2, False, cfg)
             C[0], yy[0] = 100.0 * C[0], 1e4 * yy[0]
@@ -750,6 +751,16 @@ class TestLockstepFits:
                 (solo.sweeps, solo.converged, solo.objective_history)
             assert (model.lam, model.estimator, model.names) == \
                 (solo.lam, solo.estimator, solo.names)
+
+    @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
+    def test_each_panel_is_standardized_once(self, monkeypatch, estimator):
+        # the samples are gathered two or three times; only the first derives the stats
+        calls = []
+        monkeypatch.setattr(lasso_mod, "standardize",
+                            lambda pnl: calls.append(pnl) or standardize(pnl))
+        panels = ar1_panels([31, 32, 33])
+        fit_panel_vars(panels, 2, LassoConfig(lam=0.12), estimator)
+        assert [id(pnl) for pnl in calls] == [id(pnl) for pnl in panels]
 
     def test_fgls_stage2_of_several_designs_equals_one_call_each(self):
         # three designs' whole stage-1 paths in one _cd_gram call of one-row groups;

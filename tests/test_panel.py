@@ -325,6 +325,9 @@ class TestCsvReader:
         ("2020-01-03,1.0", "expected 3 fields"),
         ("   ", "expected 3 fields"),
         ("2020-01-33,1.0,2.0", "bad date '2020-01-33'"),
+        # Python 3.11's date.fromisoformat reads both as 2020-01-03; 3.10 rejects both
+        ("20200103,1.0,2.0", "bad date '20200103'"),
+        ("2020-W01-5,1.0,2.0", "bad date '2020-W01-5'"),
         ("2020-01-03,1.0,abc", "non-numeric value"),
         ("2020-01-03,#5,1.0", "non-numeric value"),
         ("2020-01-03,1.0,1_000", "non-numeric value"),
