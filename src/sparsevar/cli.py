@@ -82,10 +82,10 @@ _TUNING = ("--grid", "--tol", "--max-sweeps", "--n-splits", "--test-size", "--mi
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI parser. Every subcommand of ``COMMANDS`` is registered by name and
-    help, but only ``command``'s options are added (every one's when None), the
-    same options either way. ``option_choices`` and ``option_types`` hold each
-    subcommand's choices and types by dest: config-file values skip argparse, so
-    ``_merge_config`` checks them against these.
+    help, but only ``command``'s options, ``-h`` included, are added (every one's
+    when None), the same options either way. ``option_choices`` and
+    ``option_types`` hold each subcommand's choices and types by dest:
+    config-file values skip argparse, so ``_merge_config`` checks them.
     """
     parser = argparse.ArgumentParser(
         prog="sparsevar",
@@ -93,8 +93,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, options) in COMMANDS.items():
-        sp = sub.add_parser(name, help=help_text)
-        for option in ("--config", "--out", *options) if command in (None, name) else ():
+        sp = sub.add_parser(name, help=help_text, add_help=command in (None, name))
+        for option in ("--config", "--out", *options) if sp.add_help else ():
             flag, kwargs = (option, _OPTIONS[option]) if isinstance(option, str) else option
             sp.add_argument(flag, **kwargs)
     parser.option_choices, parser.option_types = (
