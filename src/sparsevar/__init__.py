@@ -2,10 +2,18 @@
 recursive forecasting, forecast evaluation and Granger-causality networks.
 
 The names below are loaded on first use (PEP 562), so importing one module,
-say ``sparsevar.synthetic``, loads that module's own dependencies only.
+say ``sparsevar.synthetic``, loads that module's own dependencies only, and
+importing the package loads no submodule: it defines only ``SparsevarError``,
+the base of every module's domain error. ``sparsevar.cli`` loads ``panel``,
+``lasso`` and ``cv``; each subcommand imports the rest it runs on.
 """
 
 import importlib
+
+
+class SparsevarError(ValueError):
+    """Base of the modules' domain errors: invalid input or a failed computation."""
+
 
 _EXPORTS = {
     "panel": (
@@ -38,7 +46,7 @@ _EXPORTS = {
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = list(_MODULE_OF)
+__all__ = ["SparsevarError", *_MODULE_OF]
 
 
 def __getattr__(name):

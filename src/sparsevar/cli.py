@@ -1,4 +1,6 @@
-"""Batch command-line surface: simulate, ingest, cv, fit, forecast, evaluate, granger."""
+"""Batch command-line surface: simulate, ingest, cv, fit, forecast, evaluate, granger.
+
+Importing it loads ``panel``, ``lasso`` and ``cv``; each command imports the rest it runs on."""
 
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from datetime import date
 
 import numpy as np
 
+from sparsevar import SparsevarError, lasso, panel
 from sparsevar import cv as cv_mod
-from sparsevar import evaluation, forecasting, granger, ingestion, lasso, panel, synthetic
 
 
 class ConfigError(ValueError):
@@ -121,6 +123,8 @@ def _merge_config(args: argparse.Namespace, choices: dict, types: dict) -> dict:
                 loaded = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ConfigError([f"config file is not valid JSON: {exc}"]) from None
+            except UnicodeDecodeError:
+                raise ConfigError([f"config file is not UTF-8 text: {args.config}"]) from None
         if not isinstance(loaded, dict):
             raise ConfigError(["config file must hold one JSON object"])
         unknown = sorted(set(loaded) - (set(vars(args)) - {"config", "command"}))
@@ -200,6 +204,7 @@ def _outdir(cfg: dict, errors: list[str]) -> str:
 
 
 def cmd_simulate(cfg: dict) -> None:
+    from sparsevar import synthetic
     errors: list[str] = []
     out = _outdir(cfg, errors)
     k = int(cfg.get("k", 5))
@@ -231,6 +236,7 @@ def cmd_simulate(cfg: dict) -> None:
 
 
 def cmd_ingest(cfg: dict) -> None:
+    from sparsevar import ingestion
     errors: list[str] = []
     out = _outdir(cfg, errors)
     _require(cfg, ["prices"], errors)
@@ -326,6 +332,7 @@ def cmd_fit(cfg: dict) -> None:
 
 
 def cmd_forecast(cfg: dict) -> None:
+    from sparsevar import forecasting
     errors: list[str] = []
     out = _outdir(cfg, errors)
     _require(cfg, ["panel", "lag", "estimator", "origins"], errors)
@@ -357,6 +364,7 @@ def cmd_forecast(cfg: dict) -> None:
 
 
 def cmd_evaluate(cfg: dict) -> None:
+    from sparsevar import evaluation, forecasting
     errors: list[str] = []
     out = _outdir(cfg, errors)
     forecasts = _parse_named(cfg.get("forecast", []), "--forecast")
@@ -378,6 +386,7 @@ def cmd_evaluate(cfg: dict) -> None:
 
 
 def cmd_granger(cfg: dict) -> None:
+    from sparsevar import granger
     errors: list[str] = []
     out = _outdir(cfg, errors)
     _require(cfg, ["panel", "lag"], errors)
@@ -447,6 +456,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand, which imports its own modules when it runs. Exit 0; 2 on a
+    ConfigError, 1 on a SparsevarError or OSError, either with a JSON line on stderr."""
     _setup_logging()
     argv = sys.argv[1:] if argv is None else argv
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
@@ -458,17 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(json.dumps({"error": "config", "messages": exc.messages}), file=sys.stderr)
         return 2
-    except (
-        panel.PanelError,
-        ingestion.IngestionError,
-        lasso.LassoError,
-        cv_mod.CvError,
-        forecasting.ForecastError,
-        evaluation.EvaluationError,
-        granger.GrangerError,
-        synthetic.SyntheticError,
-        OSError,
-    ) as exc:
+    except (SparsevarError, OSError) as exc:
         print(json.dumps({"error": "runtime", "message": str(exc)}), file=sys.stderr)
         return 1
     return 0

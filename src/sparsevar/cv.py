@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sparsevar import SparsevarError
 from sparsevar.lasso import TUNED, LassoConfig, _fgls_refit, _path_moments, lambda_grid, lambda_max
 from sparsevar.lasso import lasso_path, lasso_paths  # noqa: F401 (the bench traces cv.lasso_path)
 from sparsevar.panel import TimePanel, lag_embed, standardize
@@ -16,7 +17,7 @@ from sparsevar.panel import TimePanel, lag_embed, standardize
 log = logging.getLogger("sparsevar.cv")
 
 
-class CvError(ValueError):
+class CvError(SparsevarError):
     """Raised on infeasible plans or unusable grids."""
 
 

@@ -8,10 +8,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sparsevar import SparsevarError
 from sparsevar.forecasting import ForecastSet
 
 
-class EvaluationError(ValueError):
+class EvaluationError(SparsevarError):
     """Raised on empty, misaligned or otherwise unusable inputs."""
 
 

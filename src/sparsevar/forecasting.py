@@ -9,12 +9,13 @@ from datetime import date
 
 import numpy as np
 
+from sparsevar import SparsevarError
 from sparsevar.cv import WalkForwardPlan, select_lambda
 from sparsevar.lasso import TUNED, LassoConfig, VarModel, fit_panel_vars
 from sparsevar.panel import TimePanel, csv_records, parse_date, stack_state
 
 
-class ForecastError(ValueError):
+class ForecastError(SparsevarError):
     """Raised on invalid forecasting input or misaligned forecast files."""
 
 

@@ -9,13 +9,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sparsevar import SparsevarError
 from sparsevar.lasso import LassoConfig, _bic, _path_moments, lambda_max, lasso_paths
 from sparsevar.panel import LagEmbedding, TimePanel, lag_embed, standardize
 
 log = logging.getLogger("sparsevar.granger")
 
 
-class GrangerError(ValueError):
+class GrangerError(SparsevarError):
     """Raised on invalid test specifications or unusable designs."""
 
 

@@ -10,10 +10,11 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from sparsevar import SparsevarError
 from sparsevar.panel import TimePanel, csv_records, parse_date
 
 
-class IngestionError(ValueError):
+class IngestionError(SparsevarError):
     """Raised on malformed or inconsistent raw inputs."""
 
 

@@ -37,6 +37,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from sparsevar import SparsevarError
 from sparsevar.panel import (
     LagEmbedding,
     StandardizationStats,
@@ -51,7 +52,7 @@ ESTIMATORS = ("ols", "lasso", "fgls-lasso")  # "ols" is the lasso at lambda = 0
 TUNED = ("lasso", "fgls-lasso")  # the estimators whose penalty cross-validation selects
 
 
-class LassoError(ValueError):
+class LassoError(SparsevarError):
     """Raised on invalid solver input."""
 
 

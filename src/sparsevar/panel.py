@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import warnings
 from bisect import bisect_left
@@ -10,8 +11,10 @@ from datetime import date
 
 import numpy as np
 
+from sparsevar import SparsevarError
 
-class PanelError(ValueError):
+
+class PanelError(SparsevarError):
     """Raised on invalid panel construction or transform input."""
 
 
@@ -335,11 +338,22 @@ def write_panel_csv(panel: TimePanel, path) -> None:
             writer.writerow([d.isoformat(), *(_format_number(x) for x in panel.values[t])])
 
 
+@contextlib.contextmanager
+def _open_csv(path, error: type[Exception]):
+    """The CSV file as UTF-8 text, a byte-order mark skipped; a byte that is not
+    UTF-8, read anywhere in the ``with`` block, raises ``error`` naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def csv_records(path, columns: tuple[str, ...], error: type[Exception]):
     """Yield ``(line number, row dict)`` per record of a CSV whose header names
-    all of ``columns``, else raise ``error``. A UTF-8 byte-order mark is
-    skipped, and the line number counts blank lines."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    all of ``columns``, else raise ``error``, as ``_open_csv`` reads it. The
+    line number counts blank lines."""
+    with _open_csv(path, error) as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
             raise error(f"{path}: need columns {','.join(columns)}")
@@ -366,7 +380,7 @@ def parse_date(text: str) -> date:
 
 def _bad_line(path, n_fields: int, reason) -> PanelError:
     """The first malformed data line's error, or the parser's reason if none is found."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_csv(path, PanelError) as fh:
         reader = csv.reader(fh)
         next(reader)
         for row in reader:
@@ -395,10 +409,10 @@ def read_panel_csv(path) -> TimePanel:
     One ``np.loadtxt`` call parses the body, reading each value bitwise as
     ``float`` does, except that underscore digit groups (``1_000``) and
     non-ASCII digits are rejected. Cells may be quoted or space-padded, ``#``
-    is data, a UTF-8 byte-order mark is skipped, and an error names the first
+    is data, the file is read by ``_open_csv``, and an error names the first
     bad line, blank lines counted.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with _open_csv(path, PanelError) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -8,10 +8,11 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from sparsevar import SparsevarError
 from sparsevar.panel import TimePanel, stack_state
 
 
-class SyntheticError(ValueError):
+class SyntheticError(SparsevarError):
     """Raised on unstable or inconsistent simulation specifications."""
 
 BURN_IN = 200

@@ -1,15 +1,18 @@
 import argparse
 import csv
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from sparsevar import granger
-from sparsevar.cli import COMMANDS, build_parser, main
+import sparsevar
+from sparsevar import SparsevarError, granger
+from sparsevar.cli import COMMANDS, ConfigError, build_parser, main
 from sparsevar.lasso import LassoConfig, LassoGrid
 from sparsevar.panel import TimePanel, read_panel_csv, write_panel_csv
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
@@ -97,6 +100,142 @@ def test_synthetic_does_not_load_the_estimation_stack():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert done.stdout.strip() == "[] None"
+
+
+def test_import_loads_only_the_modules_the_option_table_reads():
+    code = ("import sys; loaded = lambda: sorted(m for m in sys.modules "
+            "if m.startswith('sparsevar.')); import sparsevar; print(loaded()); "
+            "import sparsevar.cli; print(loaded())")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert done.stdout.split("\n")[:2] == [
+        "[]", "['sparsevar.cli', 'sparsevar.cv', 'sparsevar.lasso', 'sparsevar.panel']"]
+
+
+# runs one CLI command in this fresh process, then prints its exit code and the
+# sparsevar modules loaded
+FRESH_CHILD = """
+import json, sys
+from sparsevar.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("sparsevar."))]))
+"""
+
+
+@pytest.fixture(scope="module")
+def command_inputs(tmp_path_factory):
+    """A small panel, two forecast files of it, and ingest's price, item and trend files."""
+    d = tmp_path_factory.mktemp("inputs")
+    spec = SyntheticSpec(k=2, p=1, t=120,
+                         recipe=SparseRecipe(density=0.5, magnitude=0.3, seed=3), seed=3)
+    write_panel_csv(simulate(spec)[0], d / "panel.csv")
+    for estimator, penalty in (("ols", []), ("lasso", ["--lambda", "0.05"])):
+        assert main(["forecast", "--panel", str(d / "panel.csv"), "--lag", "1", *penalty,
+                     "--estimator", estimator, "--origins", "2018-04-10:2018-04-25",
+                     "--horizons", "2", "--out", str(d / estimator)]) == 0
+    days = [f"2021-02-{day:02d}" for day in range(1, 29)]
+    (d / "prices.csv").write_text("date,btc\n" + "".join(
+        f"{day},{100 + i % 3}\n" for i, day in enumerate(days)))
+    (d / "items.csv").write_text("timestamp,valence_sum\n2021-02-03T09:00:00,4.0\n"
+                                 "2021-02-10T10:00:00,-2.5\n")
+    (d / "trends").mkdir()
+    (d / "trends" / "2021-02.csv").write_text(
+        "date,value\n" + "".join(f"{day},{i}.0\n" for i, day in enumerate(days)))
+    (d / "trends" / "monthly.csv").write_text("month,weight\n2021-02,55\n")
+    return d
+
+
+class TestFreshProcess:
+    """Each subcommand in its own process: a command whose function-level import is
+    missing fails here, whatever modules the other tests have loaded."""
+
+    SHARED = ["sparsevar.cli", "sparsevar.cv", "sparsevar.lasso", "sparsevar.panel"]
+    COMMON = ["--lag", "1", "--grid", "5,0.01"]
+    PLAN = ["--n-splits", "2", "--test-size", "10"]
+    RUNS = {
+        "simulate": (["--k", "2", "--t", "60"], ["synthetic"], ["panel.csv", "truth.json"]),
+        "ingest": (["--prices", "{d}/prices.csv", "--sentiment=tw={d}/items.csv",
+                    "--trends=gt={d}/trends"], ["ingestion"], ["panel.csv"]),
+        "cv": (["--panel", "{d}/panel.csv", *COMMON, *PLAN], [],
+               ["cv_report.csv", "cv_excluded.csv"]),
+        "fit": (["--panel", "{d}/panel.csv", *COMMON, *PLAN, "--estimator", "lasso"], [],
+                ["model.json"]),
+        "forecast": (["--panel", "{d}/panel.csv", *COMMON, *PLAN, "--estimator", "lasso",
+                      "--origins", "2018-04-20:2018-04-25"], ["forecasting"],
+                     ["forecasts.csv"]),
+        "evaluate": (["--forecast=ols={d}/ols/forecasts.csv",
+                      "--forecast=lasso={d}/lasso/forecasts.csv", "--benchmark", "ols"],
+                     ["evaluation", "forecasting"], ["evaluation.csv"]),
+        "granger": (["--panel", "{d}/panel.csv", *COMMON], ["granger"],
+                    ["granger_matrix.csv", "granger_edges.csv", "granger_failures.csv",
+                     "granger_network.dot"]),
+    }
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_runs_loading_only_its_own_modules(self, tmp_path, command_inputs, command):
+        args, own, outputs = self.RUNS[command]
+        argv = [command, *(a.format(d=command_inputs) for a in args), "--out", str(tmp_path)]
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", FRESH_CHILD, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        assert code == 0, done.stderr
+        assert loaded == sorted(self.SHARED + [f"sparsevar.{m}" for m in own])
+        for name in outputs:
+            assert (tmp_path / name).is_file(), name
+
+
+def domain_errors():
+    """Every ``*Error`` class that a sparsevar module defines."""
+    found = []
+    for info in pkgutil.iter_modules(sparsevar.__path__):
+        module = importlib.import_module(f"sparsevar.{info.name}")
+        found += [cls for name, cls in vars(module).items() if name.endswith("Error")
+                  and isinstance(cls, type) and cls.__module__ == module.__name__]
+    return found
+
+
+class TestErrorMapping:
+    def test_every_domain_error_but_config_error_is_a_sparsevar_error(self):
+        errors = domain_errors()
+        assert sorted(cls.__name__ for cls in errors) == [
+            "ConfigError", "CvError", "EvaluationError", "ForecastError", "GrangerError",
+            "IngestionError", "LassoError", "PanelError", "SyntheticError"]
+        for cls in errors:
+            assert issubclass(cls, SparsevarError) == (cls is not ConfigError), cls
+
+    def test_each_domain_error_is_exit_1(self, tmp_path, capsys, monkeypatch):
+        for cls in [*domain_errors(), SparsevarError]:
+            if cls is ConfigError:
+                continue
+
+            def fail(cfg, cls=cls):
+                raise cls(f"{cls.__name__} raised")
+
+            monkeypatch.setitem(COMMANDS, "simulate", (fail, *COMMANDS["simulate"][1:]))
+            assert main(["simulate", "--out", str(tmp_path)]) == 1
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "runtime", "message": f"{cls.__name__} raised"}
+
+    @pytest.mark.parametrize("exc", [ValueError, TypeError])
+    def test_other_errors_propagate(self, tmp_path, monkeypatch, exc):
+        def fail(cfg):
+            raise exc("not a domain error")
+
+        monkeypatch.setitem(COMMANDS, "simulate", (fail, *COMMANDS["simulate"][1:]))
+        with pytest.raises(exc, match="not a domain error"):
+            main(["simulate", "--out", str(tmp_path)])
+
+    def test_input_file_that_is_not_utf8_is_a_runtime_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"date,\xe9\n2020-01-01,1.0\n")
+        assert main(["granger", "--panel", str(path), "--lag", "1",
+                     "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "runtime",
+                       "message": f"{path}: not UTF-8 text (invalid continuation byte)"}
 
 
 def test_package_names_load_on_first_use():
@@ -200,6 +339,12 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["forecast", "--threads", "2"])
         assert exc.value.code == 2
+
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"lag": "\xe9"}')
+        assert config_messages(capsys, ["cv", "--config", str(config)]) == [
+            f"config file is not UTF-8 text: {config}"]
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

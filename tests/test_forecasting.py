@@ -387,6 +387,12 @@ class TestForecastCsv:
         back = read_forecast_csv(path)
         assert back.names == ("a",) and back.values[0, 0, 0] == 0.5
 
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"origin,horizon,series,forecast,actual\n2020-01-10,1,\xe9,0.5,0.4\n")
+        with pytest.raises(ForecastError, match=r"latin1\.csv: not UTF-8 text"):
+            read_forecast_csv(path)
+
     def test_error_names_the_physical_line_after_blank_lines(self, tmp_path):
         path = tmp_path / "gap.csv"
         path.write_text("origin,horizon,series,forecast,actual\n2020-01-10,1,a,0.5,0.4\n\n\n"

@@ -220,6 +220,17 @@ class TestLoaderHeaders:
                                       np.arange(1.0, 29.0))
 
     @pytest.mark.parametrize("load, name, text", [
+        (load_scored_items_csv, "items.csv", b"timestamp,valence_sum\n2021-03-01T09:00:00,\xe9\n"),
+        (load_monthly_index_csv, "monthly.csv", b"month,weight\xe9\n2021-01,100\n"),
+        (load_trend_chunks, "2021-02.csv", b"date,value\n2021-02-01,1.0\xe9\n"),
+    ])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, load, name, text):
+        (tmp_path / name).write_bytes(text)
+        target = tmp_path if load is load_trend_chunks else tmp_path / name
+        with pytest.raises(IngestionError, match=rf"{name}: not UTF-8 text"):
+            load(target)
+
+    @pytest.mark.parametrize("load, name, text", [
         (load_scored_items_csv, "items.csv", "timestamp,valence_sum\n2021-03-01T09:00:00,4\n\n\nx,1\n"),
         (load_monthly_index_csv, "monthly.csv", "month,weight\n2021-01,100\n\n\n2021-02,x\n"),
         (load_trend_chunks, "2021-02.csv", "date,value\n2021-02-01,1.0\n\n\n2021-02-02,x\n"),

@@ -367,6 +367,20 @@ class TestCsvReader:
         with pytest.raises(PanelError, match=r"wide\.csv:3: expected 2 fields$"):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize("header, bad_row, gap", [
+        (b"date,\xe9", b"", b"\n"),
+        (b"date,a", b"2020-01-10,\xe9\n", b"\n"),
+        # past the first 8 KB read: it fails inside np.loadtxt, whose ValueError sends
+        # the reader to _bad_line, which reads the file again
+        (b"date,a", b"2020-01-10,\xe9\n", b"\n" * 9000),
+    ])
+    def test_bytes_that_are_not_utf8_name_the_file(self, tmp_path, header, bad_row, gap):
+        rows = gap.join(f"2020-01-{d:02d},{d}.0".encode() for d in range(1, 10))
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(header + b"\n" + rows + b"\n" + bad_row)
+        with pytest.raises(PanelError, match=r"latin1\.csv: not UTF-8 text \(invalid "):
+            read_panel_csv(path)
+
     @pytest.mark.parametrize("body", ["", "\n\n"])
     def test_header_only_file_has_no_data_rows(self, tmp_path, body):
         path = tmp_path / "empty.csv"
