@@ -171,6 +171,8 @@ def _validate_paths(cfg: dict, keys: list[str], errors: list[str]) -> None:
 def _lasso_config(cfg: dict, errors: list[str]) -> lasso.LassoConfig:
     # _merge_config has already converted each value with its option's type
     kwargs = {k: cfg[k] for k in ("lam", "tol", "max_sweeps", "grid") if cfg.get(k) is not None}
+    if cfg.get("estimator") == "ols" and kwargs.get("lam", 0) != 0:
+        errors.append(f"--lambda {cfg['lam']:g}: --estimator ols fits no penalty")
     try:
         return lasso.LassoConfig(**kwargs)
     except lasso.LassoError as exc:

@@ -77,12 +77,12 @@ def select_lambda(
     """Pick the penalty minimizing mean out-of-fold 1-step squared error.
 
     Each fold standardizes on its own training window only, fits the full
-    descending grid with warm starts, and scores (``_fold_losses``) 1-step
-    forecasts over the validation window without refitting. The loss is the
-    squared error summed over all series, averaged over validation points, in
-    the panel's original units. Ties break toward the larger (sparser)
-    penalty. Penalties whose fit fails to converge in any fold are excluded
-    with a warning and their folds named in ``CvReport.reasons``.
+    descending grid with warm starts, and scores 1-step forecasts over the
+    validation window without refitting, from a thin QR of its design
+    (``_fold_losses``): squared error summed over all series, averaged over
+    validation points, in the panel's original units. Ties break toward the
+    larger (sparser) penalty. Penalties whose fit fails to converge in any fold
+    are excluded with a warning and their folds named in ``CvReport.reasons``.
 
     Every fold's path runs in lockstep with the others in one ``lasso_paths``
     call on the shared grid, from the fold's moments alone; each fold stops on
@@ -172,13 +172,16 @@ def select_lambda(
 
 
 def _fold_losses(fits: np.ndarray, stats, val_Z: np.ndarray, actual: np.ndarray) -> np.ndarray:
-    """Each fit's (P, K, m) loss on a fold: one stacked product per chunk of at most 8,192
-    forecast values, whose 3-D matmul forms each fit's product as a 2-D one does."""
-    step, out = max(1, 8192 // actual.size), np.empty(len(fits))
-    for i in range(0, len(fits), step):
-        err = stats.inverse((fits[i: i + step] @ val_Z).transpose(0, 2, 1)) - actual
-        out[i: i + step] = np.mean(np.sum(err * err, axis=2), axis=1)
-    return out
+    """Each fit's (P, K, m) loss on a fold. With the thin QR val_Zᵀ = Q R (r = min(n_val, m))
+    and ã the actuals in training units, fit A's is Σ_k sd_k² (‖(A Rᵀ − (Qᵀã)ᵀ)_k‖² +
+    ‖ã_k − Q Qᵀ ã_k‖²) / n_val, O(K m r) whatever n_val. The Gram form ‖ã‖² − 2⟨A, C⟩ +
+    ⟨A G, A⟩ cancels: at 1-step R² ≈ 1 − 1e-10 it was 2e-5 off and moved the argmin."""
+    Q, R = np.linalg.qr(val_Z.T)
+    target = stats.transform(actual)
+    proj = Q.T @ target
+    loss = np.square(fits @ np.ascontiguousarray(R.T) - proj.T).sum(axis=2)
+    loss += np.square(target - Q @ proj).sum(axis=0)
+    return np.sum(loss * stats.sds ** 2, axis=1) / len(actual)
 
 
 def write_cv_report_csv(report: CvReport, path) -> None:

@@ -412,6 +412,26 @@ class TestConfigErrors:
         assert messages == [message]
         assert not (out / "model.json").exists()
 
+    @pytest.mark.parametrize("command,output", [("fit", "model.json"),
+                                                ("forecast", "forecasts.csv")])
+    def test_ols_rejects_a_nonzero_penalty(self, tmp_path, capsys, panel_csv, command, output):
+        args = [command, "--panel", panel_csv, "--lag", "1", "--estimator", "ols"]
+        if command == "forecast":
+            args += ["--origins", "2018-04-01:2018-04-05"]
+        assert config_messages(capsys, [*args, "--lambda", "0.5", "--out", str(tmp_path / "a")]) \
+            == ["--lambda 0.5: --estimator ols fits no penalty"]
+        assert not (tmp_path / "a" / output).exists()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"lam": 0.25}))
+        assert config_messages(capsys, [*args, "--config", str(config),
+                                        "--out", str(tmp_path / "b")]) \
+            == ["--lambda 0.25: --estimator ols fits no penalty"]
+        # a zero penalty is OLS, so it is accepted and changes nothing
+        assert main([*args, "--lambda", "0", "--out", str(tmp_path / "zero")]) == 0
+        assert main([*args, "--out", str(tmp_path / "none")]) == 0
+        assert ((tmp_path / "zero" / output).read_bytes()
+                == (tmp_path / "none" / output).read_bytes())
+
     def test_every_bad_config_type_is_listed(self, tmp_path, capsys, panel_csv):
         # 1.5 is not an int on the command line, so it is not truncated to 1 here
         config = tmp_path / "config.json"
@@ -590,8 +610,10 @@ def test_pipeline_end_to_end(tmp_path):
 
 
 # simulate -> cv -> fit --estimator lasso, and an FGLS forecast, on a K=4, p=2 panel
-# with AR(1) errors (m = 8: every fit of these paths can take the exact finish);
-# prints a digest of each output file and whether the fit is exact (KKT <= 1e-12)
+# with AR(1) errors (m = 8: every fit of these paths can take the exact finish), then
+# a cv on a K=10, p=2 panel with 500 validation points per fold, where OpenBLAS runs
+# the QR of each validation design on both threads; prints a digest of each output
+# file and whether the fit is exact (KKT <= 1e-12)
 THREADS_CHILD = """
 import hashlib, pathlib, sys
 from sparsevar.cli import main
@@ -608,7 +630,12 @@ assert main(["fit", *common, "--estimator", "lasso", "--lambda", lam,
              "--out", str(out / "fit")]) == 0
 assert main(["forecast", *common, *plan, "--origins", "2018-07-07:2018-07-17", "--horizons", "2",
              "--estimator", "fgls-lasso", "--refit-policy", "first", "--out", str(out / "fgls")]) == 0
-for rel in ("cv/cv_report.csv", "cv/cv_excluded.csv", "fit/model.json", "fgls/forecasts.csv"):
+assert main(["simulate", "--k", "10", "--t", "1500", "--lag", "2", "--seed", "7",
+             "--out", str(out / "wide")]) == 0
+assert main(["cv", "--panel", str(out / "wide" / "panel.csv"), "--lag", "2", "--n-splits", "2",
+             "--test-size", "500", "--out", str(out / "wide_cv")]) == 0
+for rel in ("cv/cv_report.csv", "cv/cv_excluded.csv", "fit/model.json", "fgls/forecasts.csv",
+            "wide_cv/cv_report.csv"):
     print(hashlib.sha256((out / rel).read_bytes()).hexdigest())
 model = VarModel.from_json((out / "fit" / "model.json").read_text())
 embed = lag_embed(standardize(read_panel_csv(str(out / "sim" / "panel.csv")))[0], 2)
@@ -625,5 +652,5 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                 for threads in ("1", "2")]
     outs = [child.communicate(timeout=120)[0] for child in children]
     assert [child.returncode for child in children] == [0, 0]
-    assert outs[0].split()[-1] == "True" and len(outs[0].split()) == 5 and outs[0] == outs[1]
+    assert outs[0].split()[-1] == "True" and len(outs[0].split()) == 6 and outs[0] == outs[1]
 

@@ -4,6 +4,7 @@ import pytest
 from sparsevar.cv import (
     CvError,
     WalkForwardPlan,
+    _fold_losses,
     make_splits,
     select_lambda,
     write_cv_excluded_csv,
@@ -18,9 +19,11 @@ from sparsevar.lasso import (
     lambda_max,
     lasso_path,
 )
-from sparsevar.panel import TimePanel, lag_embed, standardize
+from sparsevar.panel import StandardizationStats, TimePanel, lag_embed, standardize
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
 from dataclasses import replace
+
+from conftest import daily_panel
 
 
 class TestMakeSplits:
@@ -192,42 +195,57 @@ def fold_at_a_time(pnl, p, cfg, plan, estimator):
             fits[ok[:, fold]], _, _, converged, _ = _fgls_refit(
                 [(embed.Y, embed.Z, ok[:, fold].sum())], fits[ok[:, fold]], lams[ok[:, fold]], cfg)
             ok[ok[:, fold], fold] = converged.all(axis=1)
-        for i in np.flatnonzero(ok[:, fold]):
-            err = stats.inverse((fits[i] @ val_Z).T) - pnl.values[val.start: val.stop]
-            losses[i, fold] = float(np.mean(np.sum(err * err, axis=1)))
+        points = np.flatnonzero(ok[:, fold])
+        losses[points, fold] = residual_losses(fits[points], stats, val_Z,
+                                               pnl.values[val.start: val.stop])
     losses[~ok.all(axis=1)] = np.nan
     return lams, losses, ok
+
+
+def residual_losses(fits, stats, val_Z, actual):
+    """Each fit's loss scored point by point from its forecasts' errors in panel units."""
+    out = np.empty(len(fits))
+    for i, A in enumerate(fits):
+        err = stats.inverse((A @ val_Z).T) - actual
+        out[i] = np.mean(np.sum(err * err, axis=1))
+    return out
 
 
 class TestLockstepFolds:
     """Every fold's path runs in one lockstep call; each fold must still see
     exactly the path it has alone, and each point's loss must be the one that
-    ``fold_at_a_time`` scores point by point."""
+    ``fold_at_a_time`` scores point by point. The losses were bitwise equal
+    while ``_fold_losses`` scored per-point forecasts; from the QR of each
+    validation design they round otherwise (here by at most 3.6e-15 absolute,
+    5.4e-16 relative), so they are held to rtol 1e-13, and the grid and
+    lambda* stay exact."""
 
     plan = WalkForwardPlan(n_splits=3, test_size=30, min_train=150)
     cfg = LassoConfig(tol=1e-7, grid=LassoGrid(n_points=8))
+    # (panel, plan, cfg): the default panel, then 9 series with 200 validation points
+    # per fold, 22 times the 9 regressors
+    CASES = {
+        "short": (lambda: sparse_panel(7, t=300)[0], plan, cfg),
+        "long": (lambda: sparse_panel(5, k=9, t=560)[0],
+                 WalkForwardPlan(n_splits=2, test_size=200, min_train=160),
+                 LassoConfig(tol=1e-7, grid=LassoGrid(n_points=14))),
+    }
 
-    @pytest.mark.parametrize("estimator", ["lasso", "fgls-lasso"])
-    def test_loss_table_equals_fold_at_a_time(self, estimator):
-        pnl, _ = sparse_panel(7, t=300)
-        lam, report = select_lambda(pnl, 1, self.cfg, self.plan, estimator=estimator)
-        lams, losses, ok = fold_at_a_time(pnl, 1, self.cfg, self.plan, estimator)
-        assert ok.all() and report.excluded == ()
-        np.testing.assert_array_equal(report.lams, lams)
-        np.testing.assert_array_equal(report.losses, losses)
-
-    @pytest.mark.parametrize("estimator", ["lasso", "fgls-lasso"])
-    def test_loss_table_equals_fold_at_a_time_in_several_scoring_chunks(self, estimator):
-        # 9 series by 200 validation points make 1,800 forecast values per point, so
-        # each fold scores its points 4 to a stacked product (at most 8,192 values)
-        pnl, _ = sparse_panel(5, k=9, t=560)
-        plan = WalkForwardPlan(n_splits=2, test_size=200, min_train=160)
-        cfg = LassoConfig(tol=1e-7, grid=LassoGrid(n_points=14))
+    @pytest.mark.parametrize("estimator,case", [
+        pytest.param("lasso", "short", id="lasso"),
+        pytest.param("fgls-lasso", "short", id="fgls-lasso"),
+        pytest.param("lasso", "long", id="lasso-long-validation"),
+        pytest.param("fgls-lasso", "long", id="fgls-lasso-long-validation"),
+    ])
+    def test_loss_table_equals_fold_at_a_time(self, estimator, case):
+        make_panel, plan, cfg = self.CASES[case]
+        pnl = make_panel()
         lam, report = select_lambda(pnl, 1, cfg, plan, estimator=estimator)
         lams, losses, ok = fold_at_a_time(pnl, 1, cfg, plan, estimator)
         assert ok.all() and report.excluded == ()
         np.testing.assert_array_equal(report.lams, lams)
-        np.testing.assert_array_equal(report.losses, losses)
+        np.testing.assert_allclose(report.losses, losses, rtol=1e-13, atol=0)
+        assert lam == lams[np.argmin(losses.mean(axis=1))]
 
     def test_capped_fold_excludes_only_its_points(self):
         # at lag 5 (m = 25) the dense points sweep; fold 2 needs at most 24
@@ -241,10 +259,57 @@ class TestLockstepFolds:
             lam, report = select_lambda(pnl, 5, capped, self.plan)
         lams, losses, ok = fold_at_a_time(pnl, 5, capped, self.plan, "lasso")
         assert ok[:, 2].all() and not ok[:, :2].all() and ok[:, :2].any()
-        np.testing.assert_array_equal(report.losses, losses)
+        np.testing.assert_allclose(report.losses, losses, rtol=1e-13, atol=0)
         assert report.excluded == tuple(lams[~ok.all(axis=1)])
         assert report.reasons == ("fit did not converge in fold 0, 1",) * len(report.excluded)
         assert lam == lams[np.nanargmin(losses.mean(axis=1))]
+
+
+class TestFoldLosses:
+    """``_fold_losses`` scores every fit from a thin QR of the validation design;
+    each loss must be the one its forecasts' errors give point by point."""
+
+    @pytest.mark.parametrize("k,p,n_val", [
+        pytest.param(50, 1, 30, id="paper-shape-fewer-points-than-regressors"),
+        pytest.param(10, 2, 1000, id="tune_long-shape"),
+        pytest.param(1, 2, 40, id="one-series"),
+    ])
+    def test_equals_residual_form(self, rng, k, p, n_val):
+        # a validation window with means far from 0 and sds other than 1, in the
+        # layout select_lambda builds
+        stats = StandardizationStats(rng.normal(5.0, 2.0, k), rng.uniform(0.5, 3.0, k))
+        raw = stats.inverse(rng.standard_normal((n_val + p, k)))
+        val_Z, actual = lag_embed(daily_panel(stats.transform(raw)), p).Z, raw[p:]
+        fits = 0.2 * rng.standard_normal((12, k, k * p)) / np.sqrt(k * p)
+        fits[[0, 1, 5]] = 0.0  # the empty fits at the top of every grid
+        losses = _fold_losses(fits, stats, val_Z, actual)
+        np.testing.assert_allclose(losses, residual_losses(fits, stats, val_Z, actual),
+                                   rtol=1e-12, atol=0)
+        # exactly-zero fits tie bit for bit, so the tie break picks the larger penalty
+        assert losses[0] == losses[1] == losses[5]
+
+    def test_near_deterministic_fold(self, rng):
+        # two exact AR(2) sinusoids about the stats' means, plus noise of sd 3e-6:
+        # the 1-step R^2 of the best fit is about 1 - 1e-10. The fits step through
+        # that minimizer along one direction. Here this scoring is within 5.4e-13 of
+        # the exact losses; the Gram form was 2.3e-5 off and put the argmin at 11
+        n, p = 1000, 2
+        stats = StandardizationStats([100.0, -20.0], [3.0, 0.5])
+        steps = np.outer(np.arange(-p, n), [0.3, 0.7]) + [0.0, 1.0]
+        raw = stats.inverse(np.sin(steps) + 3e-6 * rng.standard_normal((n + p, 2)))
+        val_Z, actual = lag_embed(daily_panel(stats.transform(raw)), p).Z, raw[p:]
+        best = np.linalg.lstsq(val_Z.T, stats.transform(actual), rcond=None)[0].T
+        fits = best + 1e-8 * np.arange(-10, 11)[:, None, None] * rng.standard_normal(best.shape)
+        losses = _fold_losses(fits, stats, val_Z, actual)
+        # the residual form in extended precision
+        wide = [np.asarray(x, dtype=np.longdouble) for x in (fits, val_Z, actual)]
+        err = ((wide[0] @ wide[1]).transpose(0, 2, 1) * np.asarray(stats.sds, np.longdouble)
+               + np.asarray(stats.means, np.longdouble) - wide[2])
+        exact = np.mean(np.sum(err * err, axis=2), axis=1)
+        total = np.mean(np.sum((actual - actual.mean(axis=0)) ** 2, axis=1))
+        assert 1 - exact.min() / total > 1 - 1e-9
+        np.testing.assert_allclose(losses, exact.astype(float), rtol=1e-8, atol=0)
+        assert np.argmin(losses) == np.argmin(exact) == 10
 
 
 def ar1_panel():
@@ -272,7 +337,10 @@ class TestGoldenLossTables:
     exact active-set finish: 10 cells of each moved, by at most 5.2e-10
     (lasso) and 7.6e-10 (fgls-lasso) relative, to within 3.6e-15 of a
     proximal-gradient oracle of the same folds (the old values were within
-    2.4e-9); lambda* did not move."""
+    2.4e-9); lambda* did not move. Both were re-recorded when ``_fold_losses``
+    moved from per-point forecasts to a thin QR of each validation design: 7
+    cells (fgls-lasso) and 9 (lasso) moved, each by at most 1.8e-15 absolute
+    (2.6e-16 relative); lambda* did not move."""
 
     plan = WalkForwardPlan(n_splits=2, test_size=30, min_train=180)
     cfg = LassoConfig(tol=1e-8, grid=LassoGrid(n_points=6, ratio=0.01))
@@ -286,22 +354,22 @@ class TestGoldenLossTables:
 
     def test_fgls_lasso(self):
         self.check("fgls-lasso", [
-            [7.147458393476305, 4.839913418706302],
-            [6.899074802869736, 4.658856564464278],
+            [7.147458393476303, 4.839913418706302],
+            [6.899074802869734, 4.658856564464278],
             [3.379375699542876, 3.252732988134203],
-            [3.050079213831969, 3.105827213291543],
-            [3.02971778962579, 3.0941481372769446],
-            [3.0472566034400828, 3.098524419198327],
+            [3.050079213831969, 3.1058272132915428],
+            [3.0297177896257894, 3.094148137276944],
+            [3.047256603440083, 3.0985244191983266],
         ], 0.0407497535305944)
 
     def test_lasso(self):
         self.check("lasso", [
-            [7.147458393476305, 4.839913418706302],
-            [3.7001167465631988, 3.6553499400450886],
-            [2.979945795356904, 3.256107034280427],
-            [2.9213377379011267, 3.183160374821845],
-            [2.957822506968189, 3.1724993508679455],
-            [2.98492002099402, 3.1684910918041513],
+            [7.147458393476303, 4.839913418706302],
+            [3.7001167465631983, 3.6553499400450886],
+            [2.9799457953569037, 3.2561070342804266],
+            [2.921337737901127, 3.1831603748218447],
+            [2.957822506968189, 3.172499350867945],
+            [2.9849200209940205, 3.168491091804151],
         ], 0.1023587529808597)
 
 
