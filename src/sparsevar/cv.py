@@ -178,7 +178,7 @@ def _fold_losses(fits: np.ndarray, stats, val_Z: np.ndarray, actual: np.ndarray)
     ⟨A G, A⟩ cancels: at 1-step R² ≈ 1 − 1e-10 it was 2e-5 off and moved the argmin."""
     Q, R = np.linalg.qr(val_Z.T)
     target = stats.transform(actual)
-    proj = Q.T @ target
+    proj = np.array([a @ Q for a in target.T]).T  # per series: a threaded gemm's bytes vary by thread count
     loss = np.square(fits @ np.ascontiguousarray(R.T) - proj.T).sum(axis=2)
     loss += np.square(target - Q @ proj).sum(axis=0)
     return np.sum(loss * stats.sds ** 2, axis=1) / len(actual)

@@ -208,14 +208,17 @@ def log_returns(prices: TimePanel) -> TimePanel:
 
 
 def standardize(panel: TimePanel) -> tuple[TimePanel, StandardizationStats]:
-    """Center and scale each column to mean 0, population sd 1."""
+    """Center and scale each column to mean 0, population sd 1, by ``np.std``'s steps from one
+    dev = x - mean, then dev / sd in place: bitwise ``x.std(0)`` and ``(x - mean) / sd``."""
     means = panel.values.mean(axis=0)
-    sds = panel.values.std(axis=0)  # population (1/T) convention
+    dev = panel.values - means
+    sds = np.sqrt((dev * dev).sum(axis=0) / len(dev))  # population (1/T) convention
     if np.any(sds == 0):
         k = int(np.flatnonzero(sds == 0)[0])
         raise PanelError(f"series {panel.names[k]!r} has zero variance")
     stats = StandardizationStats(means, sds)
-    return panel.with_values(stats.transform(panel.values)), stats
+    dev /= sds
+    return panel._derived(panel.dates, panel._frozen_finite(dev)), stats
 
 
 def destandardize(panel: TimePanel, stats: StandardizationStats) -> TimePanel:
@@ -403,45 +406,67 @@ def _bad_line(path, n_fields: int, reason) -> PanelError:
     return PanelError(f"{path}: {reason}")
 
 
-def read_panel_csv(path) -> TimePanel:
-    """Load a ``date,<name1>,...`` CSV, rejecting gaps in the daily calendar.
+def _canonical_days(cells: np.ndarray) -> np.ndarray | None:
+    """Days since 1970 of U11 cells if all are YYYY-MM-DD in ASCII, a real date from year 1."""
+    codes = np.ascontiguousarray(cells).view(np.uint32).reshape(-1, 11)
+    digits = codes[:, [0, 1, 2, 3, 5, 6, 8, 9]] - np.uint32(ord("0"))  # below "0" wraps high
+    if np.any(digits > 9) or np.any(codes[:, [4, 7]] != ord("-")) or codes[:, 10].any():
+        return None
+    ymd = digits.astype(np.int64) @ 10 ** np.arange(7, -1, -1)
+    year, month, day = ymd // 10000, ymd // 100 % 100, ymd % 100
+    months = (12 * (year - 1970) + month - 1).astype("datetime64[M]")
+    days = months.astype("datetime64[D]") + (day - 1)  # a day not in its month leaves it
+    real = (year >= 1) & (month >= 1) & (month <= 12) & (days.astype("datetime64[M]") == months)
+    return days.astype(np.int64) if real.all() else None
 
-    One ``np.loadtxt`` call parses the body, reading each value bitwise as
-    ``float`` does, except that underscore digit groups (``1_000``) and
-    non-ASCII digits are rejected. Cells may be quoted or space-padded, ``#``
-    is data, the file is read by ``_open_csv``, and an error names the first
-    bad line, blank lines counted.
-    """
+
+def _read_body(path, exact: bool):
+    """A panel CSV's names, days since 1970 and values by one ``np.loadtxt`` call: ``exact``,
+    dates by ``_date_ordinal`` per line, the first bad line raising; else every cell in the
+    C pass, dates as U11 cells, and None on a failed line or a date ``_canonical_days`` rejects."""
     with _open_csv(path, PanelError) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelError(f"{path}: empty file") from None
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise PanelError(f"{path}: empty file")
         if not header or header[0].strip() != "date":
             raise PanelError(f"{path}: first column must be 'date'")
         names = [h.strip() for h in header[1:]]
         if not names:
             raise PanelError(f"{path}: no series columns")
-        n_fields = len(names) + 1
+        dtype = np.dtype([("date", np.int64 if exact else "U11"), ("values", float, (len(names),))])
         with warnings.catch_warnings():  # a header-only file has "no data rows" below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            # every column is parsed, so a line of another width raises; encoding=None,
-            # as before numpy 2 the default ("bytes") hands the converter bytes
+            # a line of another width raises; encoding=None, or numpy < 2 hands the converter bytes
             try:
-                table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"', ndmin=2,
-                                   converters={0: _date_ordinal}, encoding=None)
+                table = np.loadtxt(fh, dtype, delimiter=",", comments=None, quotechar='"', ndmin=1,
+                                   encoding=None, converters={0: _date_ordinal} if exact else None)
             except ValueError as exc:
-                raise _bad_line(path, n_fields, exc) from None
-    if not len(table):
+                if exact:
+                    raise _bad_line(path, len(names) + 1, exc) from None
+                return None
+    days = table["date"] - date(1970, 1, 1).toordinal() if exact else _canonical_days(table["date"])
+    return None if days is None else (names, days, table["values"])
+
+
+def read_panel_csv(path) -> TimePanel:
+    """Load a ``date,<name1>,...`` CSV, rejecting gaps in the daily calendar.
+
+    ``np.loadtxt`` reads each value bitwise as ``float`` does, except that underscore
+    digit groups (``1_000``) and non-ASCII digits are rejected. Cells may be quoted or
+    space-padded, ``#`` is data, the file is read by ``_open_csv``, and an error names the
+    first bad line, blank lines counted. A file whose dates are all exactly YYYY-MM-DD, as
+    ``write_panel_csv``, ``simulate`` and ``ingest`` write them, makes no Python call per
+    line. Any other is read again by ``_date_ordinal``: the exact rule, the only reader of
+    padded dates, and the path that names a bad line.
+    """
+    with open(path, "rb") as fh:  # a U11 cell drops a NUL at its end, unseen
+        body = None if b"\0" in fh.read() else _read_body(path, exact=False)
+    names, days, values = body or _read_body(path, exact=True)
+    if not len(days):
         raise PanelError(f"{path}: no data rows")
-    if table.shape[1] != n_fields:  # every line has the first line's width
-        raise _bad_line(path, n_fields, f"{table.shape[1]} fields on every line")
-    ordinals = table[:, 0].astype(np.int64)
-    gaps = np.flatnonzero(np.diff(ordinals) != 1)
+    gaps = np.flatnonzero(np.diff(days) != 1)
+    dates = days.astype("datetime64[D]")  # whose tolist makes the dates in one C loop
     if gaps.size:
-        prev, nxt = map(date.fromordinal, ordinals[gaps[0]: gaps[0] + 2].tolist())
+        prev, nxt = dates[gaps[0]: gaps[0] + 2].tolist()
         raise PanelError(f"{path}: missing dates between {prev} and {nxt}")
-    # days since 1970 as datetime64, whose tolist makes the dates in one C loop
-    days = (ordinals - date(1970, 1, 1).toordinal()).astype("datetime64[D]")
-    return TimePanel(tuple(days.tolist()), tuple(names), table[:, 1:])
+    return TimePanel(tuple(dates.tolist()), tuple(names), values)

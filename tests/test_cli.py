@@ -612,8 +612,9 @@ def test_pipeline_end_to_end(tmp_path):
 # simulate -> cv -> fit --estimator lasso, and an FGLS forecast, on a K=4, p=2 panel
 # with AR(1) errors (m = 8: every fit of these paths can take the exact finish), then
 # a cv on a K=10, p=2 panel with 500 validation points per fold, where OpenBLAS runs
-# the QR of each validation design on both threads; prints a digest of each output
-# file and whether the fit is exact (KKT <= 1e-12)
+# the QR of each validation design on both threads, and one on a K=20, p=2 panel with
+# 2,000, where OpenBLAS threads a gemm of the actuals over them; prints a digest of
+# each output file and whether the fit is exact (KKT <= 1e-12)
 THREADS_CHILD = """
 import hashlib, pathlib, sys
 from sparsevar.cli import main
@@ -634,8 +635,12 @@ assert main(["simulate", "--k", "10", "--t", "1500", "--lag", "2", "--seed", "7"
              "--out", str(out / "wide")]) == 0
 assert main(["cv", "--panel", str(out / "wide" / "panel.csv"), "--lag", "2", "--n-splits", "2",
              "--test-size", "500", "--out", str(out / "wide_cv")]) == 0
+assert main(["simulate", "--k", "20", "--t", "4500", "--lag", "2", "--seed", "8",
+             "--out", str(out / "k20")]) == 0
+assert main(["cv", "--panel", str(out / "k20" / "panel.csv"), "--lag", "2", "--n-splits", "1",
+             "--test-size", "2000", "--out", str(out / "k20_cv")]) == 0
 for rel in ("cv/cv_report.csv", "cv/cv_excluded.csv", "fit/model.json", "fgls/forecasts.csv",
-            "wide_cv/cv_report.csv"):
+            "wide_cv/cv_report.csv", "k20_cv/cv_report.csv"):
     print(hashlib.sha256((out / rel).read_bytes()).hexdigest())
 model = VarModel.from_json((out / "fit" / "model.json").read_text())
 embed = lag_embed(standardize(read_panel_csv(str(out / "sim" / "panel.csv")))[0], 2)
@@ -652,5 +657,5 @@ def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
                 for threads in ("1", "2")]
     outs = [child.communicate(timeout=120)[0] for child in children]
     assert [child.returncode for child in children] == [0, 0]
-    assert outs[0].split()[-1] == "True" and len(outs[0].split()) == 6 and outs[0] == outs[1]
+    assert outs[0].split()[-1] == "True" and len(outs[0].split()) == 7 and outs[0] == outs[1]
 

@@ -340,7 +340,8 @@ class TestGoldenLossTables:
     2.4e-9); lambda* did not move. Both were re-recorded when ``_fold_losses``
     moved from per-point forecasts to a thin QR of each validation design: 7
     cells (fgls-lasso) and 9 (lasso) moved, each by at most 1.8e-15 absolute
-    (2.6e-16 relative); lambda* did not move."""
+    (2.6e-16 relative); lambda* did not move. No cell moved when that QR's
+    projection of the actuals became one product per series."""
 
     plan = WalkForwardPlan(n_splits=2, test_size=30, min_train=180)
     cfg = LassoConfig(tol=1e-8, grid=LassoGrid(n_points=6, ratio=0.01))

@@ -1,7 +1,8 @@
 import csv
 import math
+import re
 import warnings
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sparsevar.panel import (
     PanelError,
     StandardizationStats,
     TimePanel,
+    _date_ordinal,
     adf_stat,
     destandardize,
     lag_embed,
@@ -93,9 +95,24 @@ class TestStandardize:
         np.testing.assert_allclose(out.values[:, 0], col, atol=1e-12)
 
     def test_constant_column_rejected_by_name(self):
-        panel = daily_panel([[1.0, 5.0], [2.0, 5.0]], names=("ok", "flat"))
-        with pytest.raises(PanelError, match="'flat'"):
-            standardize(panel)
+        for level in (5.0, -0.25, 1e9):
+            panel = daily_panel([[1.0, level], [2.0, level], [4.0, level]], names=("ok", "flat"))
+            with pytest.raises(PanelError, match="'flat'"):
+                standardize(panel)
+
+    @pytest.mark.parametrize("case", ["one_series", "volume_offsets", "mixed_signs"])
+    def test_bitwise_equal_to_the_numpy_reference(self, rng, case):
+        values = {
+            "one_series": rng.standard_normal((50, 1)) * 3 + 2,
+            # volume-like: offsets of 1e9 and more, unit noise
+            "volume_offsets": np.array([1e9, 2e9, 7e9]) + rng.standard_normal((200, 3)),
+            "mixed_signs": rng.standard_normal((120, 4)) * [1e-3, 1, 1e3, 1e6] + [-5, 0, 5e3, -1e7],
+        }[case]
+        out, stats = standardize(daily_panel(values))
+        means, sds = values.mean(0), values.std(0)
+        assert stats.means.tobytes() == means.tobytes() and stats.sds.tobytes() == sds.tobytes()
+        assert out.values.tobytes() == ((values - means) / sds).tobytes()
+        assert out.values.flags.c_contiguous and not out.values.flags.writeable
 
     def test_output_moments_property(self, rng):
         for _ in range(20):
@@ -290,24 +307,37 @@ def reference_read(path):
     return tuple(h.strip() for h in header[1:]), dates, values
 
 
-def panel_rows(rng, n_rows=6):
+def panel_rows(rng, n_rows=6, start=date(2020, 1, 1)):
     """Header and cells of a 3-series panel with 17-digit values over 600 decades."""
     values = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
     return [["date", "a", "b", "c"]] + [
-        [date(2020, 1, 1 + t).isoformat(), *("%.17g" % x for x in values[t])]
+        [(start + timedelta(days=t)).isoformat(), *("%.17g" % x for x in values[t])]
         for t in range(n_rows)]
 
 
+def layout_lines(rows, layout):
+    """The lines of a CSV of ``rows``, each cell padded or quoted by ``layout``."""
+    if layout == "padded":
+        rows = [[f" {c}\t" for c in row] for row in rows]
+    if layout == "space_before_date":  # 11 characters, all kept by a U11 cell
+        rows = [[f" {row[0]}", *row[1:]] for row in rows]
+    if layout == "quoted":
+        rows = [[f'"{c}"' for c in row] for row in rows]
+    return [",".join(row) for row in rows]
+
+
 class TestCsvReader:
-    @pytest.mark.parametrize("layout", ["crlf", "padded", "quoted", "blank_lines", "bom"])
+    @pytest.mark.parametrize("layout", ["crlf", "padded", "quoted", "blank_lines", "bom",
+                                        "space_before_date", "first_day", "last_day",
+                                        "leap_day_2000", "leap_day_2020"])
     def test_matches_csv_and_float_bitwise(self, tmp_path, rng, layout):
-        rows = panel_rows(rng)
-        if layout == "padded":
-            rows = [[f" {c}\t" for c in row] for row in rows]
+        # canonical cells from the calendar's first day, to its last, and over the leap
+        # days of a 400th and a 4th year
+        start = {"first_day": date(1, 1, 1), "last_day": date(9999, 12, 26),
+                 "leap_day_2000": date(2000, 2, 26), "leap_day_2020": date(2020, 2, 26)}
+        lines = layout_lines(panel_rows(rng, start=start.get(layout, date(2020, 1, 1))), layout)
         if layout == "quoted":
-            rows = [[f'"{c}"' for c in row] for row in rows]
-            rows[0][1:] = ['"a, the first"', '"b ""2"""', "c"]
-        lines = [",".join(row) for row in rows]
+            lines[0] = '"date","a, the first","b ""2""",c'
         if layout == "blank_lines":
             lines = lines[:1] + ["", ""] + lines[1:4] + [""] + lines[4:]
         path = tmp_path / "panel.csv"
@@ -325,6 +355,11 @@ class TestCsvReader:
         ("2020-01-03,1.0", "expected 3 fields"),
         ("   ", "expected 3 fields"),
         ("2020-01-33,1.0,2.0", "bad date '2020-01-33'"),
+        # days and months not in the calendar, and cells that are not YYYY-MM-DD in ASCII
+        *((f"{cell},1.0,2.0", f"bad date '{cell}'") for cell in [
+            "2019-02-29", "1900-02-29", "2020-04-31", "2020-00-10", "2020-13-01", "0000-01-01",
+            "2020-1-01", "２０２０-01-03", "2020-01-0３", "+020-01-03", "2020-01-03x"]),
+        ("2020-01-03\0,1.0,2.0", "bad date '2020-01-03\\x00'"),  # a U11 cell drops the NUL
         # Python 3.11's date.fromisoformat reads both as 2020-01-03; 3.10 rejects both
         ("20200103,1.0,2.0", "bad date '20200103'"),
         ("2020-W01-5,1.0,2.0", "bad date '2020-W01-5'"),
@@ -337,9 +372,22 @@ class TestCsvReader:
         # blank lines count toward the line number
         path = tmp_path / "bad.csv"
         path.write_text(f"date,a,b\n2020-01-01,1.0,2.0\n\n2020-01-02,3.0,4.0\n{line}\n"
-                        "2020-01-04,5.0,6.0\n")
-        with pytest.raises(PanelError, match=rf"bad\.csv:5: {error}$"):
+                        "2020-01-04,5.0,6.0\n", encoding="utf-8")
+        with pytest.raises(PanelError, match=rf"bad\.csv:5: {re.escape(error)}$"):
             read_panel_csv(path)
+
+    @pytest.mark.parametrize("layout, calls", [("canonical", 0), ("crlf", 0), ("quoted", 0),
+                                               ("padded", 6), ("space_before_date", 6)])
+    def test_only_other_date_cells_call_the_converter(self, tmp_path, rng, monkeypatch,
+                                                      layout, calls):
+        # a canonical file is parsed in loadtxt's C pass; any other is read again per line
+        seen = []
+        monkeypatch.setattr("sparsevar.panel._date_ordinal",
+                            lambda cell: seen.append(cell) or _date_ordinal(cell))
+        path = tmp_path / "panel.csv"
+        lines = layout_lines(panel_rows(rng), layout)
+        path.write_text(("\r\n" if layout == "crlf" else "\n").join(lines), newline="")
+        assert read_panel_csv(path).dates == reference_read(path)[1] and len(seen) == calls
 
     def test_underscore_digit_groups_are_rejected(self, tmp_path):
         # float accepts them; the reader's parser does not, and says where
@@ -475,3 +523,23 @@ def test_log_returns_inverts_exp_cumsum(xs):
     prices = daily_panel(np.exp(np.cumsum(x)))
     out = log_returns(prices)
     np.testing.assert_allclose(out.values[:, 0], x[1:], atol=1e-10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    start=st.dates(date(1, 1, 1), date(9998, 12, 31)),
+    values=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+                    min_size=1, max_size=40),
+    layout=st.sampled_from(["canonical", "quoted", "padded", "crlf"]),
+)
+def test_read_equals_the_reference_on_any_calendar(tmp_path_factory, start, values, layout):
+    rows = [["date", "a", "b", "c"]] + [
+        [(start + timedelta(days=t)).isoformat(), *("%.17g" % x for x in row)]
+        for t, row in enumerate(values)]
+    path = tmp_path_factory.mktemp("calendar") / "panel.csv"
+    path.write_text(("\r\n" if layout == "crlf" else "\n").join(layout_lines(rows, layout)),
+                    newline="")
+    panel = read_panel_csv(path)
+    names, dates, reference = reference_read(path)
+    assert panel.names == names and panel.dates == dates
+    assert panel.values.tobytes() == reference.tobytes()
