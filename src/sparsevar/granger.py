@@ -113,7 +113,7 @@ def _bic_select(
     lams, best = np.zeros(lmax.shape), np.full(lmax.shape, np.inf)
     support = np.zeros(live.shape + cols.shape[1:], dtype=bool)
     ok = ~live.any(axis=1)
-    for lam, A, converged, _, _ in lasso_paths(G, C, yy, grid, cfg):
+    for lam, A, converged, _, _ in lasso_paths(G.copy(), C, yy, grid, cfg):  # G is read below
         for i in np.flatnonzero(~converged):
             log.warning("BIC stage of design %d skipped non-converged penalties %s", i, lam[i])
         rss = n * np.maximum(yy_rows - np.einsum("grm,grm->gr", A, C2 - A @ G), 0.0)

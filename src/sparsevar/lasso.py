@@ -6,25 +6,22 @@ both separate across rows of A, so the K equations are solved independently;
 the implementation updates one regressor coordinate at a time for all
 equations at once, which is exactly per-equation cyclic descent. Every fit
 runs in covariance form on the sample moments G = Z Z^T / N, C = Y Z^T / N and
-||Y||^2 / N (Friedman, Hastie & Tibshirani, 2010). ``_cd_gram`` solves a stack
-of independent groups of rows in lockstep, one batched step per coordinate,
-each group with its own stopping rule: the CV folds' paths and the Granger
-causes' paths share a grid and run as groups of one ``lasso_paths`` call, and
-the forecast origins' fixed-penalty fits (OLS at lambda = 0) as groups of one
-``_fit_stack`` call; a lone path or fit is one group. FGLS stage 2, whose rows
-each have their own whitened moments, runs every CV fold's path points, or
-every origin's equations, in one ``_cd_gram`` call as groups of one row. Each
-coordinate step is 8 numpy calls; its threshold rho - clip(rho, -lambda / 2,
-lambda / 2) makes every zero +0.0. Every Gram is exactly symmetric, so a step
+||Y||^2 / N (Friedman, Hastie & Tibshirani, 2010). Every fit is a
+``lasso_paths`` call, the one driver, on a stack of independent groups of rows in lockstep,
+each group with its own stopping rule: the CV folds' paths and the Granger causes' paths
+share a grid and run as its groups; a fixed-penalty fit (OLS at lambda = 0) is a path of one
+point from zero, the forecast origins' fits one group each (``_fit_stack``); FGLS stage 2,
+whose rows each have their own whitened moments, is a path of one point from stage 1, one
+group of one row per (point, equation). Its one exact stage, ``_settle``, comes before any
+sweep and solves each group small enough on a predicted sign pattern; the KKT check alone
+decides if it stops there, one sweep (at lambda = 0 no sign is read: an admitted OLS fit
+settles in one solve). A path is piecewise linear in lambda (LARS), so a group settles blocks
+of up to 8 next penalties per exact-stage call, each on a pattern extrapolated from its last
+two points, and keeps the prefix that passes the test of a one-penalty-at-a-time walk. A
+group that does not settle sweeps in ``_cd_gram``, the sweep kernel, and stops by tol or at
+the sweep cap. Each coordinate step is 8 numpy calls; its threshold rho - clip(rho,
+-lambda / 2, lambda / 2) makes every zero +0.0. Every Gram is exactly symmetric, so a step
 reads its row j for column j, and compaction moves the live Grams within G.
-The one exact stage, ``_settle``, comes before any sweep and solves each group small
-enough on a predicted sign pattern; the KKT check alone decides if it stops there, one
-sweep (at lambda = 0 no sign is read: an admitted OLS fit settles in one solve). A path
-is piecewise linear in lambda (LARS), so ``lasso_paths`` settles blocks of up to 8 next
-penalties per exact-stage call, each on a pattern extrapolated from the last two points,
-keeps the prefix that passes the test of a one-penalty-at-a-time walk, carries the last
-kept X G into the next block and runs no group 8 penalties past the slowest. A group
-that sweeps stops by tol or at the sweep cap.
 """
 
 from __future__ import annotations
@@ -246,7 +243,7 @@ def _predict(A, AG, A2, A2G, C, t, hi) -> np.ndarray:
 
 def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np.ndarray,
             obj: np.ndarray, live: np.ndarray, S: np.ndarray, grp: np.ndarray,
-            WG: np.ndarray | None = None, nxt: np.ndarray | None = None) -> tuple:
+            WG: np.ndarray) -> tuple:
     """Exact solves of the live items on their sign patterns S (items, R, m).
 
     Item i is penalty lam[i] of group grp[i], whose G, C and yy it indexes, never copies.
@@ -256,16 +253,15 @@ def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np
     per item, the R s-sized b and x, the R m-sized X, X G and gradient) take at most G / 64
     or 1 MB, so a bench-scale block is one chunk. An item is tried when ``_admitted`` (20
     unknowns and fewer are bound by call overhead; above, a solve costs about a sweep),
-    and accepted, W (and WG, if given) taking x (x G), when every active sign holds (at
-    lambda = 0 any sign), every inactive coordinate has |c_j - g_j^T x| <= lambda / 2 and
-    the objective passes the descent check against obj. A singular system rejects its own
-    item only. A rejected item's S becomes its held signs plus x's violators, signed like
-    their gradient. Returns (accepted, objectives: x's where accepted, else obj's, and x's
-    objective at the penalties nxt where accepted, if WG is given)."""
+    and accepted, W and WG taking x and x G, when every active sign holds (at lambda = 0
+    any sign), every inactive coordinate has |c_j - g_j^T x| <= lambda / 2 and the
+    objective passes the descent check against obj. A singular system rejects its own item
+    only. A rejected item's S becomes its held signs plus x's violators, signed like their
+    gradient. Returns (accepted, objectives: x's where accepted, else obj's)."""
     g, R, m = W.shape
     k, pad, admitted = _admitted(S)
     cand = live & admitted
-    done, fin, ahead = np.zeros(g, dtype=bool), obj.copy(), np.full(g, np.nan)
+    done, fin = np.zeros(g, dtype=bool), obj.copy()
     hi = lam[..., None] / 2.0
     with np.errstate(all="ignore"):
         for s in sorted(set(pad[cand].tolist())):
@@ -296,91 +292,79 @@ def _finish(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np
                 viol = np.abs(D) > h
                 ok = ((f <= o + 1e-12 * (1.0 + np.abs(o))) & held.all(axis=(1, 2))
                       & ~(viol & (sign == 0)).any(axis=(1, 2)))
-                W[part[ok]], done[part[ok]], fin[part[ok]] = X[ok], True, f[ok]
-                if WG is not None:
-                    WG[part[ok]] = XG[ok]
-                    ahead[part[ok]] = _objective(X, XG, Cp, yy[gp], nxt[part])[ok]
+                W[part[ok]], WG[part[ok]], done[part[ok]] = X[ok], XG[ok], True
+                fin[part[ok]] = f[ok]
                 if not ok.all():
                     S[part[~ok]] = np.where(sign != 0, sign * held,
                                             np.where(viol, np.sign(D), 0))[~ok]
-    return done, fin, ahead
+    return done, fin
 
 
 def _settle(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, W: np.ndarray,
-            S=None, obj=None, grp=None, head=None, WG=None, nxt=None) -> tuple:
+            S: np.ndarray, obj: np.ndarray, grp: np.ndarray, head: np.ndarray, WG: np.ndarray,
+            nxt: np.ndarray) -> tuple:
     """The exact stage: one ``_finish`` call on items that are blocks of each group's next
     penalties, in order, each on its own predicted pattern S. A block's head starts from
     the group's warm start, whose objective there obj is, and keeps up to four attempts,
     each from the held signs and violators of the last. The speculative rest (obj inf) is
     kept only as a prefix, by the test a sequential solve makes: an item passes
     ``_finish``'s test, the item before it was kept, and its objective passes the descent
-    check against that item's objective at its own penalty (at nxt, from that item's X G
-    in ``_finish``). Without S, each group is a block of one from its warm start W (which
-    is written), tried when admitted at W's counts, on the t = 0 ``_predict`` pattern, its
-    objective and pattern from one W G per chunk. Returns (kept, objectives, the kept
-    items' objectives at nxt)."""
-    live, grp = np.ones(len(W), dtype=bool), np.arange(len(W)) if grp is None else grp
-    head = live if head is None else head
-    if S is None:
-        live, S, obj = _admitted(W)[2], np.zeros(W.shape, dtype=np.int8), np.full(len(W), np.inf)
-        idx, (g, R, m) = np.flatnonzero(live), W.shape
-        step = max(1, max(G.size // 64, 1 << 14) // (m * m + 2 * R * m))
-        for part in (idx[i:i + step] for i in range(0, len(idx), step)):
-            Wp, Cp = W[part], C[part]
-            WpG = Wp @ G[part]
-            obj[part] = _objective(Wp, WpG, Cp, yy[part], lam[part])
-            S[part] = _predict(Wp, WpG, Wp, WpG, Cp, 0.0, lam[part][..., None] / 2.0)
-    ok, f, ahead = _finish(G, C, yy, lam, W, obj, live, S, grp, WG, nxt)
+    check against that item's objective at its own penalty (at nxt, from that item's X and
+    X G). Returns (kept, objectives, the kept items' objectives at nxt)."""
+    ok, f = _finish(G, C, yy, lam, W, obj, np.ones(len(W), dtype=bool), S, grp, WG)
     for _ in range(3):
-        if (live & head & ~ok).any():
-            more, f, again = _finish(G, C, yy, lam, W, f, live & head & ~ok, S, grp, WG, nxt)
-            ok, ahead = ok | more, np.where(more, again, ahead)
+        if (head & ~ok).any():
+            more, f = _finish(G, C, yy, lam, W, f, head & ~ok, S, grp, WG)
+            ok |= more
+    ahead = _objective(W, WG, C[grp], yy[grp], nxt)
     for i in np.flatnonzero(~head).tolist():
         o = ahead[i - 1]
         ok[i] &= ok[i - 1] and f[i] <= o + 1e-12 * (1.0 + abs(o))
     return ok, f, ahead
 
 
+def _to_front(G: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Move the Grams G[idx] (idx ascending) to the front of G in place; returns them."""
+    for dst, src in enumerate(idx.tolist()):
+        if dst < src:  # every one moves before it is overwritten
+            G[dst] = G[src]
+    return G[:len(idx)]
+
+
 def _cd_gram(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lam: np.ndarray, tol: float,
-             max_sweeps: int, A: np.ndarray, exact: bool = True) -> tuple:
+             max_sweeps: int, A: np.ndarray) -> tuple:
     """Covariance-form coordinate descent on g independent groups, updating A in place.
 
-    Group i has moments G[i] = Z Z^T / N (m, m), C[i] = Y Z^T / N (R, m) and
-    yy[i] = ||Y||_F^2 / N, which carry all a residual-form sweep reads from the
-    samples, so a sweep costs O(g R m^2) whatever N is; lam is (g, 1), one
-    penalty per group, or (g, R), one per row; A (g, R, m) is the warm start.
-    With exact, each group is first a block of one of ``_settle``, and one settled there
-    stops at that exact optimum, its one sweep; without, the caller made the exact stage.
-    The others sweep from A in fixed lag-major order, one batched 8-call step (``matmul``
-    and ``_cd_step``, zeros +0.0) per coordinate, a lone group as a batch of one; it reads
-    row j of each Gram, contiguous, for column j, so every G[i] must be exactly symmetric.
-    Each group stops by the joint rule (max |W - W_start| over a sweep below tol) or at
-    max_sweeps, with its own descent check and one objective per sweep. Stopped groups
-    leave the working arrays once half have stopped, the live Grams moving to the front of
-    G (G is overwritten, never copied). Every decision reads the group's own arrays only,
-    so it returns the same bits in any batch. Returns (sweeps, converged, objectives).
+    The sweep kernel: the exact stage is ``lasso_paths``'. Group i has moments
+    G[i] = Z Z^T / N (m, m), C[i] = Y Z^T / N (R, m) and yy[i] = ||Y||_F^2 / N, which
+    carry all a residual-form sweep reads from the samples, so a sweep costs O(g R m^2)
+    whatever N is; lam is (g, 1), one penalty per group, or (g, R), one per row; A
+    (g, R, m) is the warm start. Every group sweeps from A in fixed lag-major order, one
+    batched 8-call step (``matmul`` and ``_cd_step``, zeros +0.0) per coordinate, a lone
+    group as a batch of one; it reads row j of each Gram, contiguous, for column j, so
+    every G[i] must be exactly symmetric. Each group stops by the joint rule
+    (max |W - W_start| over a sweep below tol) or at max_sweeps, with its own descent
+    check and one objective per sweep. Stopped groups leave the working arrays once half
+    have stopped, the live Grams moving to the front of G (G is overwritten, never
+    copied). Every decision reads the group's own arrays only, so it returns the same bits
+    in any batch. Returns (sweeps, converged, objectives).
     """
     lam = np.asarray(lam, dtype=float)
     if lam.min() < 0:
         raise LassoError(f"lambda must be >= 0, got {lam}")
-    settled, first = _settle(G, C, yy, lam, A)[:2] if exact else (np.zeros(len(C), bool),) * 2
-    sweeps, converged = np.where(settled, 1, max_sweeps), settled.copy()
-    history: list[list[float]] = [[f] if s else [] for s, f in zip(settled, first.tolist())]
-    if settled.all():
-        return sweeps, converged, history
+    sweeps, converged = np.full(len(C), max_sweeps), np.zeros(len(C), dtype=bool)
+    history: list[list[float]] = [[] for _ in range(len(C))]
     # a zero-variance regressor (zero row and column of G) stays at zero
     diag = np.diagonal(G, axis1=1, axis2=2)
     scale = np.where(diag > 0, diag, 1.0)
-    groups, live, W = np.arange(len(C)), ~settled, None
+    groups, live, W = np.arange(len(C)), np.ones(len(C), dtype=bool), None
     for sweep in range(1, max_sweeps + 1):
         if W is None or 2 * np.count_nonzero(live) <= len(live):
             if W is not None:  # the stopped groups are already in A
                 A[groups[live]] = W[live]
-            for dst, src in enumerate(np.flatnonzero(live).tolist()):
-                if dst < src:  # every live Gram moves before it is overwritten
-                    G[dst] = G[src]
+            Gw = _to_front(G, np.flatnonzero(live))
             groups, live = groups[live], live[live]
-            W, Gw, yyw, lamw = A[groups], G[:len(groups)], yy[groups], lam[groups]
+            W, yyw, lamw = A[groups], yy[groups], lam[groups]
             Cw = C if len(groups) == len(C) else C[groups]  # read only: no copy of all of C
             # per coordinate j: (g, rows, 1) views of column j of W and C, row j of G, and G[j, j]
             cols = list(zip(W.transpose(2, 0, 1)[..., None], Gw.transpose(1, 0, 2)[..., None],
@@ -438,75 +422,98 @@ def _path_moments(Y: np.ndarray, Z: np.ndarray, per_row: bool = False) -> tuple:
 
 
 def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
-                cfg: LassoConfig) -> Iterator[tuple]:
+                cfg: LassoConfig, A0: np.ndarray | None = None) -> Iterator[tuple]:
     """Warm-started fits of g independent paths in lockstep along one penalty sequence.
 
-    G (g, m, m), C (g, R, m) and yy (g,) stack each path's ``_path_moments``.
-    ``lams`` is one descending sequence shared by every row of every path, or
-    an (n_points, g, R) grid whose [:, i, r] column is row r of path i's own
-    sequence. Each round, every group admitted at its warm start's counts puts its next b
-    penalties into one ``_settle`` call, each on the pattern ``_predict`` extrapolates from
-    the group's last two points (t per row on per-row grids; t = 0 from one point); the
-    kept prefix settles them, one sweep each. b doubles after a block kept whole, else
-    falls to the kept length, at least 2; at most 8. The last two kept items' X G carry
-    over as the next block's warm gradients, the last one's objective at the next penalty
-    as its warm objective. A group not admitted waits while ahead of the slowest; it, or a
-    group whose head fails, sweeps one penalty from its untouched warm start (``_cd_gram``
-    without its exact stage, on copies of its Grams), and the prediction restarts. No block
-    reaches 8 penalties past the slowest, so at most 8 penalties' results wait to be
-    yielded; a round's items fit one ``_finish`` chunk at pad m, heads apart. Each path yields
-    its solo sweeps and coefficients bit for bit. Yields per penalty (lam: a float, or the
-    (g, R) grid row; A (g, R, m); converged, sweeps (g,); histories).
+    G (g, m, m), C (g, R, m) and yy (g,) stack each path's ``_path_moments``. ``lams`` is
+    one descending sequence shared by every row of every path, or an (n_points, g, R)
+    grid whose [:, i, r] column is row r of path i's own sequence (R = 1: one per path).
+    Path i starts from A0[i] (A0 (g, R, m)), else from zero: a fixed-penalty fit is a path
+    of one point. Each round, every group admitted at its warm start's counts puts its
+    next b penalties into one ``_settle`` call, each on the pattern ``_predict``
+    extrapolates from the group's last two points (t per row on per-row grids; t = 0 from
+    one point); the kept prefix settles them, one sweep each. b doubles after a block kept
+    whole, else falls to the kept length, at least 2; at most 8. The last two kept items
+    and their X G, and the last one's objective at the next penalty, carry over. Each
+    group's state is a row of stacked arrays (at one point, the warm start alone), so a
+    round's products, objectives and patterns are batched calls, in chunks of at most
+    G / 64 or 128 KB. A group not admitted waits while ahead of the slowest; it, or a
+    group whose head fails, sweeps one penalty from its warm start (``_cd_gram``), and the
+    prediction restarts. No block reaches 8 penalties past the slowest, so at most 8
+    penalties' results wait to be yielded; a round's items fit one ``_finish`` chunk at
+    pad m, heads apart. Each path yields its solo sweeps and coefficients bit for bit.
+    Until every group is at its last penalty, sweeps run on copies of their Grams; then on
+    G itself, which they overwrite: a caller that reads G at the last yield or after
+    passes a copy. Yields per penalty (lam: a float, or the (g, R) grid row; A (g, R, m);
+    converged, sweeps (g,); histories).
     """
     lams = np.asarray(lams, dtype=float)
-    n, (g, R, m) = len(lams), C.shape
-    pen = np.broadcast_to(lams.reshape(n, 1, 1), (n, g, 1)) if lams.ndim == 1 else lams
-    pos, blen, out = np.zeros(g, dtype=int), np.full(g, 2), [[] for _ in range(g)]
-    last = [[[np.zeros((R, m)), None, pen[0, i], None]] for i in range(g)]  # [A, A G, lam, f]
+    n, (g, R, m), q, r = len(lams), C.shape, min(len(lams), 2), min(len(lams), 8)
+    pen = lams.reshape(n, 1, 1).repeat(g, axis=1) if lams.ndim == 1 else lams
+    step = max(1, max(G.size // 64, 1 << 14) // (m * m + 2 * R * m))  # groups, items per chunk
+    # each group's last q points (the last at [:, -1]), their products with G, penalties, and
+    # the last one's objective at the next penalty (nan: not formed, as at a warm start)
+    X, XG, L = np.empty((g, q, R, m)), np.empty((g, q, R, m)), np.empty((g, q) + pen.shape[2:])
+    X[:], L[:], f1 = 0.0 if A0 is None else A0[:, None], pen[0, :, None], np.full(g, np.nan)
+    # results waiting to be yielded, penalty j's in slot j % 8 (at one point, the state's
+    # point), and the swept groups' histories
+    out, swept = X[None, :, -1] if n == 1 else np.empty((r, g, R, m)), {}
+    out_ok, out_sweeps, out_f = np.ones((r, g), bool), np.ones((r, g), int), np.zeros((r, g))
+    pos, blen = np.zeros(g, dtype=int), np.full(g, 2)
     for j in range(n):
         while pos.min() <= j:
             lo, start = int(pos.min()), pos.copy()
-            act = np.flatnonzero(pos < min(n, lo + 8))
-            adm = _admitted(np.stack([last[i][-1][0] for i in act]))[2]
+            act = (pos < min(n, lo + 8)).nonzero()[0]
+            adm = _admitted(X[act, -1])[2]
             act, adm = act[adm | (pos[act] == lo)], act[adm]
+            new = adm[np.isnan(f1[adm])]  # warm starts and swept points
+            for part in (new[i:i + step] for i in range(0, len(new), step)):
+                Xp = X[part, -1]
+                XGp = Xp @ G[part]
+                XG[part], f1[part] = XGp[:, None], _objective(Xp, XGp, C[part], yy[part],
+                                                             pen[pos[part], part])
             share = max(1, max(G.size // 64, 1 << 17) // (m * (m + R * (m + 5))) // (len(adm) or 1))
             b = np.minimum(blen[adm], min(n, lo + 8) - pos[adm]).clip(max=share)
-            grp, ends = np.repeat(adm, b), np.cumsum(b)  # each group's items in order
-            at = pos[grp] + np.arange(len(grp)) - np.repeat(ends - b, b)
+            grp, ends = adm.repeat(b), b.cumsum()  # each group's items in order
+            at = pos[grp] + np.arange(len(grp)) - (ends - b).repeat(b)
             lam, nxt, head = pen[at, grp], pen[np.minimum(at + 1, n - 1), grp], at == pos[grp]
-            S, obj = np.empty((len(grp), R, m), dtype=np.int8), np.full(len(grp), np.inf)
-            for i, h, e in zip(adm.tolist(), (ends - b).tolist(), ends.tolist()):
-                for point in last[i]:  # products of swept points and of the zero start
-                    point[1] = point[0] @ G[i] if point[1] is None else point[1]
-                (A2, A2G, l2, _), (A1, A1G, l1, f1) = last[i][0], last[i][-1]
-                obj[h] = f1 if f1 is not None else _objective(
-                    A1[None], A1G[None], C[i:i + 1], yy[i:i + 1], lam[h:h + 1])[0]
-                t = np.divide(l1 - lam[h:e], l2 - l1, out=np.zeros(lam[h:e].shape), where=l2 != l1)
-                S[h:e] = _predict(A1, A1G, A2, A2G, C[i], t[..., None], lam[h:e, :, None] / 2.0)
-            W, WG = np.zeros(S.shape), np.zeros(S.shape)
-            ok, f, ahead = (_settle(G, C, yy, lam, W, S, obj, grp, head, WG, nxt) if len(grp)
-                            else (head, obj, obj))  # no item: no exact-stage call
-            for k, i in zip(np.flatnonzero(ok).tolist(), grp[ok].tolist()):
-                point = [W[k].copy(), WG[k].copy(), lam[k], ahead[k]]  # W, WG are freed
-                out[i].append((point[0], True, 1, [float(f[k])]))
-                last[i] = last[i][-1:] + [point]
+            S = np.empty((len(grp), R, m), dtype=np.int8)
+            for i in range(0, len(grp), step):
+                s, k = slice(i, i + step), grp[i:i + step]
+                Xk, XGk, l1, l2 = X[k], XG[k], L[k, -1], L[k, 0]
+                t = np.divide(l1 - lam[s], l2 - l1, out=np.zeros(l1.shape), where=l2 != l1)
+                S[s] = _predict(Xk[:, -1], XGk[:, -1], Xk[:, 0], XGk[:, 0], C[k], t[..., None],
+                                lam[s, :, None] / 2.0)
+            XG = XG if lo < n - 1 else None  # the last round: no prediction follows
+            W, obj = np.zeros((2, len(grp), R, m)), np.where(head, f1[grp], np.inf)  # X, X G
+            ok, f, ahead = (_settle(G, C, yy, lam, W[0], S, obj, grp, head, W[1], nxt)
+                            if len(grp) else (head, obj, obj))  # no item: no exact-stage call
+            slots = (at[ok] % 8, grp[ok])
+            out[slots], out_f[slots] = W[0, ok], f[ok]
             pos += np.bincount(grp[ok], minlength=g)
-            del W, WG, S
-            kept = pos[adm] - start[adm]
-            blen[adm] = np.where(kept == b, 2 * blen[adm], kept).clip(2, 8)
+            if lo < n - 1:  # the next block's length; each group that kept a point: its last two
+                kept = pos[adm] - start[adm]
+                blen[adm] = np.where(kept == b, 2 * blen[adm], kept).clip(2, 8)
+                last, gk, two = (ends - b + kept - 1)[kept > 0], adm[kept > 0], kept[kept > 0] > 1
+                for state, src in ((X, W[0]), (XG, W[1]), (L, lam)):
+                    state[gk, 0] = state[gk, -1]
+                    state[gk[two], 0], state[gk, -1] = src[last[two] - 1], src[last]
+                f1[gk] = ahead[last]
+            del W, S
             sw = act[pos[act] == start[act]]
-            if len(sw):
-                A, pens = np.stack([last[i][-1][0] for i in sw]), pen[pos[sw], sw]
-                for i in sw.tolist():  # the swept point restarts the prediction: free the old
-                    last[i] = None
-                sweeps, converged, history = _cd_gram(G[sw], C[sw], yy[sw], pens, cfg.tol,
-                                                      cfg.max_sweeps, A, exact=False)
-                for k, i in enumerate(sw.tolist()):
-                    out[i].append((A[k], converged[k], sweeps[k], history[k]))
-                    last[i], pos[i] = [[A[k], None, pens[k], None]], pos[i] + 1
-        A, converged, sweeps, history = zip(*(o.pop(0) for o in out))
-        yield ((lams[j] if lams.ndim > 1 else float(lams[j])), np.stack(A),
-               np.array(converged), np.array(sweeps), list(history))
+            if len(sw):  # in the last round no penalty remains: compact G, not a copy
+                A, k = X[sw, -1], pos[sw]
+                sweeps, converged, history = _cd_gram(G[sw] if lo < n - 1 else _to_front(G, sw),
+                                                      C[sw], yy[sw], pen[k, sw], cfg.tol,
+                                                      cfg.max_sweeps, A)
+                out[k % 8, sw], out_ok[k % 8, sw], out_sweeps[k % 8, sw] = A, converged, sweeps
+                swept.update(zip(zip(k.tolist(), sw.tolist()), history))
+                X[sw], L[sw], f1[sw], pos[sw] = A[:, None], pen[k, sw][:, None], np.nan, k + 1
+        i = j % 8
+        history = [swept.pop((j, k), [v]) for k, v in enumerate(out_f[i].tolist())]
+        yield ((lams[j] if lams.ndim > 1 else float(lams[j])), out[i].copy(), out_ok[i].copy(),
+               out_sweeps[i].copy(), history)
+        out_ok[i], out_sweeps[i] = True, 1
 
 
 def lasso_path(
@@ -542,9 +549,9 @@ def _fit_stack(gather: Callable[[int], tuple], n: int, cfg: LassoConfig,
     gather(i) builds item i's (LagEmbedding, stats), its samples anew on every call;
     only the stats and, in stage 1, the moments Z Z^T / N, Y Z^T / N and ||Y||^2 / N
     are kept, and the samples are gathered again for FGLS and the residual covariance.
-    Stage 1 is one ``_cd_gram`` call from zero, one group per item with its own
-    stopping rule, so each item gets its solo fit bit for bit; "fgls-lasso"
-    adds one ``_fgls_refit`` of every item's equations.
+    Stage 1 is one ``lasso_paths`` call of one point from zero, one group per item
+    with its own stopping rule, so each item gets its solo fit bit for bit;
+    "fgls-lasso" adds one ``_fgls_refit`` of every item's equations.
     """
     if n < 1 or estimator not in ESTIMATORS:
         raise LassoError(f"unknown estimator {estimator!r}" if n > 0 else f"{n} items to fit")
@@ -557,10 +564,10 @@ def _fit_stack(gather: Callable[[int], tuple], n: int, cfg: LassoConfig,
         return Z @ Z.T / N, Y @ Z.T / N, float(np.sum(Y * Y)) / N, stats
 
     G, C, yy, stats = zip(*map(moments, range(n)))
-    A, rho = np.zeros((n,) + C[0].shape), [None] * n
-    sweeps, converged, history = _cd_gram(np.stack(G), np.stack(C), np.array(yy),
-                                          np.full((n, 1), cfg.lam), cfg.tol, cfg.max_sweeps, A)
+    _, A, converged, sweeps, history = next(lasso_paths(np.stack(G), np.stack(C), np.array(yy),
+                                                        [cfg.lam], cfg))
     del G, C  # only the stats are kept; the samples are gathered again where they are read
+    rho = [None] * n
     if estimator == "fgls-lasso":
         designs = ((embed.Y, embed.Z, 1) for embed, _ in map(gather, range(n)))
         A, rho, sweeps2, converged2, history2 = _fgls_refit(designs, A, np.full(n, cfg.lam), cfg)
@@ -578,16 +585,12 @@ def _fit_stack(gather: Callable[[int], tuple], n: int, cfg: LassoConfig,
     return models
 
 
-def fit_lasso_var(
-    embed: LagEmbedding,
-    cfg: LassoConfig,
-    stats: StandardizationStats | None = None,
-    estimator: str = "lasso",
-) -> VarModel:
+def fit_lasso_var(embed: LagEmbedding, cfg: LassoConfig,
+                  stats: StandardizationStats | None = None, estimator: str = "lasso") -> VarModel:
     """Fit all K equations at the configured penalty ("ols", or lambda = 0, gives OLS).
 
-    The one-item ``_fit_stack``, from zero on the whole embedding's moments;
-    non-convergence within max_sweeps sets the model's converged flag.
+    The one-item ``_fit_stack``, a path of one point from zero on the whole embedding's
+    moments; non-convergence within max_sweeps sets the model's converged flag.
     """
     return _fit_stack(lambda i: (embed, stats), 1, cfg, estimator)[0]
 
@@ -625,10 +628,10 @@ def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig
     Each equation's rho is the lag-1 autocorrelation of its stage-1 residuals
     (clipped to |rho| <= 0.99); the penalty is re-applied on its Prais-Winsten
     whitened moments (``_whitened_moments``), warm-started from its own stage-1
-    row, so all P K solves are independent and run in one ``_cd_gram`` call: one
-    group of one row per (point, equation), with its own Gram in a stack that the
-    call overwrites. Returns A (P, K, m); rho, sweeps and converged (P, K); and
-    per point its objectives, equations in row order.
+    row, so all P K solves are independent and make one ``lasso_paths`` call of
+    one point on a per-row grid: one group of one row per (point, equation), with
+    its own Gram in a stack that the call may overwrite. Returns A (P, K, m); rho,
+    sweeps and converged (P, K); and per point its objectives, equations in row order.
     """
     P, K, m = A1.shape
     rho, G, C, yy = np.empty((P, K)), np.empty((P * K, m, m)), np.empty((P * K, m)), np.empty(P * K)
@@ -646,18 +649,14 @@ def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig
         start += count
     if start != P:
         raise LassoError(f"designs cover {start} of {P} stage-1 points")
-    A = np.array(A1, dtype=float).reshape(P * K, 1, m)
-    sweeps, converged, hist = _cd_gram(G, C[:, None], yy, np.repeat(lams, K)[:, None], cfg.tol,
-                                       cfg.max_sweeps, A)
+    _, A, converged, sweeps, hist = next(lasso_paths(
+        G, C[:, None], yy, np.repeat(lams, K).reshape(1, -1, 1), cfg, A1.reshape(P * K, 1, m)))
     history = [[v for h in hist[i * K:(i + 1) * K] for v in h] for i in range(P)]
     return A.reshape(P, K, m), rho, sweeps.reshape(P, K), converged.reshape(P, K), history
 
 
-def fit_fgls_lasso_var(
-    embed: LagEmbedding,
-    cfg: LassoConfig,
-    stats: StandardizationStats | None = None,
-) -> VarModel:
+def fit_fgls_lasso_var(embed: LagEmbedding, cfg: LassoConfig,
+                       stats: StandardizationStats | None = None) -> VarModel:
     """Two-stage fit allowing AR(1) serial correlation in the errors.
 
     The one-item ``_fit_stack``: stage 1 is the homoskedastic fit; stage 2
@@ -709,18 +708,8 @@ def fit_panel_vars(panels: Sequence[TimePanel], p: int, cfg: LassoConfig,
     return _fit_stack(gather, len(panels), cfg, estimator)
 
 
-def fit_panel_var(
-    panel: TimePanel,
-    p: int,
-    cfg: LassoConfig,
-    estimator: str = "lasso",
-) -> VarModel:
-    """Standardize, lag-embed and fit a panel: one item of the stacked fit ``fit_panel_vars``.
-
-    estimator: one of ``ESTIMATORS``.
-    """
-    std_panel, stats = standardize(panel)
-    embed = lag_embed(std_panel, p)
-    if estimator == "fgls-lasso":
-        return fit_fgls_lasso_var(embed, cfg, stats=stats)
-    return fit_lasso_var(embed, cfg, stats=stats, estimator=estimator)
+def fit_panel_var(panel: TimePanel, p: int, cfg: LassoConfig,
+                  estimator: str = "lasso") -> VarModel:
+    """Standardize, lag-embed and fit a panel (estimator: one of ``ESTIMATORS``): the
+    stacked fit ``fit_panel_vars`` of one."""
+    return fit_panel_vars([panel], p, cfg, estimator)[0]

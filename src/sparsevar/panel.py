@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -456,12 +457,15 @@ def read_panel_csv(path) -> TimePanel:
     space-padded, ``#`` is data, the file is read by ``_open_csv``, and an error names the
     first bad line, blank lines counted. A file whose dates are all exactly YYYY-MM-DD, as
     ``write_panel_csv``, ``simulate`` and ``ingest`` write them, makes no Python call per
-    line. Any other is read again by ``_date_ordinal``: the exact rule, the only reader of
-    padded dates, and the path that names a bad line.
+    line. Any other is read by ``_date_ordinal`` (at once if its first date is not exact):
+    the exact rule, the only reader of padded dates, and the path that names a bad line.
     """
     with open(path, "rb") as fh:  # a U11 cell drops a NUL at its end, unseen
-        body = None if b"\0" in fh.read() else _read_body(path, exact=False)
-    names, days, values = body or _read_body(path, exact=True)
+        raw = fh.read()
+    rows = csv.reader(line.decode("utf-8", "replace") for line in io.BytesIO(raw))
+    first = next((row[:1] for i, row in enumerate(rows) if i and row), [""])  # past the header
+    fast = b"\0" not in raw and _canonical_days(np.array(first, dtype="U11")) is not None
+    names, days, values = (fast and _read_body(path, exact=False)) or _read_body(path, exact=True)
     if not len(days):
         raise PanelError(f"{path}: no data rows")
     gaps = np.flatnonzero(np.diff(days) != 1)

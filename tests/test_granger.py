@@ -192,6 +192,32 @@ class TestBatchedSelection:
             np.testing.assert_array_equal(support[c], support_c[0])
         assert any(hit) and not all(hit)
 
+    def test_design_swept_at_the_last_penalty_scores_as_alone(self, simulated, monkeypatch):
+        """At lag CAP_LAG (21 regressors) some designs' last, dense points are beyond an
+        exact solve and sweep; there lasso_paths sweeps on the Gram stack it is given, which
+        it then overwrites. Every design's BIC at every point, the last read from its Gram
+        after that sweep, must be the one it has alone."""
+        D, rows, cols = selection_designs(simulated[0], CAP_LAG)
+        sweeps, bics, paths, bic = [], [], granger.lasso_paths, granger._bic
+
+        def spy(G, C, yy, lams, cfg):
+            for point in paths(G, C, yy, lams, cfg):
+                sweeps.append(point[3])
+                yield point
+
+        monkeypatch.setattr(granger, "lasso_paths", spy)
+        monkeypatch.setattr(granger, "_bic", lambda *args: bics.append(bic(*args)) or bics[-1])
+        lams, support, ok = _bic_select(D, rows, cols, COARSE)
+        batch, last = bics[:], sweeps[-1]
+        assert ok.all() and (last > 1).any() and len(set(last.tolist())) > 1
+        for c in range(len(rows)):
+            bics.clear()
+            lam_c, support_c, _ = _bic_select(D, rows[c, None], cols[c, None], COARSE)
+            for point, alone in zip(batch, bics, strict=True):
+                np.testing.assert_array_equal(point[c], alone[0])
+            np.testing.assert_array_equal(lams[c], lam_c[0])
+            np.testing.assert_array_equal(support[c], support_c[0])
+
 
 # p-values and LM statistics of multi-cause blocks on the panel above,
 # recorded with one single-row lambda path per selection regression
@@ -203,13 +229,13 @@ PINNED_BLOCKS = [
 ]
 
 
-def single_pair_p_values(panel, names, cfg, robust):
+def single_pair_p_values(panel, names, cfg, robust, p=2):
     """p-value matrix (rows = effect) of one ``pds_granger`` call per ordered pair."""
     single = np.full((len(names), len(names)), np.nan)
     for i, dst in enumerate(names):
         for j, src in enumerate(names):
             if src != dst:
-                spec = GrangerSpec(effect=dst, causes=(src,), p=2)
+                spec = GrangerSpec(effect=dst, causes=(src,), p=p)
                 single[i, j] = pds_granger(panel, spec, cfg, robust).p_value
     return single
 
@@ -225,15 +251,20 @@ class TestPdsGranger:
                                    rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("variables,robust", [(None, False), (("y4", "y1", "y3"), True)])
-    def test_network_equals_single_pair_tests(self, simulated, variables, robust):
+    def test_network_equals_single_pair_tests(self, simulated, variables, robust, p=2):
         panel, _ = simulated
-        net = granger_network(panel, 2, THRESHOLD, COARSE, variables=variables, robust=robust)
+        net = granger_network(panel, p, THRESHOLD, COARSE, variables=variables, robust=robust)
         assert net.failures == ()
         names = net.variables
-        single = single_pair_p_values(panel, names, COARSE, robust)
+        single = single_pair_p_values(panel, names, COARSE, robust, p)
         np.testing.assert_allclose(net.p_matrix, single, rtol=1e-10, atol=0.0)
         edges = {(names[j], names[i]) for i, j in np.argwhere(single < THRESHOLD)}
         assert {(e.source, e.target) for e in net.edges} == edges
+
+    def test_network_with_designs_swept_at_the_last_penalty_equals_single_pair_tests(
+            self, simulated):
+        # at lag CAP_LAG some selection designs are too dense to settle their last penalty
+        self.test_network_equals_single_pair_tests(simulated, None, False, CAP_LAG)
 
     def test_robust_form_finds_the_same_edges(self, simulated):
         """Under homoskedastic errors the robust score test agrees with the

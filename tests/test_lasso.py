@@ -55,9 +55,9 @@ def embed_from_seed(seed, k=3, p=1, t=300, density=0.5, magnitude=0.3):
 
 
 # Residual-form coordinate descent, the reference that the covariance-form
-# core lasso._cd_gram is checked against: same exact solves from the warm start
-# (lasso._settle, on the path's moments), coordinate order, update, threshold
-# and stopping rule, with the objective read from a fresh residual.
+# solver is checked against: same exact solves from the warm start (settle_at, on
+# the path's moments), coordinate order, update, threshold and stopping rule, with
+# the objective read from a fresh residual.
 
 
 def objective_value(A: np.ndarray, Y: np.ndarray, Z: np.ndarray, lam: float) -> float:
@@ -65,6 +65,20 @@ def objective_value(A: np.ndarray, Y: np.ndarray, Z: np.ndarray, lam: float) -> 
     resid = Y - A @ Z
     n = Y.shape[1]
     return float(np.sum(resid * resid) / n + lam * np.sum(np.abs(A)))
+
+
+def settle_at(G, C, yy, lam, A):
+    """The exact stage of a one-point ``lasso_paths`` call from the warm starts A (g, R, m),
+    which it updates: every group admitted at A's counts is a block of one on the t = 0
+    ``_predict`` pattern of A, from A's objective. Returns (settled, their objectives)."""
+    adm = np.flatnonzero(_admitted(A)[2])
+    W, WG, pen = A[adm], A[adm] @ G[adm], lam[adm]
+    S = _predict(W, WG, W, WG, C[adm], 0.0, pen[..., None] / 2.0)
+    obj = _objective(W, WG, C[adm], yy[adm], pen)
+    ok, f, _ = _settle(G, C, yy, pen, W, S, obj, adm, np.ones(len(adm), dtype=bool), WG, pen)
+    settled, first = np.zeros(len(A), dtype=bool), np.full(len(A), np.nan)
+    A[adm[ok]], settled[adm[ok]], first[adm[ok]] = W[ok], True, f[ok]
+    return settled, first
 
 
 def _cd_solve(
@@ -80,7 +94,7 @@ def _cd_solve(
     Coordinates are visited in fixed lag-major order (the row order of Z);
     no randomization, so results are reproducible and schedule-independent.
     Each update touches all N sample columns. ``lasso._cd_gram`` runs the
-    same iteration in covariance form. ``lasso._settle`` may stop it at the
+    same iteration in covariance form. ``settle_at`` may stop it at the
     exact optimum before the first sweep (one sweep, its objective the
     history); otherwise it sweeps until the largest change is below tol.
     Returns (A, sweeps, converged, per-sweep objective values).
@@ -92,7 +106,7 @@ def _cd_solve(
     G, C, yy = _path_moments(Y, Z)
     norms = np.einsum("jn,jn->j", Z, Z) / n
     A = np.zeros((K, m)) if A0 is None else np.array(A0, dtype=float)
-    settled, first = _settle(G[None], C[None], np.array([yy]), np.array([[lam]]), A[None])[:2]
+    settled, first = settle_at(G[None], C[None], np.array([yy]), np.array([[lam]]), A[None])
     if settled[0]:
         return A, 1, True, [float(first[0])]
     R = Y - A @ Z if A0 is not None else Y.copy()
@@ -130,28 +144,23 @@ def _cd_solve(
     return A, sweeps, converged, history
 
 
-# The covariance-form solver with the sign-and-max step: 16 numpy calls per
+# The covariance-form sweep kernel with the sign-and-max step: 16 numpy calls per
 # coordinate, the threshold as sign(rho) * max(|rho| - lambda / 2, 0), the change
 # tracked at every coordinate and a column written only when it moved. It reads
-# row j of each (symmetric) Gram for column j and starts with the same
-# ``lasso._settle`` as ``lasso._cd_gram`` does, but compacts by copies G[groups],
-# leaves G as it came and runs a lone group on 2-D views. The lean step of
-# ``lasso._cd_step`` must reproduce its coefficients (up to the sign of zero),
-# sweeps, convergence flags and objective histories exactly, for groups of
-# several rows and for the one-row groups of FGLS stage 2.
+# row j of each (symmetric) Gram for column j, as ``lasso._cd_gram`` does, but
+# compacts by copies G[groups], leaves G as it came and runs a lone group on 2-D
+# views. The lean step of ``lasso._cd_step`` must reproduce its coefficients (up to
+# the sign of zero), sweeps, convergence flags and objective histories exactly, for
+# groups of several rows and for the one-row groups of FGLS stage 2.
 
 
 def _cd_gram_signmax(G, C, yy, lam, tol, max_sweeps, A):
     lam = np.asarray(lam, dtype=float)
     g = len(C)
-    settled, first = _settle(G, C, yy, lam, A)[:2]
-    sweeps, converged = np.where(settled, 1, max_sweeps), settled.copy()
-    history = [[f] if s else [] for s, f in zip(settled.tolist(), first.tolist())]
-    if settled.all():
-        return sweeps, converged, history
+    sweeps, converged, history = np.full(g, max_sweeps), np.zeros(g, dtype=bool), [[] for _ in C]
     diag = np.diagonal(G, axis1=1, axis2=2)
     scale = np.where(diag > 0, diag, 1.0)
-    groups, live, W = np.arange(g), ~settled, None
+    groups, live, W = np.arange(g), np.ones(g, dtype=bool), None
     for sweep in range(1, max_sweeps + 1):
         if W is None or 2 * np.count_nonzero(live) <= len(live):
             if W is not None:
@@ -525,8 +534,10 @@ def assert_bitwise(a, b):
 
 def compactions(sweeps):
     """How often one ``_cd_gram`` call whose groups took these sweeps moves its live
-    Grams to the front of G: after each sweep at which half its working set has stopped."""
+    Grams to the front of G: after each sweep at which half its working set has stopped.
+    Of a solve's sweeps, the groups that took more than one, which all swept."""
     sweeps = np.asarray(sweeps)
+    sweeps = sweeps[sweeps > 1]
     n, count = len(sweeps), 0
     for sweep in range(1, int(sweeps.max())):
         live = np.count_nonzero(sweeps > sweep)
@@ -547,7 +558,7 @@ class TestLockstepPaths:
     def test_each_group_equals_its_solo_path(self, rows, k, p, per_row):
         cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
         data, (G, C, yy), lams = stacked_paths([11, 12, 13, 14], rows, k, p, per_row, cfg)
-        stacked = list(lasso_paths(G, C, yy, lams, cfg))
+        stacked = list(lasso_paths(G.copy(), C, yy, lams, cfg))  # G may be overwritten
         sweeps = np.array([s for _, _, _, s, _ in stacked])
         if k * p <= 20:
             assert (sweeps == 1).all()
@@ -555,7 +566,7 @@ class TestLockstepPaths:
             assert (sweeps.min(axis=1) < sweeps.max(axis=1)).any()  # groups stop apart
         for i, (Y, Z) in enumerate(data):
             grid = lams[:, i] if per_row else lams
-            solo = list(lasso_paths(G[i: i + 1], C[i: i + 1], yy[i: i + 1],
+            solo = list(lasso_paths(G[i: i + 1].copy(), C[i: i + 1], yy[i: i + 1],
                                     lams[:, i: i + 1] if per_row else lams, cfg))
             for point, one, alone in zip(stacked, solo, lasso_path(Y, Z, grid, cfg)):
                 lam, A, converged, sweeps_i, history = point
@@ -571,13 +582,13 @@ class TestLockstepPaths:
         # the four paths peak at 20, 30, 28 and 50 sweeps (20, 30, 29 and 47 on
         # per-row grids), so the cap below binds the slowest group only
         cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
-        data, moments, lams = stacked_paths([21, 22, 23, 24], 4, 6, 4, per_row, cfg)
-        free = list(lasso_paths(*moments, lams, cfg))
+        data, (G, C, yy), lams = stacked_paths([21, 22, 23, 24], 4, 6, 4, per_row, cfg)
+        free = list(lasso_paths(G.copy(), C, yy, lams, cfg))
         peak = np.array([s for _, _, _, s, _ in free]).max(axis=0)
         capped = replace(cfg, max_sweeps=int(peak.max()) - 1)  # below the slowest groups only
         hit = peak > capped.max_sweeps
         assert hit.any() and not hit.all()
-        capped_run = list(lasso_paths(*moments, lams, capped))
+        capped_run = list(lasso_paths(G.copy(), C, yy, lams, capped))
         for point, point_c in zip(free, capped_run):
             (_, A, conv, sweeps, hist), (_, A_c, conv_c, sweeps_c, hist_c) = point, point_c
             assert conv.all() and conv_c[~hit].all()
@@ -594,15 +605,21 @@ class TestLockstepPaths:
                 assert_bitwise(A_c[i], A_s)
                 assert (conv_c[i], sweeps_c[i]) == (conv_s, sweeps_s)
 
-    def test_caller_gram_stack_is_left_unchanged(self):
-        # _cd_gram overwrites G when groups stop apart; lasso_paths solves each
-        # penalty on a copy, so the caller may read G again (granger scores BIC from it)
+    def test_gram_stack_is_overwritten_only_after_the_last_penalty(self):
+        # _cd_gram compacts the Grams it sweeps in place: before the last penalty,
+        # lasso_paths sweeps on copies, so G reads as it came at every yield but the
+        # last; at the last penalty it sweeps on G itself, which it then overwrites
         cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
-        _, (G, C, yy), lams = stacked_paths([11, 12, 13, 14], 4, 6, 4, False, cfg)
-        before = G.copy()
-        points = list(lasso_paths(G, C, yy, lams, cfg))
-        assert max(compactions(sweeps) for _, _, _, sweeps, _ in points) >= 1
-        assert_bitwise(G, before)
+        _, (G, C, yy), lams = stacked_paths([21, 22, 23, 24], 4, 6, 4, False, cfg)
+        before, points = G.copy(), []
+        for point in lasso_paths(G, C, yy, lams, cfg):
+            assert len(points) == len(lams) - 1 or G.tobytes() == before.tobytes()
+            points.append(point)
+        assert list(points[-1][3]) == [15, 25, 24, 40]  # the last two move to the front
+        assert G.tobytes() != before.tobytes()
+        for point, again in zip(points, lasso_paths(before.copy(), C, yy, lams, cfg)):
+            assert_bitwise(point[1], again[1])
+            assert point[4] == again[4]
 
     def test_fixed_penalty_fit_is_a_lone_group(self):
         emb, _, _ = embed_from_seed(3, k=4, p=2, t=400, density=0.3, magnitude=0.25)
@@ -611,10 +628,8 @@ class TestLockstepPaths:
         # the same problem twice in one stacked call: each copy equals the fit
         n = emb.n_cols
         G, C, yy = emb.Z @ emb.Z.T / n, emb.Y @ emb.Z.T / n, float(np.sum(emb.Y * emb.Y)) / n
-        A = np.zeros((2,) + C.shape)
-        sweeps, converged, history = _cd_gram(np.stack([G, G]), np.stack([C, C]),
-                                              np.array([yy, yy]), np.full((2, 1), cfg.lam),
-                                              cfg.tol, cfg.max_sweeps, A)
+        _, A, converged, sweeps, history = next(lasso_paths(
+            np.stack([G, G]), np.stack([C, C]), np.array([yy, yy]), [cfg.lam], cfg))
         for i in range(2):
             assert_bitwise(A[i], model.A)
             assert (sweeps[i], converged[i]) == (model.sweeps, model.converged)
@@ -623,9 +638,9 @@ class TestLockstepPaths:
 
 def sequential_paths(G, C, yy, lams, cfg):
     """The walk of ``lasso_paths`` one penalty at a time, its blocks' reference: at each
-    penalty, one ``_cd_gram`` step per group, as one call per penalty makes it (the exact
-    stage, ``_settle``, on each group admitted at its warm start's counts, then sweeps from
-    the warm start for the rest), with the first pattern ``_predict`` extrapolates from the
+    penalty, the exact stage, ``_settle``, on each group admitted at its warm start's
+    counts, then ``_cd_gram``'s sweeps from the warm start for the rest, each group on the
+    first pattern ``_predict`` extrapolates from the
     group's last two path points, counting back to its last swept point at most. Every
     product and objective is formed here afresh. Yields per penalty (A, converged, sweeps,
     histories, settled by an exact solve)."""
@@ -644,7 +659,8 @@ def sequential_paths(G, C, yy, lams, cfg):
         new = A.copy()
         if len(adm):
             W = A[adm]
-            ok, objectives, _ = _settle(G, C, yy, pen[adm], W, S, obj, adm)
+            ok, objectives, _ = _settle(G, C, yy, pen[adm], W, S, obj, adm,
+                                        np.ones(len(adm), dtype=bool), np.zeros(W.shape), pen[adm])
             new[adm[ok]], settled[adm[ok]] = W[ok], True
             f = dict(zip(adm[ok].tolist(), objectives[ok].tolist()))
         sweeps, converged = np.ones(g, dtype=int), settled.copy()
@@ -652,7 +668,7 @@ def sequential_paths(G, C, yy, lams, cfg):
         sw = np.flatnonzero(~settled)
         if len(sw):
             W = A[sw]
-            out = _cd_gram(G[sw], C[sw], yy[sw], pen[sw], cfg.tol, cfg.max_sweeps, W, exact=False)
+            out = _cd_gram(G[sw], C[sw], yy[sw], pen[sw], cfg.tol, cfg.max_sweeps, W)
             new[sw], sweeps[sw], converged[sw] = W, out[0], out[1]
             for k, i in enumerate(sw.tolist()):
                 history[i] = out[2][k]
@@ -682,14 +698,13 @@ class TestBlocks:
 
         def recorded(*args):
             ok, f, ahead = settle(*args)
-            if len(args) > 8:  # a path's blocks: every item not a head is speculative
-                rejected[case] = rejected.get(case, 0) + int(np.count_nonzero(~args[8] & ~ok))
+            rejected[case] = rejected.get(case, 0) + int(np.count_nonzero(~args[8] & ~ok))
             return ok, f, ahead
 
         monkeypatch.setattr("sparsevar.lasso._settle", recorded)
         for case, (seeds, rows, k, p, per_row) in self.CASES.items():
             _, (G, C, yy), lams = stacked_paths(seeds, rows, k, p, per_row, cfg)
-            blocks = list(lasso_paths(G, C, yy, lams, cfg))
+            blocks = list(lasso_paths(G.copy(), C, yy, lams, cfg))  # G may be overwritten
             walk = list(sequential_paths(G, C, yy, lams, cfg))
             mixed = False
             for (lam, A, converged, sweeps, history), (A_s, conv_s, sweeps_s, hist_s, settled) \
@@ -732,7 +747,7 @@ def ar1_panels(seeds, k=4):
 
 class TestLockstepFits:
     """``fit_panel_vars`` fits independent panels in one lockstep solve (one
-    ``_cd_gram`` group per panel, one ``_fgls_refit`` for every panel's
+    ``lasso_paths`` group per panel, one ``_fgls_refit`` for every panel's
     equations); each must be the fit it is alone, bit for bit."""
 
     @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
@@ -763,7 +778,7 @@ class TestLockstepFits:
         assert [id(pnl) for pnl in calls] == [id(pnl) for pnl in panels]
 
     def test_fgls_stage2_of_several_designs_equals_one_call_each(self):
-        # three designs' whole stage-1 paths in one _cd_gram call of one-row groups;
+        # three designs' whole stage-1 paths in one lasso_paths call of one-row groups;
         # its dense rows (m = 24) sweep and stop apart, so the live Grams move to
         # the front of G more than once
         cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
@@ -829,8 +844,9 @@ class TestLeanStep:
     """``_cd_gram`` equals the sign-and-max step kept above (``_cd_gram_signmax``),
     on groups of several rows and on FGLS stage 2's one-row groups: coefficients
     ``==``-equal, sweeps, convergence flags and objective histories identical,
-    and every zero coefficient +0.0. With m = 24 the dense points are beyond
-    admission and sweep; the others settle without a sweep."""
+    and every zero coefficient +0.0. Called alone, each kernel sweeps every point
+    from the last; in FGLS stage 2 (m = 24) the dense rows are beyond admission and
+    sweep, the others settle without a sweep."""
 
     cfg = LassoConfig(grid=LassoGrid(n_points=25, ratio=1e-3))
 
@@ -985,18 +1001,16 @@ class TestExactFinish:
                 raise
 
         monkeypatch.setattr(np.linalg, "solve", counted)
-        A = np.zeros(C.shape)
-        out = _cd_gram(G.copy(), C, yy, np.zeros((4, 1)), 1e-8, 1000, A)
+        _, A, converged, sweeps, history = next(lasso_paths(G.copy(), C, yy, [0.0], LassoConfig()))
         # a batched solve of several groups raised, then the collinear rows one by one
         assert any(len(shape) == 4 and shape[0] > 1 for shape in raised) and (6, 6) in raised
         for i in range(4):
-            A_i = np.zeros(C[i:i + 1].shape)
-            solo = _cd_gram(G[i:i + 1].copy(), C[i:i + 1], yy[i:i + 1], np.zeros((1, 1)),
-                            1e-8, 1000, A_i)
+            _, A_i, *solo = next(lasso_paths(G[i:i + 1].copy(), C[i:i + 1], yy[i:i + 1], [0.0],
+                                             LassoConfig()))
             assert_bitwise(A[i], A_i[0])
-            assert (out[0][i], out[1][i], out[2][i]) == (solo[0][0], solo[1][0], solo[2][0])
+            assert (converged[i], sweeps[i], history[i]) == (solo[0][0], solo[1][0], solo[2][0])
         regular = [0, 2, 3]
-        assert out[1].all() and (out[0][regular] < out[0][1]).all()
+        assert converged.all() and (sweeps[regular] < sweeps[1]).all()
 
 
     def test_chunk_peak_memory_is_near_its_gather(self):
@@ -1011,11 +1025,11 @@ class TestExactFinish:
         G, C = (Z @ Z.T / 300)[None], rng.standard_normal((1, R, m))
         W = rng.standard_normal((1, R, m))
         W[..., s:] = 0.0
-        S = np.sign(W).astype(np.int8)
+        S, WG = np.sign(W).astype(np.int8), np.empty(W.shape)
         tracemalloc.start()
         try:
             _finish(G, C, np.array([10.0]), np.array([[0.01]]), W, np.array([np.inf]),
-                    np.ones(1, dtype=bool), S, np.zeros(1, dtype=int))
+                    np.ones(1, dtype=bool), S, np.zeros(1, dtype=int), WG)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1023,7 +1037,8 @@ class TestExactFinish:
 
 
 class TestSettle:
-    """``lasso._settle``: exact solves from the warm start before any sweep."""
+    """``lasso._settle`` in a one-point ``lasso_paths`` call: exact solves from the warm
+    start before any sweep."""
 
     def test_mixed_batch_each_group_equals_its_solo_run(self):
         # four m = 24 groups, each at its own penalty: three settle before any
@@ -1033,20 +1048,32 @@ class TestSettle:
                 for i, seed in enumerate((40, 41, 42, 43))]
         G, C, yy = (np.stack(parts) for parts in zip(*map(moments_of, embs)))
         top = np.array([[f * lambda_max(e.Y, e.Z)] for e, f in zip(embs, (0.5, 0.3, 1e-3, 0.2))])
-        settles = [True, True, False, True]
-        A = np.zeros(C.shape)
-        for lam in (top, 0.8 * top):
-            assert list(_settle(G, C, yy, lam, A.copy())[0]) == settles
-            A0 = A.copy()
-            sweeps, converged, history = _cd_gram(G.copy(), C, yy, lam, 1e-8, 1000, A)
+        settles, cfg = [True, True, False, True], LassoConfig()
+        A0 = np.zeros(C.shape)
+        for lam in (top, 0.8 * top):  # one penalty per group: a (1, 4, 1) grid
+            assert list(settle_at(G, C, yy, lam, A0.copy())[0]) == settles
+            _, A, converged, sweeps, history = next(lasso_paths(G.copy(), C, yy, lam[None], cfg,
+                                                                A0))
             assert converged.all() and list(sweeps == 1) == settles
             for i in range(4):
-                A_i = A0[i:i + 1].copy()
-                solo = _cd_gram(G[i:i + 1].copy(), C[i:i + 1], yy[i:i + 1], lam[i:i + 1], 1e-8,
-                                1000, A_i)
+                _, A_i, *solo = next(lasso_paths(G[i:i + 1].copy(), C[i:i + 1], yy[i:i + 1],
+                                                 lam[None, i:i + 1], cfg, A0[i:i + 1]))
                 assert_bitwise(A[i], A_i[0])
-                assert (sweeps[i], converged[i], history[i]) == (solo[0][0], solo[1][0], solo[2][0])
+                assert (converged[i], sweeps[i], history[i]) == (solo[0][0], solo[1][0], solo[2][0])
                 assert len(history[i]) == sweeps[i]
+            A0 = A
+
+
+def fixed_penalty_fits(cfg):
+    """Fixed-penalty fits at 10 nested origins of an AR(1)-error panel, m = 24: the lasso's
+    (3 of 10 sweep, the rest settle), FGLS's (stage 2's rows settle or sweep) and OLS's (too
+    dense to settle: every fit sweeps). One list of models per estimator."""
+    pnl = simulate(SyntheticSpec(
+        k=12, p=2, t=400, recipe=SparseRecipe(density=0.2, magnitude=0.25, seed=19),
+        error="ar1", rho=0.5, seed=19))[0]
+    origins = [pnl.slice_rows(0, t) for t in range(310, 401, 10)]
+    return [fit_panel_vars(origins, 2, replace(cfg, lam=lam), est)
+            for est, lam in (("lasso", 0.2), ("fgls-lasso", 0.03), ("ols", 0.0))]
 
 
 SCENARIOS = {
@@ -1058,6 +1085,8 @@ SCENARIOS = {
     "cv": lambda cfg: select_lambda(simulate(SyntheticSpec(
         k=10, p=2, t=1000, recipe=SparseRecipe(density=0.2, magnitude=0.25, seed=18), seed=18))[0],
         2, cfg, WalkForwardPlan(n_splits=3, test_size=50, min_train=700)),
+    # the forecast origins' fixed-penalty fits (lasso, FGLS and OLS), m = 24
+    "fits": fixed_penalty_fits,
 }
 
 
@@ -1075,7 +1104,9 @@ class TestPinnedOutputs:
     projection of the actuals on that QR became one product per series, whose
     bytes do not depend on the BLAS thread count: 51 of the 150 losses moved, by
     at most 5.3e-15 absolute (4.3e-16 relative); the grid, lambda* and the
-    coefficient digest did not move."""
+    coefficient digest did not move. The fits digest, of every fixed-penalty model's
+    A, sigma_u, rho, sweeps and history, was recorded while those fits and FGLS stage 2
+    still made an exact stage of their own, before they became one-point paths."""
 
     cfg = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
     PINS = {
@@ -1083,6 +1114,7 @@ class TestPinnedOutputs:
                     "daf7b3aa73c87b4583fb8cfe7bacd6abba64e1e099326178da38ec48ae3f4b84"),
         "cv": ("23f28a98921a47c6690ab0d3c594386d1da1cec0d80714717a97c83678787b5b",
                "95224aeae54afd2b0f69afadd0ce6d648b08438fbad5670e954b4b89069d54c8"),
+        "fits": "36ab56cc31a3e7852d1876690af055c5fe93dc3d67b23928b6ee2b01664b15ab",
     }
 
     @pytest.mark.parametrize("scenario", ["granger", "cv"])
@@ -1103,35 +1135,45 @@ class TestPinnedOutputs:
             outputs = report.losses.tobytes() + report.lams.tobytes() + np.float64(lam).tobytes()
         assert (coefficients.hexdigest(), hashlib.sha256(outputs).hexdigest()) == self.PINS[scenario]
 
+    def test_fixed_penalty_fits(self):
+        # every model's A, sigma_u, rho, sweeps and history in one digest
+        digest = hashlib.sha256()
+        for models in SCENARIOS["fits"](self.cfg):
+            for model in models:
+                for part in (model.A, model.sigma_u, [] if model.rho is None else model.rho,
+                             [model.sweeps], model.objective_history):
+                    digest.update(np.asarray(part, dtype=float).tobytes())
+        assert digest.hexdigest() == self.PINS["fits"]
+
 
 class TestSweepCounts:
-    """Deterministic solver work on two seeded runs on the bench grid: coordinate
-    group-sweeps (each ``_cd_gram`` call's sweeps summed over its groups; on a path every
-    group of a ``_cd_gram`` call sweeps, since ``lasso_paths`` makes the exact stage in
-    its own blocks) and exact-solve batches (``_finish`` calls, all from ``_settle``).
-    Neither may exceed the count measured with blocks of upcoming penalties settled in
-    one ``_settle`` call. A change that makes the solver sweep or solve more, such as one
-    exact-stage call per penalty, fails."""
+    """Deterministic solver work on the seeded SCENARIOS on the bench grid: coordinate
+    group-sweeps (each ``_cd_gram`` call's sweeps summed over its groups; every group of a
+    ``_cd_gram`` call sweeps, since ``lasso_paths`` makes the exact stage in its own
+    blocks) and exact-solve batches (``_finish`` calls, all from ``_settle``). On the paths
+    neither may exceed the count measured with blocks of upcoming penalties settled in one
+    ``_settle`` call; on the fixed-penalty fits, the count measured when they had an exact
+    stage of their own (its swept groups' sweeps). A change that makes the solver sweep or
+    solve more, such as one exact-stage call per penalty, fails."""
 
     cfg = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
 
     def work(self, monkeypatch, scenario) -> tuple[int, int]:
         """(coordinate group-sweeps, exact-solve batches) of the scenario."""
-        counts = {"_cd_gram": 0, "_finish": 0}
+        counts, running = {"_cd_gram": 0, "_finish": 0}, []
 
         def counted(name, fn, count):
-            def call(*args, **kwargs):
-                out = fn(*args, **kwargs)
-                counts[name] += count(out, kwargs)
+            def call(*args):
+                assert running == []  # no exact solve inside a sweep: _cd_gram only sweeps
+                running.append(name)
+                out = fn(*args)
+                running.pop()
+                counts[name] += count(out)
                 return out
             return call
 
-        def group_sweeps(out, kwargs):
-            assert kwargs == {"exact": False}  # a path's: its exact stage is the blocks'
-            return int(out[0].sum())
-
-        for name, fn, count in [("_cd_gram", _cd_gram, group_sweeps),
-                                ("_finish", _finish, lambda out, kwargs: 1)]:
+        for name, fn, count in [("_cd_gram", _cd_gram, lambda out: int(out[0].sum())),
+                                ("_finish", _finish, lambda out: 1)]:
             monkeypatch.setattr(f"sparsevar.lasso.{name}", counted(name, fn, count))
         SCENARIOS[scenario](self.cfg)
         return counts["_cd_gram"], counts["_finish"]
@@ -1143,6 +1185,10 @@ class TestSweepCounts:
     def test_three_fold_cv_paths(self, monkeypatch):
         coordinate_sweeps, exact_solve_batches = self.work(monkeypatch, "cv")
         assert coordinate_sweeps <= 0 and exact_solve_batches <= 37
+
+    def test_fixed_penalty_fits(self, monkeypatch):
+        coordinate_sweeps, exact_solve_batches = self.work(monkeypatch, "fits")
+        assert coordinate_sweeps <= 1567 and exact_solve_batches <= 16
 
 
 class TestKkt:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsevar import panel as panel_mod
 from sparsevar.panel import (
     PanelError,
     StandardizationStats,
@@ -377,17 +378,25 @@ class TestCsvReader:
             read_panel_csv(path)
 
     @pytest.mark.parametrize("layout, calls", [("canonical", 0), ("crlf", 0), ("quoted", 0),
-                                               ("padded", 6), ("space_before_date", 6)])
+                                               ("padded", 6), ("space_before_date", 6),
+                                               ("padded_later", 6)])
     def test_only_other_date_cells_call_the_converter(self, tmp_path, rng, monkeypatch,
                                                       layout, calls):
-        # a canonical file is parsed in loadtxt's C pass; any other is read again per line
-        seen = []
+        # a canonical file is parsed in loadtxt's C pass (exact=False); one whose first date
+        # is not exact, per line at once; one with a later date not exact, per line after it
+        passes = {"padded": [True], "space_before_date": [True], "padded_later": [False, True]}
+        seen, made, read_body = [], [], panel_mod._read_body
         monkeypatch.setattr("sparsevar.panel._date_ordinal",
                             lambda cell: seen.append(cell) or _date_ordinal(cell))
+        monkeypatch.setattr("sparsevar.panel._read_body",
+                            lambda path, exact: made.append(exact) or read_body(path, exact=exact))
         path = tmp_path / "panel.csv"
-        lines = layout_lines(panel_rows(rng), layout)
+        lines = layout_lines(panel_rows(rng), layout.removesuffix("_later"))
+        if layout == "padded_later":
+            lines = layout_lines(panel_rows(rng), "canonical")[:4] + lines[4:]
         path.write_text(("\r\n" if layout == "crlf" else "\n").join(lines), newline="")
-        assert read_panel_csv(path).dates == reference_read(path)[1] and len(seen) == calls
+        assert read_panel_csv(path).dates == reference_read(path)[1]
+        assert (len(seen), made) == (calls, passes.get(layout, [False]))
 
     def test_underscore_digit_groups_are_rejected(self, tmp_path):
         # float accepts them; the reader's parser does not, and says where
