@@ -1,6 +1,10 @@
 """Batch command-line surface: simulate, ingest, cv, fit, forecast, evaluate, granger.
 
-Importing it loads ``panel``, ``lasso`` and ``cv``; each command imports the rest it runs on."""
+Importing it loads ``panel``, ``lasso`` and ``cv``; each command imports the rest it runs on.
+Every command lists all the problems of its config in one ``ConfigError`` before it reads
+an input; the panel commands (cv, fit, forecast, granger) check theirs in ``_panel_command``.
+Every file is written by ``panel.write_csv`` or ``panel.write_text``, which make the output
+directory at the first write, so a command that fails a check leaves none."""
 
 from __future__ import annotations
 
@@ -47,15 +51,17 @@ def _parse_origins(text: str) -> tuple[date, date]:
         raise argparse.ArgumentTypeError(f"expected START:END ISO dates: {text!r}")
 
 
-def _parse_named(pairs: list[str], flag: str) -> dict[str, str]:
+def _parse_named(pairs: list[str], flag: str, errors: list[str]) -> dict[str, str]:
+    """``NAME=PATH`` items by name; a malformed or repeated item is added to ``errors``."""
     out: dict[str, str] = {}
     for item in pairs:
-        if "=" not in item:
-            raise ConfigError([f"{flag} expects NAME=PATH, got {item!r}"])
-        name, path = item.split("=", 1)
-        if name in out:
-            raise ConfigError([f"duplicate {flag} name {name!r}"])
-        out[name] = path
+        name, eq, path = item.partition("=")
+        if not eq:
+            errors.append(f"{flag} expects NAME=PATH, got {item!r}")
+        elif name in out:
+            errors.append(f"duplicate {flag} name {name!r}")
+        else:
+            out[name] = path
     return out
 
 
@@ -196,19 +202,35 @@ def _plan(cfg: dict, T: int, p: int) -> cv_mod.WalkForwardPlan:
     return plan
 
 
-def _outdir(cfg: dict, errors: list[str]) -> str:
-    out = cfg.get("out")
-    if out is None:
-        errors.append("missing required option --out")
-        return "."
-    os.makedirs(out, exist_ok=True)
-    return out
+def _panel_command(cfg: dict, required: list[str], own: list[str]) -> tuple:
+    """The front door of the panel commands: every problem of the config in one ConfigError,
+    listed in order (a missing --out, --panel, --lag, then the command's ``required``; a
+    panel path that does not exist; the solver options; the command's ``own`` messages),
+    then the panel read. Returns the output directory, the panel, the lag and the solver
+    config."""
+    errors: list[str] = []
+    _require(cfg, ["out", "panel", "lag", *required], errors)
+    _validate_paths(cfg, ["panel"], errors)
+    lcfg = _lasso_config(cfg, errors)
+    errors += own
+    if errors:
+        raise ConfigError(errors)
+    return cfg["out"], panel.read_panel_csv(cfg["panel"]), int(cfg["lag"]), lcfg
+
+
+def _tuning_plan(cfg: dict, pnl: panel.TimePanel, p: int,
+                 origin: date | None = None) -> cv_mod.WalkForwardPlan | None:
+    """The walk-forward plan that selects the penalty when the estimator is tuned and no
+    --lambda is given, sized to the rows up to ``origin`` (all when None); else None."""
+    if cfg["estimator"] not in lasso.TUNED or cfg.get("lam") is not None:
+        return None
+    return _plan(cfg, pnl.n_obs if origin is None else pnl.position(origin) + 1, p)
 
 
 def cmd_simulate(cfg: dict) -> None:
     from sparsevar import synthetic
     errors: list[str] = []
-    out = _outdir(cfg, errors)
+    _require(cfg, ["out"], errors)
     k = int(cfg.get("k", 5))
     t = int(cfg.get("t", 500))
     p = int(cfg.get("lag", 2))
@@ -231,20 +253,17 @@ def cmd_simulate(cfg: dict) -> None:
         seed=seed,
     )
     pnl, truth = synthetic.simulate(spec)
-    panel.write_panel_csv(pnl, os.path.join(out, "panel.csv"))
-    with open(os.path.join(out, "truth.json"), "w", encoding="utf-8") as fh:
-        fh.write(truth.to_json())
-        fh.write("\n")
+    panel.write_panel_csv(pnl, os.path.join(cfg["out"], "panel.csv"))
+    panel.write_text(os.path.join(cfg["out"], "truth.json"), truth.to_json() + "\n")
 
 
 def cmd_ingest(cfg: dict) -> None:
     from sparsevar import ingestion
     errors: list[str] = []
-    out = _outdir(cfg, errors)
-    _require(cfg, ["prices"], errors)
+    _require(cfg, ["out", "prices"], errors)
     _validate_paths(cfg, ["prices", "volume"], errors)
-    sentiment = _parse_named(cfg.get("sentiment", []), "--sentiment")
-    trends = _parse_named(cfg.get("trends", []), "--trends")
+    sentiment = _parse_named(cfg.get("sentiment", []), "--sentiment", errors)
+    trends = _parse_named(cfg.get("trends", []), "--trends", errors)
     for name, path in {**sentiment, **trends}.items():
         if not os.path.exists(path):
             errors.append(f"input for {name!r} does not exist: {path}")
@@ -266,8 +285,7 @@ def cmd_ingest(cfg: dict) -> None:
         chunks = ingestion.load_trend_chunks(directory)
         monthly = ingestion.load_monthly_index_csv(os.path.join(directory, "monthly.csv"))
         blocks.append(ingestion.rescale_gtrends(chunks, monthly, name=name))
-    unified = _inner_join(blocks)
-    panel.write_panel_csv(unified, os.path.join(out, "panel.csv"))
+    panel.write_panel_csv(_inner_join(blocks), os.path.join(cfg["out"], "panel.csv"))
 
 
 def _inner_join(blocks: list[panel.TimePanel]) -> panel.TimePanel:
@@ -292,20 +310,9 @@ def _inner_join(blocks: list[panel.TimePanel]) -> panel.TimePanel:
 
 
 def cmd_cv(cfg: dict) -> None:
-    errors: list[str] = []
-    out = _outdir(cfg, errors)
-    _require(cfg, ["panel", "lag"], errors)
-    _validate_paths(cfg, ["panel"], errors)
-    lcfg = _lasso_config(cfg, errors)
     estimator = cfg.get("estimator", "lasso")
-    if estimator not in lasso.TUNED:
-        errors.append(
-            f"--estimator {estimator!r}: cv selects the penalty of " + " or ".join(lasso.TUNED)
-        )
-    if errors:
-        raise ConfigError(errors)
-    pnl = panel.read_panel_csv(cfg["panel"])
-    p = int(cfg["lag"])
+    out, pnl, p, lcfg = _panel_command(cfg, [], [] if estimator in lasso.TUNED else [
+        f"--estimator {estimator!r}: cv selects the penalty of " + " or ".join(lasso.TUNED)])
     plan = _plan(cfg, pnl.n_obs, p)
     _, report = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=estimator)
     cv_mod.write_cv_report_csv(report, os.path.join(out, "cv_report.csv"))
@@ -313,53 +320,28 @@ def cmd_cv(cfg: dict) -> None:
 
 
 def cmd_fit(cfg: dict) -> None:
-    errors: list[str] = []
-    out = _outdir(cfg, errors)
-    _require(cfg, ["panel", "lag", "estimator"], errors)
-    _validate_paths(cfg, ["panel"], errors)
-    lcfg = _lasso_config(cfg, errors)
-    if errors:
-        raise ConfigError(errors)
-    pnl = panel.read_panel_csv(cfg["panel"])
-    p = int(cfg["lag"])
-    estimator = cfg["estimator"]
-    if estimator in lasso.TUNED and cfg.get("lam") is None:
-        plan = _plan(cfg, pnl.n_obs, p)
-        lam, _ = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=estimator)
+    out, pnl, p, lcfg = _panel_command(cfg, ["estimator"], [])
+    plan = _tuning_plan(cfg, pnl, p)
+    if plan is not None:
+        lam, _ = cv_mod.select_lambda(pnl, p, lcfg, plan, estimator=cfg["estimator"])
         lcfg = dc_replace(lcfg, lam=lam)
-    model = lasso.fit_panel_var(pnl, p, lcfg, estimator)
-    with open(os.path.join(out, "model.json"), "w", encoding="utf-8") as fh:
-        fh.write(model.to_json())
-        fh.write("\n")
+    model = lasso.fit_panel_var(pnl, p, lcfg, cfg["estimator"])
+    panel.write_text(os.path.join(out, "model.json"), model.to_json() + "\n")
 
 
 def cmd_forecast(cfg: dict) -> None:
     from sparsevar import forecasting
-    errors: list[str] = []
-    out = _outdir(cfg, errors)
-    _require(cfg, ["panel", "lag", "estimator", "origins"], errors)
-    _validate_paths(cfg, ["panel"], errors)
-    lcfg = _lasso_config(cfg, errors)
-    if errors:
-        raise ConfigError(errors)
-    pnl = panel.read_panel_csv(cfg["panel"])
-    p = int(cfg["lag"])
-    estimator = cfg["estimator"]
-    H = int(cfg.get("horizons", 4))
-    origins = cfg["origins"]
-    plan = None
-    if estimator in lasso.TUNED and cfg.get("lam") is None:
-        start_pos = pnl.position(origins[0])
-        plan = _plan(cfg, start_pos + 1, p)
+    out, pnl, p, lcfg = _panel_command(cfg, ["estimator", "origins"], [])
+    start, end = cfg["origins"]
     fs = forecasting.recursive_exercise(
         pnl,
         p,
         lcfg,
-        estimator,
-        origins[0],
-        origins[1],
-        H=H,
-        plan=plan,
+        cfg["estimator"],
+        start,
+        end,
+        H=int(cfg.get("horizons", 4)),
+        plan=_tuning_plan(cfg, pnl, p, start),
         refit_policy=cfg.get("refit_policy", "first"),
     )
     forecasting.write_forecast_csv(fs, os.path.join(out, "forecasts.csv"))
@@ -368,10 +350,10 @@ def cmd_forecast(cfg: dict) -> None:
 def cmd_evaluate(cfg: dict) -> None:
     from sparsevar import evaluation, forecasting
     errors: list[str] = []
-    out = _outdir(cfg, errors)
-    forecasts = _parse_named(cfg.get("forecast", []), "--forecast")
-    if not forecasts:
+    _require(cfg, ["out"], errors)
+    if not cfg.get("forecast"):
         errors.append("need at least one --forecast NAME=PATH")
+    forecasts = _parse_named(cfg.get("forecast", []), "--forecast", errors)
     for name, path in forecasts.items():
         if not os.path.exists(path):
             errors.append(f"forecast file for {name!r} does not exist: {path}")
@@ -384,25 +366,17 @@ def cmd_evaluate(cfg: dict) -> None:
     report = evaluation.evaluate_forecasts(
         models, benchmark=benchmark, mda_form=cfg.get("mda_form", "consecutive")
     )
-    evaluation.write_evaluation_csv(report, os.path.join(out, "evaluation.csv"))
+    evaluation.write_evaluation_csv(report, os.path.join(cfg["out"], "evaluation.csv"))
 
 
 def cmd_granger(cfg: dict) -> None:
     from sparsevar import granger
-    errors: list[str] = []
-    out = _outdir(cfg, errors)
-    _require(cfg, ["panel", "lag"], errors)
-    _validate_paths(cfg, ["panel"], errors)
-    lcfg = _lasso_config(cfg, errors)
     threshold = float(cfg.get("threshold", 0.01))
-    if not 0.0 <= threshold <= 1.0:
-        errors.append(f"--threshold must be in [0, 1], got {threshold}")
-    if errors:
-        raise ConfigError(errors)
-    pnl = panel.read_panel_csv(cfg["panel"])
+    out, pnl, p, lcfg = _panel_command(cfg, [], [] if 0.0 <= threshold <= 1.0 else [
+        f"--threshold must be in [0, 1], got {threshold}"])
     net = granger.granger_network(
         pnl,
-        p=int(cfg["lag"]),
+        p=p,
         threshold=threshold,
         cfg=lcfg,
         robust=bool(cfg.get("robust", False)),

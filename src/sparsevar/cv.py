@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 import warnings
 from dataclasses import dataclass
@@ -12,7 +11,7 @@ import numpy as np
 from sparsevar import SparsevarError
 from sparsevar.lasso import TUNED, LassoConfig, _fgls_refit, _path_moments, lambda_grid, lambda_max
 from sparsevar.lasso import lasso_path, lasso_paths  # noqa: F401 (the bench traces cv.lasso_path)
-from sparsevar.panel import TimePanel, lag_embed, standardize
+from sparsevar.panel import TimePanel, lag_embed, number, standardize, write_csv
 
 log = logging.getLogger("sparsevar.cv")
 
@@ -185,23 +184,15 @@ def _fold_losses(fits: np.ndarray, stats, val_Z: np.ndarray, actual: np.ndarray)
 
 
 def write_cv_report_csv(report: CvReport, path) -> None:
-    """``lambda,fold,loss`` rows; the selected penalty is a trailing comment line."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "fold", "loss"])
-        for i, lam in enumerate(report.lams):
-            for fold in range(report.losses.shape[1]):
-                loss = report.losses[i, fold]
-                writer.writerow(
-                    ["%.17g" % lam, fold, "" if np.isnan(loss) else "%.17g" % loss]
-                )
-        fh.write("# lambda_star = %.17g\n" % report.lambda_star)
+    """``lambda,fold,loss`` rows, a failed fit's loss empty; the selected penalty is a
+    trailing comment line."""
+    write_csv(path, ["lambda", "fold", "loss"],
+              ([number(lam), fold, number(loss)]
+               for lam, row in zip(report.lams, report.losses) for fold, loss in enumerate(row)),
+              trailer=f"# lambda_star = {number(report.lambda_star)}\n")
 
 
 def write_cv_excluded_csv(report: CvReport, path) -> None:
     """``lambda,reason`` rows for every excluded penalty; only the header if none."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "reason"])
-        writer.writerows(["%.17g" % lam, reason]
-                         for lam, reason in zip(report.excluded, report.reasons))
+    write_csv(path, ["lambda", "reason"],
+              ([number(lam), reason] for lam, reason in zip(report.excluded, report.reasons)))

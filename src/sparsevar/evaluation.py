@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -10,6 +9,7 @@ import numpy as np
 
 from sparsevar import SparsevarError
 from sparsevar.forecasting import ForecastSet
+from sparsevar.panel import number, write_csv
 
 
 class EvaluationError(SparsevarError):
@@ -247,17 +247,6 @@ def _mda_cell(fs: ForecastSet, j: int, k: int, form: str) -> float:
 
 def write_evaluation_csv(report: EvalReport, path) -> None:
     """``model,series,horizon,metric,value,stars`` rows."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "series", "horizon", "metric", "value", "stars"])
-        for cell in report.cells:
-            writer.writerow(
-                [
-                    cell.model,
-                    cell.series,
-                    cell.horizon,
-                    cell.metric,
-                    "%.17g" % cell.value,
-                    cell.stars,
-                ]
-            )
+    write_csv(path, ["model", "series", "horizon", "metric", "value", "stars"],
+              ([c.model, c.series, c.horizon, c.metric, number(c.value), c.stars]
+               for c in report.cells))

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass, replace as dc_replace
 from datetime import date
 
@@ -12,7 +10,7 @@ import numpy as np
 from sparsevar import SparsevarError
 from sparsevar.cv import WalkForwardPlan, select_lambda
 from sparsevar.lasso import TUNED, LassoConfig, VarModel, fit_panel_vars
-from sparsevar.panel import TimePanel, csv_records, parse_date, stack_state
+from sparsevar.panel import TimePanel, csv_records, number, parse_date, stack_state, write_csv
 
 
 class ForecastError(SparsevarError):
@@ -138,23 +136,13 @@ def recursive_exercise(
 
 
 def write_forecast_csv(fs: ForecastSet, path) -> None:
-    """``origin,horizon,series,forecast,actual`` rows, origin-major order."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["origin", "horizon", "series", "forecast", "actual"])
-        for o, origin in enumerate(fs.origins):
-            for j, h in enumerate(fs.horizons):
-                for k, name in enumerate(fs.names):
-                    actual = fs.actuals[o, j, k]
-                    writer.writerow(
-                        [
-                            origin.isoformat(),
-                            h,
-                            name,
-                            "%.17g" % fs.values[o, j, k],
-                            "" if math.isnan(actual) else "%.17g" % actual,
-                        ]
-                    )
+    """``origin,horizon,series,forecast,actual`` rows, origin-major order; an actual past
+    the panel's end is empty."""
+    write_csv(path, ["origin", "horizon", "series", "forecast", "actual"],
+              ([origin.isoformat(), h, name, number(value), number(actual)]
+               for origin, values, actuals in zip(fs.origins, fs.values, fs.actuals)
+               for h, row, actual_row in zip(fs.horizons, values, actuals)
+               for name, value, actual in zip(fs.names, row, actual_row)))
 
 
 def read_forecast_csv(path) -> ForecastSet:

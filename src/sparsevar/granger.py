@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass
@@ -11,7 +10,8 @@ import numpy as np
 
 from sparsevar import SparsevarError
 from sparsevar.lasso import LassoConfig, _bic, _path_moments, lambda_max, lasso_paths
-from sparsevar.panel import LagEmbedding, TimePanel, lag_embed, standardize
+from sparsevar.panel import (LagEmbedding, TimePanel, lag_embed, number, standardize, write_csv,
+                             write_text)
 
 log = logging.getLogger("sparsevar.granger")
 
@@ -374,37 +374,27 @@ def granger_network(
 
 def write_edges_csv(net: NetworkResult, path) -> None:
     """``from,to,p_value`` rows for every sub-threshold pair."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "p_value"])
-        for e in net.edges:
-            writer.writerow([e.source, e.target, "%.17g" % e.p_value])
+    write_csv(path, ["from", "to", "p_value"],
+              ([e.source, e.target, number(e.p_value)] for e in net.edges))
 
 
 def write_matrix_csv(net: NetworkResult, path) -> None:
-    """Full p-value matrix, rows = effect (to), columns = cause (from)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["to", *net.variables])
-        for name, row in zip(net.variables, net.p_matrix):
-            writer.writerow([name, *("NA" if np.isnan(v) else "%.17g" % v for v in row)])
+    """Full p-value matrix, rows = effect (to), columns = cause (from); an untested pair,
+    the diagonal included, is NA."""
+    write_csv(path, ["to", *net.variables],
+              ([name, *(number(v, "NA") for v in row)]
+               for name, row in zip(net.variables, net.p_matrix)))
 
 
 def write_failures_csv(net: NetworkResult, path) -> None:
     """``from,to,reason`` rows for every skipped pair; only the header if none."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["from", "to", "reason"])
-        writer.writerows(net.failures)
+    write_csv(path, ["from", "to", "reason"], net.failures)
 
 
 def write_network_dot(net: NetworkResult, path) -> None:
     """Plain-text DOT digraph of the sub-threshold edges for external rendering."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("digraph granger {\n")
-        for name in net.variables:
-            fh.write(f'  "{name}";\n')
-        for e in net.edges:
-            label = "%.4f" % e.p_value
-            fh.write(f'  "{e.source}" -> "{e.target}" [label="{label}"];\n')
-        fh.write("}\n")
+    write_text(path, "".join([
+        "digraph granger {\n",
+        *(f'  "{name}";\n' for name in net.variables),
+        *(f'  "{e.source}" -> "{e.target}" [label="{e.p_value:.4f}"];\n' for e in net.edges),
+        "}\n"]))

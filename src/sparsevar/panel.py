@@ -1,10 +1,14 @@
-"""Date-indexed panel container, core transforms and per-series summary statistics."""
+"""Date-indexed panel container, core transforms and per-series summary statistics, and
+the package's file I/O: ``csv_records`` and ``read_panel_csv`` read every input CSV, and
+``write_csv`` and ``write_text``, with ``number``'s spelling of a float, write every output."""
 
 from __future__ import annotations
 
 import contextlib
 import csv
 import io
+import math
+import os
 import warnings
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -329,17 +333,37 @@ def summary_stats(
     )
 
 
-def _format_number(x: float) -> str:
-    return "%.17g" % x
+def number(x: float, missing: str = "") -> str:
+    """``x`` to 17 significant digits, which read back bitwise, or ``missing`` for NaN."""
+    return missing if math.isnan(x) else "%.17g" % x
+
+
+def _create(path, **kwargs):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return open(path, "w", encoding="utf-8", **kwargs)
+
+
+def write_csv(path, header, rows, trailer: str = "") -> None:
+    """The one CSV writer: UTF-8, ``csv`` quoting and line ends, ``header``, ``rows``, then
+    ``trailer`` as written. Like ``write_text``, it makes the file's directory if missing, so
+    a command that fails a check before its first write leaves none."""
+    with _create(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+        fh.write(trailer)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8, making the file's directory if missing."""
+    with _create(path) as fh:
+        fh.write(text)
 
 
 def write_panel_csv(panel: TimePanel, path) -> None:
     """Write a panel as ``date,<name1>,...`` with 17-significant-digit values."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["date", *panel.names])
-        for t, d in enumerate(panel.dates):
-            writer.writerow([d.isoformat(), *(_format_number(x) for x in panel.values[t])])
+    write_csv(path, ["date", *panel.names],
+              ([d.isoformat(), *map(number, row)] for d, row in zip(panel.dates, panel.values)))
 
 
 @contextlib.contextmanager

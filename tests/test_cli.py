@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import importlib
 import json
 import os
@@ -308,9 +309,64 @@ class TestConfigErrors:
     def test_cv_rejects_ols_with_the_other_problems(self, tmp_path, capsys):
         messages = config_messages(capsys, ["cv", "--estimator", "ols",
                                             "--out", str(tmp_path / "out")])
-        assert any("--estimator 'ols'" in m for m in messages)
-        assert any("missing required option --panel" in m for m in messages)
-        assert not (tmp_path / "out" / "cv_report.csv").exists()
+        assert messages == ["missing required option --panel", "missing required option --lag",
+                            "--estimator 'ols': cv selects the penalty of lasso or fgls-lasso"]
+        assert not (tmp_path / "out").exists()
+
+    # each panel command's own check among the shared ones: no --out, no --lag, a panel
+    # that does not exist, a bad --tol; listed in this order, all in one error
+    @pytest.mark.parametrize("argv,expected", [
+        (["cv", "--estimator", "ols"],
+         ["--tol", "--estimator 'ols': cv selects the penalty of lasso or fgls-lasso"]),
+        (["fit", "--estimator", "ols", "--lambda", "0.5"],
+         ["--lambda 0.5: --estimator ols fits no penalty", "--tol"]),
+        (["forecast", "--estimator", "ols", "--lambda", "0.5"],
+         ["missing required option --origins", "--panel",
+          "--lambda 0.5: --estimator ols fits no penalty", "--tol"]),
+        (["granger", "--threshold", "2"], ["--tol", "--threshold must be in [0, 1], got 2.0"]),
+    ])
+    def test_panel_command_lists_every_problem_in_order(self, tmp_path, capsys, argv, expected):
+        missing = str(tmp_path / "missing.csv")
+        shared = {"--panel": f"--panel: path does not exist: {missing}",
+                  "--tol": "tol must be finite and > 0, got -1.0"}
+        head = ["missing required option --out", "missing required option --lag"]
+        if "--panel" not in expected:
+            head.append(shared["--panel"])
+        messages = config_messages(capsys, [*argv, "--panel", missing, "--tol", "-1"])
+        assert messages == head + [shared.get(m, m) for m in expected]
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--prices", "missing.csv"],
+        ["cv", "--lag", "2"],
+        ["fit", "--lag", "1", "--estimator", "lasso", "--panel", "{panel}", "--min-train", "1"],
+        ["forecast", "--lag", "1", "--estimator", "ols", "--panel", "{panel}"],
+        ["evaluate", "--forecast", "a=missing.csv"],
+        ["granger", "--lag", "1", "--panel", "{panel}", "--threshold", "-1"],
+    ])
+    def test_config_error_leaves_no_output_directory(self, tmp_path, capsys, panel_csv, argv):
+        out = tmp_path / "out"
+        assert main([*(a.format(panel=panel_csv) for a in argv), "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not out.exists()
+
+    def test_evaluate_lists_every_bad_forecast_option(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        messages = config_messages(capsys, [
+            "evaluate", "--forecast", "bad", "--forecast", f"a={missing}",
+            "--forecast", f"a={missing}", "--benchmark", "zz", "--out", str(tmp_path / "out")])
+        assert messages == ["--forecast expects NAME=PATH, got 'bad'",
+                            "duplicate --forecast name 'a'",
+                            f"forecast file for 'a' does not exist: {missing}",
+                            "--benchmark 'zz' is not among the forecast names"]
+        assert not (tmp_path / "out").exists()
+
+    def test_ingest_lists_every_bad_input_option(self, tmp_path, capsys):
+        messages = config_messages(capsys, ["ingest", "--sentiment", "bad", "--trends", "alsobad",
+                                            "--out", str(tmp_path / "out")])
+        assert messages == ["missing required option --prices",
+                            "--sentiment expects NAME=PATH, got 'bad'",
+                            "--trends expects NAME=PATH, got 'alsobad'"]
+        assert not (tmp_path / "out").exists()
 
     def test_cv_rejects_unknown_estimator_from_config(self, tmp_path, capsys, panel_csv):
         config = tmp_path / "config.json"
@@ -575,18 +631,64 @@ class TestGrangerCommand:
         assert rows == [["from", "to", "reason"], *[list(f) for f in net.failures]]
 
 
-def test_pipeline_end_to_end(tmp_path):
-    """simulate -> cv -> fit -> forecast (three estimators) -> evaluate -> granger."""
+# sha256 of every file the pipeline below writes, recorded before the output writers
+# became one and the panel commands one validation step, which must not move them.
+# Recorded with numpy 2.4 on OpenBLAS 0.3.31 (x86-64); a BLAS that rounds its products
+# otherwise moves the estimation digests with no fault in the writers.
+PIPELINE_DIGESTS = {
+    "ingest/panel.csv":
+        "c36336983b33ce902a20ca6144149bf28ce06ab23bc6c88fd0ac64246547de9b",
+    "sim/panel.csv":
+        "183f1f7bb400e05f2c9ab4216ac9704727a47297e13cc2aa222e8c66f71e3ff2",
+    "sim/truth.json":
+        "36cc6f3c0ac2f3c750cb7aaca0ec0fa05d5b51045d065760f00578104f22a14c",
+    "cv/cv_report.csv":
+        "55064da6229ef3eefdababa88bd47fc00287860fa8c57d052640e991c4a5a8bf",
+    "cv/cv_excluded.csv":
+        "df68fb4d80eb51712eb30a894ce9e2e2a99ae38633287cf9d49c695e509a3577",
+    "fit/model.json":
+        "dace4d9ba149abcddfebee454493bde1236730481dbd2c5d88a8d98e1fbf15cb",
+    "fit_fgls/model.json":
+        "eb3e37e937ffc15e65a1b0daf99c44023b220b982a103b3877a3c9729ecd3773",
+    "fit_ols/model.json":
+        "af55ec6533d4284740427414d14c399873a1e3d0d5097d5389f1a04ca38dea86",
+    "lasso/forecasts.csv":
+        "a75fe6dc1023c4cfbf65616101019cc1b881d0252b6be930c71051866c437a8d",
+    "fgls/forecasts.csv":
+        "55f12935e1e16c15b89ef75cc4f3e774663db6acb19cf54e0471346a020ac286",
+    "ols/forecasts.csv":
+        "aa7517d99880b518cb52acc09edd4418fedb39a002f0d14000479b69ec9ae781",
+    "eval/evaluation.csv":
+        "74182340f21d0b1fe4e98d2b352aec6613741e0990b4799cdf41c3b21bdbcab4",
+    "granger/granger_matrix.csv":
+        "a728c82c5beb4905bf42277759e4deb6630ba44fa1d26578fe433fa4e762a68b",
+    "granger/granger_edges.csv":
+        "253b53d34221f75e07d84dc3a87ff10b26678ec1f499dfb027c7596a4d38d8da",
+    "granger/granger_failures.csv":
+        "4d93293beeab43da23fd7712017cdb2144c7f675cd5c03faffe6749cf2a11d28",
+    "granger/granger_network.dot":
+        "3839936cddfa210e7bb20aa45e5e7d306fca0db3f952d66409b09fee12239f7e",
+}
+
+
+def test_pipeline_end_to_end(tmp_path, command_inputs):
+    """ingest; simulate -> cv -> fit (three estimators) -> forecast (three estimators) ->
+    evaluate -> granger; every file written has its pinned digest, and no other is written."""
     out = tmp_path
     panel = str(out / "sim" / "panel.csv")
     common = ["--panel", panel, "--lag", "2", "--grid", "10,0.01"]
     plan = ["--n-splits", "2", "--test-size", "20"]
     origins = ["--origins", "2018-07-07:2018-07-17", "--horizons", "2"]
+    d = command_inputs
     steps = [
+        ["ingest", "--prices", str(d / "prices.csv"), f"--sentiment=tw={d / 'items.csv'}",
+         f"--trends=gt={d / 'trends'}", "--out", str(out / "ingest")],
         ["simulate", "--k", "3", "--t", "200", "--lag", "2", "--seed", "5",
          "--out", str(out / "sim")],
         ["cv", *common, *plan, "--out", str(out / "cv")],
         ["fit", *common, *plan, "--estimator", "lasso", "--out", str(out / "fit")],
+        ["fit", *common, *plan, "--estimator", "fgls-lasso", "--out", str(out / "fit_fgls")],
+        ["fit", *common, "--estimator", "ols", "--out", str(out / "fit_ols")],
         ["forecast", *common, *plan, *origins, "--estimator", "lasso",
          "--refit-policy", "per_origin", "--out", str(out / "lasso")],
         ["forecast", *common, *plan, *origins, "--estimator", "fgls-lasso",
@@ -598,13 +700,9 @@ def test_pipeline_end_to_end(tmp_path):
         ["granger", *common, "--out", str(out / "granger")],
     ]
     assert [main(argv) for argv in steps] == [0] * len(steps)
-    for rel in ["sim/panel.csv", "sim/truth.json", "cv/cv_report.csv", "cv/cv_excluded.csv",
-                "fit/model.json",
-                "lasso/forecasts.csv", "fgls/forecasts.csv", "ols/forecasts.csv",
-                "eval/evaluation.csv", "granger/granger_matrix.csv",
-                "granger/granger_edges.csv", "granger/granger_failures.csv",
-                "granger/granger_network.dot"]:
-        assert (out / rel).is_file(), rel
+    written = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.rglob("*")) if path.is_file()}
+    assert written == PIPELINE_DIGESTS
     forecasts = read_csv(out / "lasso" / "forecasts.csv")
     assert len(forecasts) == 1 + 11 * 2 * 3
 

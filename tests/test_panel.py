@@ -19,10 +19,13 @@ from sparsevar.panel import (
     destandardize,
     lag_embed,
     log_returns,
+    number,
     read_panel_csv,
     standardize,
     summary_stats,
+    write_csv,
     write_panel_csv,
+    write_text,
 )
 from conftest import daily_panel
 
@@ -296,6 +299,15 @@ class TestCsvRoundtrip:
         path = tmp_path / "panel.csv"
         write_panel_csv(panel, path)
         assert read_panel_csv(path).values.tobytes() == values.tobytes()
+
+    def test_writer_quotes_spells_numbers_and_makes_its_directory(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "out.csv"
+        rows = [["a,b", number(0.1), number(math.nan)], ["c", 2, number(math.nan, "NA")]]
+        write_csv(path, ["name", "x", "y"], iter(rows), trailer="# end\n")
+        assert path.read_bytes() == (b'name,x,y\r\n"a,b",0.10000000000000001,\r\n'
+                                     b"c,2,NA\r\n# end\n")
+        write_text(tmp_path / "other" / "t.json", "{}\n")
+        assert (tmp_path / "other" / "t.json").read_bytes() == b"{}\n"
 
 
 
