@@ -2,7 +2,8 @@
 
 Importing it loads ``panel``, ``lasso`` and ``cv``; each command imports the rest it runs on.
 Every command lists all the problems of its config in one ``ConfigError`` before it reads
-an input; the panel commands (cv, fit, forecast, granger) check theirs in ``_panel_command``.
+an input, an --out that cannot be a directory among them; the panel commands (cv, fit,
+forecast, granger) check theirs in ``_panel_command``.
 Every file is written by ``panel.write_csv`` or ``panel.write_text``, which make the output
 directory at the first write, so a command that fails a check leaves none."""
 
@@ -162,9 +163,16 @@ def _merge_config(args: argparse.Namespace, choices: dict, types: dict) -> dict:
 
 
 def _require(cfg: dict, keys: list[str], errors: list[str]) -> None:
+    """Every key of ``keys`` that is unset; with "out", an --out that cannot be a directory:
+    the nearest of it and its parents that exists must be one."""
     for key in keys:
         if cfg.get(key) is None:
             errors.append(f"missing required option --{key.replace('_', '-')}")
+    path = cfg.get("out") if "out" in keys else None
+    while path and not os.path.exists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        errors.append(f"--out {cfg['out']}: {path} is not a directory")
 
 
 def _validate_paths(cfg: dict, keys: list[str], errors: list[str]) -> None:

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparsevar import SparsevarError
-from sparsevar.lasso import TUNED, LassoConfig, _fgls_refit, _path_moments, lambda_grid, lambda_max
-from sparsevar.lasso import lasso_path, lasso_paths  # noqa: F401 (the bench traces cv.lasso_path)
+from sparsevar.lasso import TUNED, LassoConfig, _fgls_refit, _path_moments, _pw_basis, lambda_grid
+from sparsevar.lasso import lambda_max, lasso_path, lasso_paths  # noqa: F401 (bench: lasso_path)
 from sparsevar.panel import TimePanel, lag_embed, number, standardize, write_csv
 
 log = logging.getLogger("sparsevar.cv")
@@ -87,8 +87,8 @@ def select_lambda(
     call on the shared grid, from the fold's moments alone; each fold stops on
     its own, so its path is the one it has alone, and a fold that runs out of
     sweeps excludes only the penalties where it did. estimator is one of
-    ``TUNED``; "fgls-lasso" scores each path point after its FGLS stage 2,
-    the refit ``fit_fgls_lasso_var`` makes, one ``_fgls_refit`` for all folds.
+    ``TUNED``; "fgls-lasso" scores each path point after its FGLS stage 2, the refit
+    ``fit_fgls_lasso_var`` makes: one ``_fgls_refit`` for all folds, on their ``_pw_basis``.
     """
     if estimator not in TUNED:
         raise CvError(f"unknown estimator {estimator!r}")
@@ -103,8 +103,7 @@ def select_lambda(
                 f"fold {fold}: training rows [{train.start}, {train.stop}) reach "
                 f"validation start {val.start}"
             )
-        train_panel = panel.slice_rows(train.start, train.stop)
-        std_train, stats = standardize(train_panel)
+        std_train, stats = standardize(panel.slice_rows(train.start, train.stop))
         if stats.n_series != panel.n_series:
             raise CvError(
                 f"fold {fold}: standardized {stats.n_series} series, panel has {panel.n_series}"
@@ -116,8 +115,9 @@ def select_lambda(
         window = panel.slice_rows(val.start - p, val.stop)
         val_Z = lag_embed(window.with_values(stats.transform(window.values)), p).Z
         actual = panel.values[val.start: val.stop]
-        # the lasso needs only the moments; FGLS stage 2 re-reads the samples
-        folds.append((embed if estimator == "fgls-lasso" else None, stats, val_Z, actual))
+        # the lasso needs only the moments; FGLS stage 2 the Prais-Winsten basis too
+        basis = (_pw_basis(embed.Y, embed.Z), embed.n_cols) if estimator == "fgls-lasso" else None
+        folds.append((basis, stats, val_Z, actual))
     # shared grid anchored at the last (largest) training window's lambda_max, so the
     # losses are comparable per penalty and no post-training data is touched
     lams = lambda_grid(lambda_max(embed.Y, embed.Z), cfg.grid)
@@ -129,7 +129,7 @@ def select_lambda(
     ok = np.array([converged for _, _, converged, _, _ in points])
     if estimator == "fgls-lasso":  # every fold's converged points, fold-major
         sel, by_fold = ok.T.copy(), fits.transpose(1, 0, 2, 3)
-        designs = ((embed.Y, embed.Z, count) for (embed, *_), count in zip(folds, sel.sum(1)))
+        designs = ((*basis, count) for (basis, *_), count in zip(folds, sel.sum(1)))
         by_fold[sel], _, _, converged, _ = _fgls_refit(
             designs, by_fold[sel], np.broadcast_to(lams, sel.shape)[sel], cfg)
         ok.T[sel] = converged.all(axis=1)

@@ -84,8 +84,8 @@ def recursive_exercise(
 
     For every panel date from start_origin through end_origin the model is
     re-fitted on all data up to and including that origin and iterated over
-    horizons 1..H; all origins' refits are one lockstep ``fit_panel_vars``
-    call, each exactly as alone. When a walk-forward plan is given, the
+    horizons 1..H; all origins' refits are one ``fit_panel_vars`` call, in
+    lockstep stacks, each exactly as alone. When a walk-forward plan is given, the
     penalty is selected once by cross-validation on the data up to the first
     origin and used at every origin; otherwise cfg.lam is used as-is. The plan
     fixes the folds, so a selection at any later origin reads the same rows

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from sparsevar import SparsevarError
-from sparsevar.lasso import LassoConfig, _bic, _path_moments, lambda_max, lasso_paths
+from sparsevar.lasso import LassoConfig, _bic, _path_moments, lasso_paths
 from sparsevar.panel import (LagEmbedding, TimePanel, lag_embed, number, standardize, write_csv,
                              write_text)
 
@@ -84,9 +84,9 @@ def _bic_select(
     """Per-row penalty and support minimizing single-equation BIC, for g designs.
 
     Design i regresses each row D[rows[i][r]] (of N samples) on the regressors
-    D[cols[i]]. Each row has its own grid descending from its own
-    ``lambda_max`` (one ``np.geomspace`` call for every row), and the g designs'
-    paths run in lockstep in one ``lasso_paths`` call; each design stops on its
+    D[cols[i]]. Each row has its own grid descending from its own ``lambda_max`` (one
+    stacked product per design, one ``np.geomspace`` call for every row), and the g
+    designs' paths run in lockstep in one ``lasso_paths`` call; each design stops on its
     own, so it selects exactly what it selects alone. BIC at each grid point is
     N ln(RSS/N) + s ln(N) at the LASSO coefficients a_r, with RSS read from the
     path's own moments as N (yy_r - 2 <a_r, c_r> + a_r G a_r^T), yy_r = ||y_r||^2 / N,
@@ -102,7 +102,7 @@ def _bic_select(
     rows, cols, n = np.asarray(rows), np.asarray(cols), D.shape[1]
     lmax, moments = np.zeros(rows.shape), []
     for i, (y, x) in enumerate((D[r], D[c]) for r, c in zip(rows, cols)):
-        lmax[i] = [lambda_max(y[r: r + 1], x) for r in range(len(y))]
+        lmax[i] = np.abs(((2.0 / n) * y)[:, None, :] @ x.T).max(axis=(1, 2))  # stacked
         moments.append(_path_moments(y, x, per_row=True))
     live = lmax != 0.0
     top = np.where(live, lmax, 1.0)  # bitwise lambda_grid(lmax[i, r]) on live rows

@@ -4,9 +4,10 @@ The fitted objective is (1/N) ||A Z - Y||_F^2 + lambda ||A||_1 with the
 entrywise L1 norm and N the number of embedding columns. The loss and penalty
 both separate across rows of A, so the K equations are solved independently;
 the implementation updates one regressor coordinate at a time for all
-equations at once, which is exactly per-equation cyclic descent. Every fit
-runs in covariance form on the sample moments G = Z Z^T / N, C = Y Z^T / N and
-||Y||^2 / N (Friedman, Hastie & Tibshirani, 2010). Every fit is a
+equations at once, which is exactly per-equation cyclic descent. Every fit runs in
+covariance form on the sample moments G = Z Z^T / N, C = Y Z^T / N and ||Y||^2 / N
+(Friedman, Hastie & Tibshirani, 2010), read from a design's samples once, with Y Y^T / N
+(for Sigma_u) and, for FGLS, its Prais-Winsten basis (``_pw_basis``). Every fit is a
 ``lasso_paths`` call, the one driver, on a stack of independent groups of rows in lockstep,
 each group with its own stopping rule: the CV folds' paths and the Granger causes' paths
 share a grid and run as its groups; a fixed-penalty fit (OLS at lambda = 0) is a path of one
@@ -30,7 +31,7 @@ import contextlib
 import json
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -406,19 +407,15 @@ def lambda_grid(lam_max: float, grid: LassoGrid) -> np.ndarray:
 def _path_moments(Y: np.ndarray, Z: np.ndarray, per_row: bool = False) -> tuple:
     """G = Z Z^T / N, C = Y Z^T / N and ||Y||_F^2 / N of one path.
 
-    C is built one column at a time as Y @ Z[j] / N and, for a path on a
-    per-row grid, also one row at a time, as Y[r:r+1] @ Z[j] / N. A single
-    product Y @ Z.T rounds some entries differently, which moves which
-    coefficient enters at near-ties at the top of the grid; the Granger
-    p-values are pinned bitwise to this rounding, so the paths keep it.
+    C stacks the products Y @ Z[j] / N of each column or, on a per-row grid, Y[r] @ Z[j] / N
+    of each entry. A single Y @ Z.T rounds some entries otherwise, which moves which
+    coefficient enters at near-ties at the top of the grid; the Granger p-values are pinned
+    bitwise to this rounding, so the paths keep it.
     """
-    R, n = Y.shape
-    rows = [slice(r, r + 1) for r in range(R)] if per_row else [slice(None)]
-    C = np.empty((R, Z.shape[0]))
-    for j in range(Z.shape[0]):
-        for rs in rows:
-            C[rs, j] = (Y[rs] @ Z[j]) / n
-    return Z @ Z.T / n, C, float(np.sum(Y * Y)) / n
+    n = Y.shape[1]
+    C = ((Y[:, None, None, :] @ Z[None, :, :, None])[..., 0, 0] if per_row
+         else (Y[None] @ Z[:, :, None])[..., 0].T)
+    return Z @ Z.T / n, np.ascontiguousarray(C) / n, float(np.sum(Y * Y)) / n
 
 
 def lasso_paths(G: np.ndarray, C: np.ndarray, yy: np.ndarray, lams: np.ndarray,
@@ -542,44 +539,44 @@ def lasso_path(
         yield (lam[0] if per_row else lam), A[0], bool(converged[0]), int(sweeps[0])
 
 
-def _fit_stack(gather: Callable[[int], tuple], n: int, cfg: LassoConfig,
-               estimator: str) -> list[VarModel]:
-    """The one fit path: n independent fits at cfg.lam ("ols": at 0) in one lockstep solve.
+def _fit_stack(items: Iterable[tuple], cfg: LassoConfig, estimator: str) -> list[VarModel]:
+    """The one fit path: independent fits at cfg.lam ("ols": at 0) in one lockstep solve.
 
-    gather(i) builds item i's (LagEmbedding, stats), its samples anew on every call;
-    only the stats and, in stage 1, the moments Z Z^T / N, Y Z^T / N and ||Y||^2 / N
-    are kept, and the samples are gathered again for FGLS and the residual covariance.
-    Stage 1 is one ``lasso_paths`` call of one point from zero, one group per item
-    with its own stopping rule, so each item gets its solo fit bit for bit;
-    "fgls-lasso" adds one ``_fgls_refit`` of every item's equations.
+    Each item, a (LagEmbedding, stats) pair, is read once: into G = Z Z^T / N, C = Y Z^T / N,
+    ||Y||^2 / N and Y Y^T / N, and for "fgls-lasso" its ``_pw_basis``. Stage 1 is one
+    ``lasso_paths`` call of one point from zero, one group per item with its own stopping
+    rule, so each item gets its solo fit bit for bit; "fgls-lasso" adds one ``_fgls_refit``
+    of every item's equations. Sigma_u = Y Y^T / N - A C^T - C A^T + A G A^T, symmetrized.
     """
-    if n < 1 or estimator not in ESTIMATORS:
-        raise LassoError(f"unknown estimator {estimator!r}" if n > 0 else f"{n} items to fit")
+    if estimator not in ESTIMATORS:
+        raise LassoError(f"unknown estimator {estimator!r}")
     cfg = replace(cfg, lam=0.0) if estimator == "ols" else cfg
+    fgls = estimator == "fgls-lasso"
 
-    def moments(i: int) -> tuple:
-        embed, stats = gather(i)
+    def read(embed: LagEmbedding, stats) -> tuple:
         Y, Z, N = embed.Y, embed.Z, embed.n_cols
         _check_regressors(Z, embed.regressor_names())
-        return Z @ Z.T / N, Y @ Z.T / N, float(np.sum(Y * Y)) / N, stats
+        return (Z @ Z.T / N, Y @ Z.T / N, float(np.sum(Y * Y)) / N, Y @ Y.T / N,
+                (_pw_basis(Y, Z), N, 1) if fgls else None,
+                (embed.p, embed.names or tuple(f"y{k + 1}" for k in range(len(Y))), stats))
 
-    G, C, yy, stats = zip(*map(moments, range(n)))
+    parts = [read(*item) for item in items]  # each item's samples, read once
+    (G, C, yy, YY, designs, meta), n = zip(*parts), len(parts)
     _, A, converged, sweeps, history = next(lasso_paths(np.stack(G), np.stack(C), np.array(yy),
-                                                        [cfg.lam], cfg))
-    del G, C  # only the stats are kept; the samples are gathered again where they are read
+                                                        [cfg.lam], cfg))  # on a copy of G
     rho = [None] * n
-    if estimator == "fgls-lasso":
-        designs = ((embed.Y, embed.Z, 1) for embed, _ in map(gather, range(n)))
+    if fgls:
         A, rho, sweeps2, converged2, history2 = _fgls_refit(designs, A, np.full(n, cfg.lam), cfg)
         sweeps, converged = np.maximum(sweeps, sweeps2.max(axis=1)), converged & converged2.all(1)
         history = [h + h2 for h, h2 in zip(history, history2)]
     models = []
-    for i, (embed, _) in enumerate(map(gather, range(n))):
+    for i, (p, names, stats) in enumerate(meta):
         if not converged[i]:
             log.warning("%s fit hit max_sweeps=%d at lambda=%g", estimator, cfg.max_sweeps, cfg.lam)
+        AC = A[i] @ C[i].T
+        sigma_u = YY[i] - AC - AC.T + A[i] @ G[i] @ A[i].T
         models.append(VarModel(
-            p=embed.p, names=embed.names or tuple(f"y{k + 1}" for k in range(embed.n_series)),
-            A=A[i], sigma_u=_residual_cov(embed.Y, embed.Z, A[i]), rho=rho[i], stats=stats[i],
+            p=p, names=names, A=A[i], sigma_u=(sigma_u + sigma_u.T) / 2, rho=rho[i], stats=stats,
             lam=cfg.lam, sweeps=int(sweeps[i]), converged=bool(converged[i]),
             estimator=estimator, objective_history=tuple(history[i])))
     return models
@@ -592,60 +589,65 @@ def fit_lasso_var(embed: LagEmbedding, cfg: LassoConfig,
     The one-item ``_fit_stack``, a path of one point from zero on the whole embedding's
     moments; non-convergence within max_sweeps sets the model's converged flag.
     """
-    return _fit_stack(lambda i: (embed, stats), 1, cfg, estimator)[0]
+    return _fit_stack([(embed, stats)], cfg, estimator)[0]
 
 
-def _residual_cov(Y: np.ndarray, Z: np.ndarray, A: np.ndarray) -> np.ndarray:
-    resid = Y - A @ Z
-    sigma_u = resid @ resid.T / Y.shape[1]
-    return (sigma_u + sigma_u.T) / 2
-
-
-def _whitened_moments(Y: np.ndarray, Z: np.ndarray, rho: np.ndarray, out=None) -> tuple:
-    """G, C and yy of each (point, equation) row of rho (P, K) on Prais-Winsten data.
-
-    Whitening is linear: with X = [Y; Z], S0 = X X^T, S1 = sum_t x_t x_{t-1}^T and
-    D = S0 - x_0 x_0^T - x_{n-1} x_{n-1}^T, n S_w(rho) = S0 - rho (S1 + S1^T) + rho^2 D.
-    They are written into out, a (G, C, yy) of C-contiguous arrays, when it is given.
-    """
-    (K, n), m = Y.shape, Z.shape[0]
-    X = np.vstack([Y, Z])
+def _pw_basis(Y: np.ndarray, Z: np.ndarray) -> tuple:
+    """All FGLS stage 2 reads of a design X = [Y; Z] of n samples: with S0 = X X^T and
+    S1 = sum_t x_t x_{t-1}^T, [S0, -(S1 + S1^T), S0 - x_0 x_0^T - x_{n-1} x_{n-1}^T] / n and
+    [sum_t x_t, x_0 + x_{n-1}] / n, which ``_ar1_rho`` and ``_whitened_moments`` read."""
+    X, n = np.vstack([Y, Z]), Y.shape[1]
     S0, S1, x0, xl = X @ X.T, X[:, 1:] @ X[:, :-1].T, X[:, 0], X[:, -1]
-    basis = np.stack([S0, -(S1 + S1.T), S0 - np.outer(x0, x0) - np.outer(xl, xl)]) / n
+    return (np.stack([S0, -(S1 + S1.T), S0 - np.outer(x0, x0) - np.outer(xl, xl)]) / n,
+            np.stack([X.sum(axis=1), x0 + xl]) / n)
+
+
+def _ar1_rho(basis: tuple, n: int, A1: np.ndarray) -> np.ndarray:
+    """Lag-1 autocorrelation (P, K) of the centred residuals W x_t, W = [I, -A1[i]], of the
+    stage-1 points A1 (P, K, m) on n samples, from their ``_pw_basis``: with s = sum_t x_t,
+    e = x_0 + x_{n-1} and u = W s / n, num = diag(W S1 W^T) - u W (2 s - e) + (n - 1) u^2 over
+    den = diag(W S0 W^T) - n u^2, batched quadratic forms in W; 0 where den <= 0."""
+    (M, v), (P, K, _) = basis, A1.shape
+    W = np.concatenate([np.broadcast_to(np.eye(K), (P, K, K)), -A1], axis=2)
+    q0, q1 = ((W[:, None] @ M[:2]) * W[:, None]).sum(axis=3).transpose(1, 0, 2)
+    u, e = (W @ v.T).transpose(2, 0, 1)
+    num, den = -q1 / 2 - u * (2 * u - e) + (n - 1) / n * u * u, q0 - u * u
+    return np.divide(num, den, out=np.zeros((P, K)), where=den > 0)
+
+
+def _whitened_moments(basis: tuple, rho: np.ndarray, out=None) -> tuple:
+    """G, C and yy of each (point, equation) row of rho (P, K) on Prais-Winsten data, which
+    is linear: on the ``_pw_basis`` stack B, S_w(rho) = B_0 + rho B_1 + rho^2 B_2. They are
+    written into out, a (G, C, yy) of C-contiguous arrays, when it is given."""
+    K, M = rho.shape[-1], basis[0]
+    m = M.shape[1] - K
     coef = np.stack([np.ones_like(rho), rho, rho * rho], axis=-1)
     G, C, yy = out or (np.empty((rho.size, m, m)), np.empty((rho.size, m)), np.empty(rho.size))
-    np.matmul(coef.reshape(-1, 3), basis[:, K:, K:].reshape(3, -1), out=G.reshape(-1, m * m))
-    np.einsum("pkc,ckm->pkm", coef, basis[:, :K, K:], out=C.reshape(-1, K, m))
-    np.einsum("pkc,ckk->pk", coef, basis[:, :K, :K], out=yy.reshape(-1, K))
+    np.matmul(coef.reshape(-1, 3), M[:, K:, K:].reshape(3, -1), out=G.reshape(-1, m * m))
+    np.einsum("pkc,ckm->pkm", coef, M[:, :K, K:], out=C.reshape(-1, K, m))
+    np.einsum("pkc,ckk->pk", coef, M[:, :K, :K], out=yy.reshape(-1, K))
     return G, C, yy
 
 
 def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig) -> tuple:
     """FGLS stage 2 for a stack of P stage-1 points A1 (P, K, m) at penalties lams (P,).
 
-    ``designs`` yields (Y, Z, count): the samples of the next count points (a
-    CV fold's, or one forecast origin's), read only while they are whitened.
-    Each equation's rho is the lag-1 autocorrelation of its stage-1 residuals
-    (clipped to |rho| <= 0.99); the penalty is re-applied on its Prais-Winsten
-    whitened moments (``_whitened_moments``), warm-started from its own stage-1
-    row, so all P K solves are independent and make one ``lasso_paths`` call of
-    one point on a per-row grid: one group of one row per (point, equation), with
-    its own Gram in a stack that the call may overwrite. Returns A (P, K, m); rho,
-    sweeps and converged (P, K); and per point its objectives, equations in row order.
+    ``designs`` yields (basis, n, count): the ``_pw_basis`` and sample count of the next
+    count points' design (a CV fold's, or one fit item's). Each equation's rho is the lag-1
+    autocorrelation of its centred stage-1 residuals (``_ar1_rho``, clipped to |rho| <=
+    0.99); the penalty is re-applied on its whitened moments (``_whitened_moments``),
+    warm-started from its own stage-1 row: all P K solves are one ``lasso_paths`` call of
+    one point on a per-row grid, one group of one row per (point, equation), its Gram in a
+    stack that the call may overwrite. Returns A (P, K, m); rho, sweeps and converged
+    (P, K); and per point its objectives, equations in row order.
     """
     P, K, m = A1.shape
     rho, G, C, yy = np.empty((P, K)), np.empty((P * K, m, m)), np.empty((P * K, m)), np.empty(P * K)
     start = 0
-    for Y, Z, count in designs:
+    for basis, n, count in designs:
         pts, rows = slice(start, start + count), slice(start * K, (start + count) * K)
-        for i in range(start, start + count):  # per point: a (count, K, n) stack can match G
-            U = Y - A1[i] @ Z
-            U -= U.mean(axis=1, keepdims=True)
-            num = (U[:, None, 1:] @ U[:, :-1, None]).ravel()  # one dot product per equation
-            den = (U[:, None, :] @ U[:, :, None]).ravel()
-            rho[i] = np.divide(num, den, out=np.zeros(K), where=den != 0.0)
-        np.clip(rho[pts], -0.99, 0.99, out=rho[pts])
-        _whitened_moments(Y, Z, rho[pts], (G[rows], C[rows], yy[rows]))
+        rho[pts] = np.clip(_ar1_rho(basis, n, A1[pts]), -0.99, 0.99)
+        _whitened_moments(basis, rho[pts], (G[rows], C[rows], yy[rows]))
         start += count
     if start != P:
         raise LassoError(f"designs cover {start} of {P} stage-1 points")
@@ -657,14 +659,11 @@ def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig
 
 def fit_fgls_lasso_var(embed: LagEmbedding, cfg: LassoConfig,
                        stats: StandardizationStats | None = None) -> VarModel:
-    """Two-stage fit allowing AR(1) serial correlation in the errors.
-
-    The one-item ``_fit_stack``: stage 1 is the homoskedastic fit; stage 2
-    (``_fgls_refit``) removes each equation's Toeplitz AR(1) structure by a
-    Prais-Winsten quasi-difference and re-applies the penalty on the whitened
-    data. Coefficients map original regressors to original targets throughout.
-    """
-    return _fit_stack(lambda i: (embed, stats), 1, cfg, "fgls-lasso")[0]
+    """Two-stage fit allowing AR(1) serial correlation in the errors, the one-item
+    ``_fit_stack``: stage 1 is the homoskedastic fit; stage 2 (``_fgls_refit``) removes each
+    equation's AR(1) structure by a Prais-Winsten quasi-difference and re-applies the
+    penalty on the whitened data. Coefficients map original regressors to original targets."""
+    return _fit_stack([(embed, stats)], cfg, "fgls-lasso")[0]
 
 
 def kkt_violation(model: VarModel, embed: LagEmbedding, lam: float | None = None) -> float:
@@ -694,18 +693,15 @@ def _bic(rss: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
 
 def fit_panel_vars(panels: Sequence[TimePanel], p: int, cfg: LassoConfig,
                    estimator: str = "lasso") -> list[VarModel]:
-    """``fit_panel_var`` of each panel in one ``_fit_stack``, each as alone. A panel is
-    standardized once; a later gather re-applies its stats, as ``standardize`` does."""
-    stats: list = [None] * len(panels)
-
-    def gather(i: int) -> tuple:
-        if stats[i] is None:
-            std_panel, stats[i] = standardize(panels[i])
-        else:
-            std_panel = panels[i].with_values(stats[i].transform(panels[i].values))
-        return lag_embed(std_panel, p), stats[i]
-
-    return _fit_stack(gather, len(panels), cfg, estimator)
+    """``fit_panel_var`` of each panel, each as alone, in ``_fit_stack``s of as many panels as
+    keep their FGLS stage-2 Grams (K (K p)^2 floats a panel) within 8 MB: 8 panels at K = 50,
+    p = 1. Each panel is standardized and lag-embedded once, as the stack reads it."""
+    if not len(panels):
+        raise LassoError("0 items to fit")
+    step = max(1, (1 << 20) // max(1, panels[0].n_series ** 3 * p * p))  # p < 1: lag_embed's error
+    return [model for i in range(0, len(panels), step) for model in _fit_stack(
+        ((lag_embed(std, p), stats) for std, stats in map(standardize, panels[i:i + step])),
+        cfg, estimator)]
 
 
 def fit_panel_var(panel: TimePanel, p: int, cfg: LassoConfig,

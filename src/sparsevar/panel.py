@@ -31,8 +31,8 @@ class TimePanel:
     ``names[k]``. Values are stored read-only so panels can be shared freely.
     ``TimePanel(...)`` copies the values and checks shapes, unique names,
     increasing dates and finiteness; ``slice_rows`` derives a panel without
-    checks, and ``with_values`` checks only the shape and finiteness of its
-    new values.
+    checks, ``with_values`` checks only the shape and finiteness of its new
+    values, and ``read_panel_csv`` checks only what its parse leaves open.
     """
 
     dates: tuple[date, ...]
@@ -46,16 +46,10 @@ class TimePanel:
         if arr.ndim != 2:
             raise PanelError(f"values must be 2-D, got shape {arr.shape}")
         if arr.shape[0] != len(self.dates):
-            raise PanelError(
-                f"{arr.shape[0]} rows but {len(self.dates)} dates"
-            )
+            raise PanelError(f"{arr.shape[0]} rows but {len(self.dates)} dates")
         if arr.shape[1] != len(self.names):
-            raise PanelError(
-                f"{arr.shape[1]} columns but {len(self.names)} names"
-            )
-        if len(set(self.names)) != len(self.names):
-            dupes = sorted({n for n in self.names if self.names.count(n) > 1})
-            raise PanelError(f"duplicate series names: {dupes}")
+            raise PanelError(f"{arr.shape[1]} columns but {len(self.names)} names")
+        _unique(self.names)
         for prev, nxt in zip(self.dates, self.dates[1:]):
             if nxt <= prev:
                 raise PanelError(f"dates not strictly increasing at {nxt}")
@@ -70,9 +64,10 @@ class TimePanel:
         arr.setflags(write=False)
         return arr
 
-    def _derived(self, dates: tuple[date, ...], values: np.ndarray) -> "TimePanel":
-        panel = object.__new__(TimePanel)  # parts of a validated panel skip the checks
-        panel.__dict__.update(dates=dates, names=self.names, values=values)
+    @staticmethod
+    def _of(dates: tuple[date, ...], names: tuple[str, ...], values: np.ndarray) -> "TimePanel":
+        panel = object.__new__(TimePanel)  # parts already validated skip the checks
+        panel.__dict__.update(dates=dates, names=names, values=values)
         return panel
 
     @property
@@ -98,7 +93,7 @@ class TimePanel:
 
     def slice_rows(self, start: int, stop: int) -> "TimePanel":
         """Rows [start, stop): a read-only view of these values, not re-validated."""
-        return self._derived(self.dates[start:stop], self.values[start:stop])
+        return TimePanel._of(self.dates[start:stop], self.names, self.values[start:stop])
 
     def with_values(self, values: np.ndarray) -> "TimePanel":
         """These dates and names over a read-only copy of ``values``, which must
@@ -107,7 +102,14 @@ class TimePanel:
         values = np.array(values, dtype=float)
         if values.shape != self.values.shape:
             raise PanelError(f"values of shape {values.shape} for a {self.values.shape} panel")
-        return self._derived(self.dates, self._frozen_finite(values))
+        return TimePanel._of(self.dates, self.names, self._frozen_finite(values))
+
+
+def _unique(names: tuple[str, ...]) -> tuple[str, ...]:
+    if len(set(names)) != len(names):
+        dupes = sorted({n for n in names if names.count(n) > 1})
+        raise PanelError(f"duplicate series names: {dupes}")
+    return names
 
 
 @dataclass(frozen=True)
@@ -223,7 +225,7 @@ def standardize(panel: TimePanel) -> tuple[TimePanel, StandardizationStats]:
         raise PanelError(f"series {panel.names[k]!r} has zero variance")
     stats = StandardizationStats(means, sds)
     dev /= sds
-    return panel._derived(panel.dates, panel._frozen_finite(dev)), stats
+    return TimePanel._of(panel.dates, panel.names, panel._frozen_finite(dev)), stats
 
 
 def destandardize(panel: TimePanel, stats: StandardizationStats) -> TimePanel:
@@ -483,6 +485,7 @@ def read_panel_csv(path) -> TimePanel:
     ``write_panel_csv``, ``simulate`` and ``ingest`` write them, makes no Python call per
     line. Any other is read by ``_date_ordinal`` (at once if its first date is not exact):
     the exact rule, the only reader of padded dates, and the path that names a bad line.
+    Its days are checked consecutive here, so its panel is built with no date loop.
     """
     with open(path, "rb") as fh:  # a U11 cell drops a NUL at its end, unseen
         raw = fh.read()
@@ -497,4 +500,4 @@ def read_panel_csv(path) -> TimePanel:
     if gaps.size:
         prev, nxt = dates[gaps[0]: gaps[0] + 2].tolist()
         raise PanelError(f"{path}: missing dates between {prev} and {nxt}")
-    return TimePanel(tuple(dates.tolist()), tuple(names), values)
+    return TimePanel._of(tuple(dates.tolist()), _unique(tuple(names)), values).with_values(values)

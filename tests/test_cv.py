@@ -14,6 +14,7 @@ from sparsevar.lasso import (
     LassoConfig,
     LassoGrid,
     _fgls_refit,
+    _pw_basis,
     fit_panel_var,
     lambda_grid,
     lambda_max,
@@ -192,8 +193,9 @@ def fold_at_a_time(pnl, p, cfg, plan, estimator):
                                     stats.transform(window.values)), p).Z
         _, fits, ok[:, fold], _ = map(np.array, zip(*lasso_path(embed.Y, embed.Z, lams, cfg)))
         if estimator == "fgls-lasso":
+            design = (_pw_basis(embed.Y, embed.Z), embed.n_cols, ok[:, fold].sum())
             fits[ok[:, fold]], _, _, converged, _ = _fgls_refit(
-                [(embed.Y, embed.Z, ok[:, fold].sum())], fits[ok[:, fold]], lams[ok[:, fold]], cfg)
+                [design], fits[ok[:, fold]], lams[ok[:, fold]], cfg)
             ok[ok[:, fold], fold] = converged.all(axis=1)
         points = np.flatnonzero(ok[:, fold])
         losses[points, fold] = residual_losses(fits[points], stats, val_Z,
@@ -341,7 +343,10 @@ class TestGoldenLossTables:
     moved from per-point forecasts to a thin QR of each validation design: 7
     cells (fgls-lasso) and 9 (lasso) moved, each by at most 1.8e-15 absolute
     (2.6e-16 relative); lambda* did not move. No cell moved when that QR's
-    projection of the actuals became one product per series."""
+    projection of the actuals became one product per series. The fgls-lasso
+    table was re-recorded when FGLS rho came from each fold's Prais-Winsten
+    basis instead of its residual samples: 5 cells moved, by at most 2.2e-15
+    absolute (6.6e-16 relative); lambda* did not move."""
 
     plan = WalkForwardPlan(n_splits=2, test_size=30, min_train=180)
     cfg = LassoConfig(tol=1e-8, grid=LassoGrid(n_points=6, ratio=0.01))
@@ -357,10 +362,10 @@ class TestGoldenLossTables:
         self.check("fgls-lasso", [
             [7.147458393476303, 4.839913418706302],
             [6.899074802869734, 4.658856564464278],
-            [3.379375699542876, 3.252732988134203],
+            [3.379375699542874, 3.2527329881342033],
             [3.050079213831969, 3.1058272132915428],
-            [3.0297177896257894, 3.094148137276944],
-            [3.047256603440083, 3.0985244191983266],
+            [3.029717789625788, 3.094148137276944],
+            [3.0472566034400823, 3.098524419198326],
         ], 0.0407497535305944)
 
     def test_lasso(self):

@@ -163,6 +163,26 @@ class TestBatchedSelection:
                 expected = lambda_grid(lambda_max(D[[row]], D[c_i]), LassoGrid(n_points, ratio))
                 np.testing.assert_array_equal(grids[0][:, i, r], expected)
 
+    @pytest.mark.parametrize("R,m,n", [(1, 3, 50), (4, 8, 638), (10, 20, 998),
+                                       (19, 16, 9998), (50, 49, 1459)])
+    def test_per_row_lambda_max_has_each_rows_bits(self, monkeypatch, R, m, n):
+        """Each design's per-row ``lambda_max``, one stacked product, equals each row's own
+        call bit for bit, the paper-scale selection design (K = 50, p = 1) included: a
+        one-point grid is its lambda_max."""
+        D = np.random.default_rng(R * m).standard_normal((R + m, n))
+        rows, cols = [list(range(R))] * 2, [list(range(R, R + m))] * 2
+        grids, paths = [], granger.lasso_paths
+
+        def spy(G, C, yy, lams, cfg):
+            grids.append(lams)
+            return paths(G, C, yy, lams, cfg)
+
+        monkeypatch.setattr(granger, "lasso_paths", spy)
+        _bic_select(D, rows, cols, LassoConfig(grid=LassoGrid(n_points=1, ratio=0.5)))
+        expected = [lambda_max(D[[r]], D[R:]) for r in range(R)]
+        for i in range(2):
+            np.testing.assert_array_equal(grids[0][0, i], expected)
+
     def test_row_equal_to_a_regressor_selects_it(self):
         """A response equal to a regressor is fitted exactly as the penalty falls:
         its RSS from moments rounds to 0 or below, which reads as BIC -inf

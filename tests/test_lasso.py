@@ -30,11 +30,13 @@ from sparsevar.lasso import (
     _admitted,
     _cd_step,
     _check_descent,
+    _ar1_rho,
     _fgls_refit,
     _finish,
     _objective,
     _path_moments,
     _predict,
+    _pw_basis,
     _settle,
     _whitened_moments,
 )
@@ -218,6 +220,11 @@ def prais_winsten(M: np.ndarray, rho: float) -> np.ndarray:
     out[..., 0] = np.sqrt(1.0 - rho * rho) * M[..., 0]
     out[..., 1:] = M[..., 1:] - rho * M[..., :-1]
     return out
+
+
+def design(Y, Z, count):
+    """The (basis, n, count) of a design's samples that ``_fgls_refit`` reads."""
+    return _pw_basis(Y, Z), Y.shape[1], count
 
 
 def residual_stage2(Y, Z, A1, lam, cfg, rho):
@@ -444,7 +451,7 @@ class TestPathEquivalence:
         # one stacked stage 2 for 8 path points, each point with its own penalty
         cfg = LassoConfig(grid=LassoGrid(n_points=8, ratio=1e-2))
         Y, Z, A1, lams = ar1_stage1_path(k, seed, cfg)
-        A, rho, sweeps, converged, history = _fgls_refit([(Y, Z, len(lams))], A1, lams, cfg)
+        A, rho, sweeps, converged, history = _fgls_refit([design(Y, Z, len(lams))], A1, lams, cfg)
         assert A.shape == A1.shape
         assert rho.shape == sweeps.shape == converged.shape == (len(lams), k)
         for i, lam in enumerate(lams):
@@ -460,10 +467,10 @@ class TestPathEquivalence:
         # solve and sweep 27 to 44 times; every other row settles without a sweep
         cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
         Y, Z, A1, lams = ar1_stage1_path(12, 6, cfg)
-        A, _, sweeps, converged, history = _fgls_refit([(Y, Z, len(lams))], A1, lams, cfg)
+        A, _, sweeps, converged, history = _fgls_refit([design(Y, Z, len(lams))], A1, lams, cfg)
         cap = int(sweeps.max()) - 1
         capped = replace(cfg, max_sweeps=cap)
-        A_c, _, sweeps_c, converged_c, history_c = _fgls_refit([(Y, Z, len(lams))], A1, lams,
+        A_c, _, sweeps_c, converged_c, history_c = _fgls_refit([design(Y, Z, len(lams))], A1, lams,
                                                                capped)
         hit = sweeps > cap
         assert hit.any() and (~hit).any() and converged.all()
@@ -483,7 +490,7 @@ class TestPathEquivalence:
         Y, Z, _, _ = ar1_stage1_path(4, 6, cfg)
         K, n = Y.shape
         rhos = np.array([[rho] * K, [rho, 0.3, -0.7, 0.9]])
-        G, C, yy = _whitened_moments(Y, Z, rhos)
+        G, C, yy = _whitened_moments(_pw_basis(Y, Z), rhos)
         for r, (i, k) in enumerate(np.ndindex(rhos.shape)):
             Xw = prais_winsten(np.vstack([Y[k: k + 1], Z]), rhos[i, k])
             S = Xw @ Xw.T / n
@@ -508,6 +515,36 @@ class TestPathEquivalence:
         _check_descent(2, 1.0, 1.0 + 1e-13)  # rounding-level rise is tolerated
         with pytest.raises(LassoError, match=r"sweep 7: 1\.0 -> 1\.5"):
             _check_descent(7, 1.0, 1.5)
+
+
+def looped_path_moments(Y, Z, per_row):
+    """``_path_moments``' C built by its former loops: one product Y @ Z[j] per column or,
+    per row, one Y[r:r+1] @ Z[j] per entry."""
+    R, n = Y.shape
+    rows = [slice(r, r + 1) for r in range(R)] if per_row else [slice(None)]
+    C = np.empty((R, Z.shape[0]))
+    for j in range(Z.shape[0]):
+        for rs in rows:
+            C[rs, j] = (Y[rs] @ Z[j]) / n
+    return C
+
+
+# (rows, regressors, samples): a lone row, bench shapes and the paper-scale network's
+# selection design (K = 50, p = 1: 50 rows on 49 regressors, T = 1460)
+STACKED_SHAPES = [(1, 3, 50), (4, 8, 638), (10, 20, 998), (19, 16, 9998), (50, 49, 1459)]
+
+
+@pytest.mark.parametrize("per_row", [False, True])
+@pytest.mark.parametrize("shape", STACKED_SHAPES)
+def test_path_moments_stacked_product_has_the_loops_bits(shape, per_row):
+    R, m, n = shape
+    D = np.random.default_rng(R * m).standard_normal((R + m, n))
+    Y, Z = D[:R], D[R:]
+    G, C, yy = _path_moments(Y, Z, per_row)
+    assert_bitwise(C, looped_path_moments(Y, Z, per_row))
+    assert C.flags.c_contiguous
+    assert_bitwise(G, Z @ Z.T / n)
+    assert yy == float(np.sum(Y * Y)) / n
 
 
 def stacked_paths(seeds, rows, k, p, per_row, cfg):
@@ -746,8 +783,8 @@ def ar1_panels(seeds, k=4):
 
 
 class TestLockstepFits:
-    """``fit_panel_vars`` fits independent panels in one lockstep solve (one
-    ``lasso_paths`` group per panel, one ``_fgls_refit`` for every panel's
+    """``fit_panel_vars`` fits independent panels in lockstep stacks (one
+    ``lasso_paths`` group per panel, one ``_fgls_refit`` for every stacked panel's
     equations); each must be the fit it is alone, bit for bit."""
 
     @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
@@ -769,13 +806,48 @@ class TestLockstepFits:
 
     @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
     def test_each_panel_is_standardized_once(self, monkeypatch, estimator):
-        # the samples are gathered two or three times; only the first derives the stats
         calls = []
         monkeypatch.setattr(lasso_mod, "standardize",
                             lambda pnl: calls.append(pnl) or standardize(pnl))
         panels = ar1_panels([31, 32, 33])
         fit_panel_vars(panels, 2, LassoConfig(lam=0.12), estimator)
         assert [id(pnl) for pnl in calls] == [id(pnl) for pnl in panels]
+
+    def test_stacks_are_split_to_bound_fgls_gram_memory(self, monkeypatch):
+        # K = 64, p = 1: a panel's stage-2 Grams take 64^3 floats, so a stack holds 4 panels;
+        # 6 origins make stacks of 4 and 2, and each origin, dense enough to sweep, is still its
+        # solo fit
+        pnl = simulate(SyntheticSpec(
+            k=64, p=1, t=160, recipe=SparseRecipe(density=0.02, magnitude=0.3, seed=41),
+            error="ar1", rho=0.5, seed=41))[0]
+        panels, cfg = [pnl.slice_rows(0, t) for t in range(155, 161)], LassoConfig(lam=0.1)
+        sizes, stack = [], lasso_mod._fit_stack
+
+        def counted(items, *args):
+            items = list(items)
+            sizes.append(len(items))
+            return stack(items, *args)
+
+        monkeypatch.setattr(lasso_mod, "_fit_stack", counted)
+        stacked = fit_panel_vars(panels, 1, cfg, "fgls-lasso")
+        assert sizes == [4, 2]
+        for panel, model in zip(panels, stacked):
+            solo = fit_panel_var(panel, 1, cfg, "fgls-lasso")
+            for a, b in [(model.A, solo.A), (model.sigma_u, solo.sigma_u), (model.rho, solo.rho)]:
+                assert_bitwise(a, b)
+            assert (model.sweeps, model.objective_history) == (solo.sweeps, solo.objective_history)
+
+    @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
+    def test_each_origin_is_lag_embedded_once(self, monkeypatch, estimator):
+        # the stack reads each item's samples once: its moments, Y Y^T / N for sigma_u
+        # and, for FGLS, its Prais-Winsten basis come from one embedding
+        calls = []
+        monkeypatch.setattr(lasso_mod, "lag_embed",
+                            lambda pnl, p: calls.append(pnl.n_obs) or lag_embed(pnl, p))
+        pnl = ar1_panels([31])[0]
+        fit_panel_vars([pnl.slice_rows(0, t) for t in (200, 220, 240)], 2,
+                       LassoConfig(lam=0.12), estimator)
+        assert calls == [200, 220, 240]
 
     def test_fgls_stage2_of_several_designs_equals_one_call_each(self):
         # three designs' whole stage-1 paths in one lasso_paths call of one-row groups;
@@ -786,11 +858,11 @@ class TestLockstepFits:
         A1 = np.concatenate([d[2] for d in designs])
         lams = np.concatenate([d[3] for d in designs])
         A, rho, sweeps, converged, history = _fgls_refit(
-            ((Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
+            (design(Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
         assert compactions(sweeps.ravel()) >= 2
         start = 0
         for Y, Z, A1_d, lams_d in designs:
-            one = _fgls_refit([(Y, Z, len(lams_d))], A1_d, lams_d, cfg)
+            one = _fgls_refit([design(Y, Z, len(lams_d))], A1_d, lams_d, cfg)
             pts = slice(start, start + len(lams_d))
             for stacked, alone in zip((A[pts], rho[pts], sweeps[pts], converged[pts]), one[:4]):
                 assert_bitwise(stacked, alone)
@@ -812,7 +884,7 @@ class TestLockstepFits:
         P, K, m = A1.shape
         tracemalloc.start()
         try:
-            _fgls_refit([(emb.Y, emb.Z, P)], A1, lams, cfg)
+            _fgls_refit([design(emb.Y, emb.Z, P)], A1, lams, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -826,7 +898,103 @@ class TestLockstepFits:
         cfg = LassoConfig(grid=LassoGrid(n_points=3, ratio=1e-2))
         Y, Z, A1, lams = ar1_stage1_path(2, 5, cfg)
         with pytest.raises(LassoError, match="cover 2 of 3"):
-            _fgls_refit([(Y, Z, 2)], A1, lams, cfg)
+            _fgls_refit([design(Y, Z, 2)], A1, lams, cfg)
+
+
+def sample_rho(Y, Z, A1):
+    """Lag-1 autocorrelation of each point's centred stage-1 residuals, from the samples
+    (0 where they have no variance), and their variance: the sample form of FGLS rho."""
+    U = Y - A1 @ Z
+    U -= U.mean(axis=2, keepdims=True)
+    num, den = (U[..., 1:] * U[..., :-1]).sum(axis=2), (U * U).sum(axis=2)
+    return np.divide(num, den, out=np.zeros(den.shape), where=den != 0.0), den / Y.shape[1]
+
+
+def spiral_panel(sd, t=400):
+    """A near-deterministic AR(1)-error panel: slowly spiralling dynamics from a random
+    state, plus innovations of standard deviation sd."""
+    c, s = 0.999 * math.cos(0.7), 0.999 * math.sin(0.7)
+    return simulate(SyntheticSpec(
+        k=3, p=1, t=t, coefficients=np.array([[c, -s, 0.0], [s, c, 0.0], [0.3, 0.0, 0.998]]),
+        innovation_sd=sd, error="ar1", rho=0.5, seed=0,
+        initial_state=np.random.default_rng(1).standard_normal((1, 3))))[0]
+
+
+class TestMomentBasis:
+    """FGLS rho and sigma_u come from moments, not from a pass over the samples: rho from
+    each design's Prais-Winsten basis (``_pw_basis``, ``_ar1_rho``), sigma_u from G, C and
+    Y Y^T / N. Each is checked against its sample form. rho's rounding error is about eps
+    times ||y||^2 / ||u||^2, the inverse of the residuals' share of the response's sum of
+    squares: on a fitted panel (share >= 0.3) its tolerance is 1e-14 absolute, and on a
+    near-deterministic design 1e-14 ||y||^2 / ||u||^2."""
+
+    @staticmethod
+    def path_rho(pnl, p, n_points, ratio):
+        emb = lag_embed(standardize(pnl)[0], p)
+        cfg = LassoConfig(grid=LassoGrid(n_points=n_points, ratio=ratio), tol=1e-12,
+                          max_sweeps=100_000)
+        lams = lambda_grid(lambda_max(emb.Y, emb.Z), cfg.grid)
+        A1 = np.stack([A for _, A, _, _ in lasso_path(emb.Y, emb.Z, lams, cfg)])
+        rho = _ar1_rho(_pw_basis(emb.Y, emb.Z), emb.n_cols, A1)
+        ref, var = sample_rho(emb.Y, emb.Z, A1)
+        return rho, ref, var / (np.sum(emb.Y * emb.Y, axis=1) / emb.n_cols)
+
+    # the bench forecast workload's panel (K = 4, p = 2, AR(1) errors; a fold's window of
+    # 640 rows), and the paper's shape (K = 50, p = 1, n = 1339)
+    @pytest.mark.parametrize("k,p,t,density,magnitude,n_points", [
+        (4, 2, 640, 0.2, 0.25, 50), (50, 1, 1340, 0.05, 0.3, 10)])
+    def test_rho_matches_sample_form(self, k, p, t, density, magnitude, n_points):
+        pnl = simulate(SyntheticSpec(k=k, p=p, t=t, recipe=SparseRecipe(density, magnitude, seed=0),
+                                     error="ar1", rho=0.5, seed=0))[0]
+        rho, ref, share = self.path_rho(pnl, p, n_points, 1e-3)
+        assert share.min() > 0.3 and (np.abs(ref) > 0.01).any()
+        assert np.abs(rho - ref).max() <= 1e-14
+
+    @pytest.mark.parametrize("sd", [1e-3, 1e-5, 1e-7])
+    def test_rho_matches_sample_form_on_a_near_deterministic_design(self, sd):
+        rho, ref, share = self.path_rho(spiral_panel(sd), 1, 8, 1e-7)
+        assert share.min() < 1e-4  # the last points fit all but a sliver of the response
+        assert (np.abs(rho - ref) * share).max() <= 1e-14
+
+    def test_rho_is_zero_where_the_residuals_have_no_variance(self):
+        # equation 0's response is zero and its stage-1 row too, so den = 0 in both forms;
+        # in equation 1's basis, the mean is raised above the sum of squares, so den < 0
+        Y, Z, A1, _ = ar1_stage1_path(2, 5, LassoConfig(grid=LassoGrid(n_points=3, ratio=1e-2)))
+        Y = np.vstack([np.zeros(Y.shape[1]), Y[1]])
+        A1[:, 0] = 0.0
+        (M, v), n = _pw_basis(Y, Z), Y.shape[1]
+        ref, var = sample_rho(Y, Z, A1)
+        assert (var[:, 0] == 0.0).all() and (ref[:, 1] != 0.0).all()
+        rho = _ar1_rho((M, v), n, A1)
+        np.testing.assert_array_equal(rho[:, 0], 0.0)
+        assert np.abs(rho[:, 1] - ref[:, 1]).max() <= 1e-14
+        v = v.copy()
+        v[0, 1] = 2.0 * np.sqrt(M[0, 1, 1]) + np.abs(A1[:, 1] @ v[0, 2:]).max()
+        rho = _ar1_rho((M, v), n, A1)
+        np.testing.assert_array_equal(rho, 0.0)
+
+    @pytest.mark.parametrize("estimator", ["ols", "lasso", "fgls-lasso"])
+    @pytest.mark.parametrize("seed,k,p", [(31, 4, 2), (32, 12, 2), (33, 6, 3)])
+    def test_sigma_u_matches_sample_form(self, estimator, seed, k, p):
+        pnl = ar1_panels([seed], k=k)[0]
+        model = fit_panel_var(pnl, p, LassoConfig(lam=0.05), estimator)
+        emb = lag_embed(standardize(pnl)[0], p)
+        resid = emb.Y - model.A @ emb.Z
+        ref = resid @ resid.T / emb.n_cols
+        assert np.abs(model.sigma_u - (ref + ref.T) / 2).max() <= 1e-14
+        assert_bitwise(model.sigma_u, model.sigma_u.T)
+
+    def test_sigma_u_on_a_near_deterministic_design(self):
+        # on the uncentred spiral, which a VAR without intercept fits up to innovations of
+        # sd 1e-6, the moment form cancels the response's sum of squares down to the
+        # residuals'; it is off by rounding of the response's scale, not of the residuals'
+        emb = lag_embed(spiral_panel(1e-6), 1)
+        model = fit_lasso_var(emb, LassoConfig(lam=0.0, tol=1e-12, max_sweeps=100_000),
+                              estimator="ols")
+        resid = emb.Y - model.A @ emb.Z
+        ref, scale = resid @ resid.T / emb.n_cols, np.sum(emb.Y * emb.Y, axis=1) / emb.n_cols
+        assert np.diagonal(ref).max() < 1e-9 * scale.min()
+        assert np.abs(model.sigma_u - (ref + ref.T) / 2).max() <= 1e-14 * scale.max()
 
 
 def solve_along(solver, moments, pens, tol, max_sweeps, A):
@@ -900,11 +1068,11 @@ class TestLeanStep:
         A1 = np.concatenate([d[2] for d in designs])
         lams = np.concatenate([d[3] for d in designs]) * (case != "lambda-zero")
         if case == "capped":
-            free = _fgls_refit(((Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
+            free = _fgls_refit((design(Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
             cfg = replace(cfg, max_sweeps=int(np.median(free[2])))
 
         def refit():
-            return _fgls_refit(((Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
+            return _fgls_refit((design(Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
 
         lean = refit()
         monkeypatch.setattr("sparsevar.lasso._cd_gram", _cd_gram_signmax)
@@ -923,7 +1091,7 @@ class TestLeanStep:
         # the last point's rows (m = 24), dense enough to sweep
         cfg = LassoConfig(grid=LassoGrid(n_points=6, ratio=1e-3))
         Y, Z, A1, lams = ar1_stage1_path(12, 6, cfg)
-        G, C, yy = _whitened_moments(Y, Z, np.full((len(lams), 12), 0.5))
+        G, C, yy = _whitened_moments(_pw_basis(Y, Z), np.full((len(lams), 12), 0.5))
         G, C, yy = G[-8:], C[-8:, None], yy[-8:]
         G[:, 2, :] = G[:, :, 2] = C[..., 2] = 0.0
         A0 = A1.reshape(-1, 1, A1.shape[2])[-8:].copy()
@@ -1106,7 +1274,12 @@ class TestPinnedOutputs:
     at most 5.3e-15 absolute (4.3e-16 relative); the grid, lambda* and the
     coefficient digest did not move. The fits digest, of every fixed-penalty model's
     A, sigma_u, rho, sweeps and history, was recorded while those fits and FGLS stage 2
-    still made an exact stage of their own, before they became one-point paths."""
+    still made an exact stage of their own, before they became one-point paths. It was
+    re-recorded when sigma_u came from the moments and FGLS rho from each design's
+    Prais-Winsten basis, not from the samples: sigma_u moved by at most 2.1e-15 absolute
+    (3.0e-11 relative, on an entry of 3e-6), rho by 2.4e-15 (3.9e-14), FGLS A by 1.8e-15
+    (1.6e-12) and its history by 5.0e-16 (1.0e-15); the lasso and OLS A, every history but
+    FGLS's, and every sweep count did not move."""
 
     cfg = LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-3))
     PINS = {
@@ -1114,7 +1287,7 @@ class TestPinnedOutputs:
                     "daf7b3aa73c87b4583fb8cfe7bacd6abba64e1e099326178da38ec48ae3f4b84"),
         "cv": ("23f28a98921a47c6690ab0d3c594386d1da1cec0d80714717a97c83678787b5b",
                "95224aeae54afd2b0f69afadd0ce6d648b08438fbad5670e954b4b89069d54c8"),
-        "fits": "36ab56cc31a3e7852d1876690af055c5fe93dc3d67b23928b6ee2b01664b15ab",
+        "fits": "9002e2ac1b936c50d9f5e0974c229f3095cf4e72dd92b65ad94402dd5f6a3bda",
     }
 
     @pytest.mark.parametrize("scenario", ["granger", "cv"])

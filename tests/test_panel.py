@@ -363,6 +363,36 @@ class TestCsvReader:
         if layout == "quoted":
             assert names == ("a, the first", 'b "2"', "c")
 
+    @pytest.mark.parametrize("text, error", [
+        ("date,a,b,a\n2020-01-01,1.0,2.0,3.0\n", r"duplicate series names: \['a'\]"),
+        ("date,a,b\n2020-01-01,1.0,2.0\n2020-01-02,1.0,nan\n",
+         "non-finite value in series 'b' on 2020-01-02"),
+        ("date,a,b\n 2020-01-01,1.0,2.0\n2020-01-02,-inf,2.0\n",
+         "non-finite value in series 'a' on 2020-01-02"),
+    ])
+    def test_names_and_values_are_checked_as_a_panel_checks_them(self, tmp_path, text, error):
+        path = tmp_path / "panel.csv"
+        path.write_text(text)
+        with pytest.raises(PanelError, match=error):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize("layout", ["canonical", "space_before_date"])
+    def test_panel_is_built_from_its_checked_parts(self, tmp_path, rng, monkeypatch, layout):
+        # the reader checks the days itself, so the public constructor's per-date loop and
+        # second copy do not run; the values are one contiguous read-only copy
+        path = tmp_path / "panel.csv"
+        path.write_text("\n".join(layout_lines(panel_rows(rng), layout)) + "\n")
+        names, dates, values = reference_read(path)
+
+        def refused(self):
+            raise AssertionError("TimePanel.__post_init__ ran")
+
+        monkeypatch.setattr(panel_mod.TimePanel, "__post_init__", refused)
+        panel = read_panel_csv(path)
+        assert panel.names == names and panel.dates == dates
+        assert panel.values.tobytes() == values.tobytes()
+        assert panel.values.flags.c_contiguous and not panel.values.flags.writeable
+
     @pytest.mark.parametrize("line, error", [
         ("2020-01-03,1.0,2.0,3.0", "expected 3 fields"),
         ("2020-01-03,1.0", "expected 3 fields"),
