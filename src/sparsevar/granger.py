@@ -76,6 +76,8 @@ class NetworkResult:
 
 
 NO_CONVERGED_FIT = "no converged fit on the BIC grid; raise max_sweeps"
+# stacked coefficients a BIC scoring block holds at most, 1 MB as a ``_finish`` chunk
+_BIC_BLOCK = 1 << 17
 
 
 def _bic_select(
@@ -89,10 +91,14 @@ def _bic_select(
     designs' paths run in lockstep in one ``lasso_paths`` call; each design stops on its
     own, so it selects exactly what it selects alone. BIC at each grid point is
     N ln(RSS/N) + s ln(N) at the LASSO coefficients a_r, with RSS read from the
-    path's own moments as N (yy_r - 2 <a_r, c_r> + a_r G a_r^T), yy_r = ||y_r||^2 / N,
-    for every row of every design at once; an RSS that rounds below 0 (a row
-    fitted exactly) is 0, so its BIC is -inf, as from the samples. Ties break
-    toward the larger penalty (the grid descends). A row orthogonal to every
+    path's own moments as N (yy_r - 2 <a_r, c_r> + a_r G a_r^T), yy_r = ||y_r||^2 / N;
+    an RSS that rounds below 0 (a row fitted exactly) is 0, so its BIC is -inf, as
+    from the samples. The points are scored in blocks, every row of every design at
+    each point of a block in one stacked pass: a block holds at most ``_BIC_BLOCK``
+    coefficients and at least one point (the bench network's whole path; one point of
+    a paper-scale one), and each row's bits are those of a pass per point. Ties break
+    toward the larger penalty (the grid descends): the first minimum in a block, which
+    replaces the best so far only when strictly lower. A row orthogonal to every
     regressor gets the empty model at penalty 0: a zero row of C keeps it at
     zero. A penalty at which a design's joint solve did not converge is skipped
     for every row of that design only. Returns the penalties (g, R), the support
@@ -113,14 +119,24 @@ def _bic_select(
     lams, best = np.zeros(lmax.shape), np.full(lmax.shape, np.inf)
     support = np.zeros(live.shape + cols.shape[1:], dtype=bool)
     ok = ~live.any(axis=1)
-    for lam, A, converged, _, _ in lasso_paths(G.copy(), C, yy, grid, cfg):  # G is read below
-        for i in np.flatnonzero(~converged):
-            log.warning("BIC stage of design %d skipped non-converged penalties %s", i, lam[i])
-        rss = n * np.maximum(yy_rows - np.einsum("grm,grm->gr", A, C2 - A @ G), 0.0)
-        bic = _bic(rss, np.count_nonzero(A, axis=2), n)
-        better = (bic < best) & live & converged[:, None]
-        best[better], lams[better], support[better] = bic[better], lam[better], A[better] != 0.0
-        ok |= converged
+    step = max(1, _BIC_BLOCK // C.size)
+    path = lasso_paths(G.copy(), C, yy, grid, cfg)  # G is read below
+    for start in range(0, len(grid), step):
+        lam = grid[start:start + step]
+        points = [next(path)[1:3] for _ in lam]  # each point's A and converged
+        # a block of one point is its A itself: no copy beside it at paper scale
+        A = np.stack([a for a, _ in points]) if len(points) > 1 else points[0][0][None]
+        c = np.array([converged for _, converged in points])
+        for b, i in np.argwhere(~c).tolist():  # in (point, design) order
+            log.warning("BIC stage of design %d skipped non-converged penalties %s", i, lam[b, i])
+        rss = n * np.maximum(yy_rows - np.einsum("bgrm,bgrm->bgr", A, C2 - A @ G), 0.0)
+        bic = _bic(rss, np.count_nonzero(A, axis=3), n)
+        bic[~((bic < np.inf) & live & c[..., None])] = np.inf  # never selected
+        low = bic.min(axis=0)
+        better = low < best
+        at = (bic.argmin(axis=0)[better], *np.nonzero(better))  # each first minimum
+        best[better], lams[better], support[better] = low[better], lam[at], A[at] != 0.0
+        ok |= c.any(axis=0)
     return lams, support, ok
 
 

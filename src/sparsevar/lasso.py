@@ -13,7 +13,8 @@ each group with its own stopping rule: the CV folds' paths and the Granger cause
 share a grid and run as its groups; a fixed-penalty fit (OLS at lambda = 0) is a path of one
 point from zero, the forecast origins' fits one group each (``_fit_stack``); FGLS stage 2,
 whose rows each have their own whitened moments, is a path of one point from stage 1, one
-group of one row per (point, equation). Its one exact stage, ``_settle``, comes before any
+group of one row per (point, equation), in calls of whole designs whose Grams stay within
+``_GRAM_FLOATS`` (8 MB). Its one exact stage, ``_settle``, comes before any
 sweep and solves each group small enough on a predicted sign pattern; the KKT check alone
 decides if it stops there, one sweep (at lambda = 0 no sign is read: an admitted OLS fit
 settles in one solve). A path is piecewise linear in lambda (LARS), so a group settles blocks
@@ -48,6 +49,8 @@ log = logging.getLogger("sparsevar.lasso")
 
 ESTIMATORS = ("ols", "lasso", "fgls-lasso")  # "ols" is the lasso at lambda = 0
 TUNED = ("lasso", "fgls-lasso")  # the estimators whose penalty cross-validation selects
+# FGLS stage-2 Gram floats solved in one stack, 8 MB: CV folds, or fitted panels
+_GRAM_FLOATS = 1 << 20
 
 
 class LassoError(SparsevarError):
@@ -636,23 +639,40 @@ def _fgls_refit(designs: Iterable[tuple], A1: np.ndarray, lams, cfg: LassoConfig
     count points' design (a CV fold's, or one fit item's). Each equation's rho is the lag-1
     autocorrelation of its centred stage-1 residuals (``_ar1_rho``, clipped to |rho| <=
     0.99); the penalty is re-applied on its whitened moments (``_whitened_moments``),
-    warm-started from its own stage-1 row: all P K solves are one ``lasso_paths`` call of
-    one point on a per-row grid, one group of one row per (point, equation), its Gram in a
-    stack that the call may overwrite. Returns A (P, K, m); rho, sweeps and converged
-    (P, K); and per point its objectives, equations in row order.
+    warm-started from its own stage-1 row: one group of one row per (point, equation), each
+    with its own stopping rule. Whole designs are whitened and solved together, as many as
+    keep their Gram rows within ``_GRAM_FLOATS`` (at least one design), each such set in one
+    ``lasso_paths`` call of one point on a per-row grid, in one (G, C, yy) buffer that the
+    call may overwrite and the next set reuses. A design is never split: the whitened
+    products round differently by batch size, while every row's solve has its own bits in
+    any batch. Returns A (P, K, m); rho, sweeps and converged (P, K); and per point its
+    objectives, equations in row order.
     """
     P, K, m = A1.shape
-    rho, G, C, yy = np.empty((P, K)), np.empty((P * K, m, m)), np.empty((P * K, m)), np.empty(P * K)
-    start = 0
+    sets, start = [], 0  # each set's designs of one point or more: (basis, n, first, end)
     for basis, n, count in designs:
-        pts, rows = slice(start, start + count), slice(start * K, (start + count) * K)
-        rho[pts] = np.clip(_ar1_rho(basis, n, A1[pts]), -0.99, 0.99)
-        _whitened_moments(basis, rho[pts], (G[rows], C[rows], yy[rows]))
+        if count:
+            if not sets or (start + count - sets[-1][0][2]) * K * m * m > _GRAM_FLOATS:
+                sets.append([])
+            sets[-1].append((basis, n, start, start + count))
         start += count
     if start != P:
         raise LassoError(f"designs cover {start} of {P} stage-1 points")
-    _, A, converged, sweeps, hist = next(lasso_paths(
-        G, C[:, None], yy, np.repeat(lams, K).reshape(1, -1, 1), cfg, A1.reshape(P * K, 1, m)))
+    size = max((part[-1][3] - part[0][2] for part in sets), default=0) * K
+    buf = np.empty((size, m, m)), np.empty((size, m)), np.empty(size)
+    rho, A = np.empty((P, K)), np.empty((P * K, 1, m))
+    sweeps, converged, hist = np.empty(P * K, dtype=int), np.empty(P * K, dtype=bool), []
+    for part in sets:
+        first, last = part[0][2], part[-1][3]
+        for basis, n, i, j in part:
+            rho[i:j] = np.clip(_ar1_rho(basis, n, A1[i:j]), -0.99, 0.99)
+            _whitened_moments(basis, rho[i:j], tuple(a[(i - first) * K:(j - first) * K]
+                                                     for a in buf))
+        G, C, yy, r = *(a[:(last - first) * K] for a in buf), slice(first * K, last * K)
+        _, A[r], converged[r], sweeps[r], h = next(lasso_paths(
+            G, C[:, None], yy, np.repeat(lams[first:last], K).reshape(1, -1, 1), cfg,
+            A1[first:last].reshape(-1, 1, m)))
+        hist += h
     history = [[v for h in hist[i * K:(i + 1) * K] for v in h] for i in range(P)]
     return A.reshape(P, K, m), rho, sweeps.reshape(P, K), converged.reshape(P, K), history
 
@@ -694,11 +714,13 @@ def _bic(rss: np.ndarray, s: np.ndarray, n: int) -> np.ndarray:
 def fit_panel_vars(panels: Sequence[TimePanel], p: int, cfg: LassoConfig,
                    estimator: str = "lasso") -> list[VarModel]:
     """``fit_panel_var`` of each panel, each as alone, in ``_fit_stack``s of as many panels as
-    keep their FGLS stage-2 Grams (K (K p)^2 floats a panel) within 8 MB: 8 panels at K = 50,
-    p = 1. Each panel is standardized and lag-embedded once, as the stack reads it."""
+    keep their FGLS stage-2 Grams (K (K p)^2 floats a panel) within ``_GRAM_FLOATS``: 8 panels
+    at K = 50, p = 1. This also bounds the moments a stack holds from its one read. Each panel
+    is standardized and lag-embedded once, as the stack reads it."""
     if not len(panels):
         raise LassoError("0 items to fit")
-    step = max(1, (1 << 20) // max(1, panels[0].n_series ** 3 * p * p))  # p < 1: lag_embed's error
+    # p < 1: lag_embed's error
+    step = max(1, _GRAM_FLOATS // max(1, panels[0].n_series ** 3 * p * p))
     return [model for i in range(0, len(panels), step) for model in _fit_stack(
         ((lag_embed(std, p), stats) for std, stats in map(standardize, panels[i:i + step])),
         cfg, estimator)]

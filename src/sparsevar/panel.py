@@ -492,6 +492,7 @@ def read_panel_csv(path) -> TimePanel:
     rows = csv.reader(line.decode("utf-8", "replace") for line in io.BytesIO(raw))
     first = next((row[:1] for i, row in enumerate(rows) if i and row), [""])  # past the header
     fast = b"\0" not in raw and _canonical_days(np.array(first, dtype="U11")) is not None
+    del raw, rows  # loadtxt reads the file itself: its bytes are not held while it parses
     names, days, values = (fast and _read_body(path, exact=False)) or _read_body(path, exact=True)
     if not len(days):
         raise PanelError(f"{path}: no data rows")

@@ -23,7 +23,8 @@ from sparsevar.granger import (
     pds_granger,
     write_failures_csv,
 )
-from sparsevar.lasso import LassoConfig, LassoGrid, lambda_grid, lambda_max
+from sparsevar.lasso import (LassoConfig, LassoGrid, _bic, _path_moments, lambda_grid,
+                             lambda_max, lasso_paths)
 from sparsevar.panel import TimePanel, lag_embed, standardize
 from sparsevar.synthetic import SparseRecipe, SyntheticSpec, simulate
 
@@ -115,6 +116,32 @@ def selection_designs(panel, p):
     return np.vstack([embed.Y, embed.Z]), np.array(rows), np.array(cols)
 
 
+def bic_select_per_point(D, rows, cols, cfg):
+    """``_bic_select`` with one scoring pass per path point: the reference for its block
+    scoring."""
+    rows, cols, n = np.asarray(rows), np.asarray(cols), D.shape[1]
+    lmax, moments = np.zeros(rows.shape), []
+    for i, (y, x) in enumerate((D[r], D[c]) for r, c in zip(rows, cols)):
+        lmax[i] = np.abs(((2.0 / n) * y)[:, None, :] @ x.T).max(axis=(1, 2))
+        moments.append(_path_moments(y, x, per_row=True))
+    live = lmax != 0.0
+    top = np.where(live, lmax, 1.0)
+    grid = np.where(live, np.geomspace(top, top * cfg.grid.ratio, cfg.grid.n_points), 0.0)
+    G, C, yy = (np.stack(parts) for parts in zip(*moments))
+    C[~live] = 0.0
+    yy_rows, C2 = np.einsum("dn,dn->d", D, D)[rows] / n, 2.0 * C
+    lams, best = np.zeros(lmax.shape), np.full(lmax.shape, np.inf)
+    support = np.zeros(live.shape + cols.shape[1:], dtype=bool)
+    ok = ~live.any(axis=1)
+    for lam, A, converged, _, _ in lasso_paths(G.copy(), C, yy, grid, cfg):
+        rss = n * np.maximum(yy_rows - np.einsum("grm,grm->gr", A, C2 - A @ G), 0.0)
+        bic = _bic(rss, np.count_nonzero(A, axis=2), n)
+        better = (bic < best) & live & converged[:, None]
+        best[better], lams[better], support[better] = bic[better], lam[better], A[better] != 0.0
+        ok |= converged
+    return lams, support, ok
+
+
 class TestBatchedSelection:
     def test_rows_select_as_when_run_alone(self, simulated):
         """Each row of every cause's selection design, with all designs in one
@@ -131,6 +158,39 @@ class TestBatchedSelection:
                                                      COARSE)
                 assert ok_r[0] and lams[c, r] == lam_r[0, 0]
                 np.testing.assert_array_equal(support[c, r], support_r[0, 0])
+
+    @pytest.mark.parametrize("k,p,t,cfg,blocks", [
+        (5, 2, 600, CFG, 1),  # the bench network: its whole path in one block
+        (30, 1, 300, CFG, 10),  # 26,100 coefficients a point: 5 points a block
+        # some designs do not converge at points that would have the lowest BIC
+        (4, CAP_LAG, 300, replace(CFG, max_sweeps=10), 1),
+    ])
+    def test_blocks_select_as_one_pass_per_point(self, monkeypatch, k, p, t, cfg, blocks):
+        """Scoring the path's points in blocks picks each row's penalty and support, and
+        each design's converged flag, bit for bit as one scoring pass per point does."""
+        panel = simulate(SyntheticSpec(k=k, p=min(p, 2), t=t, recipe=SparseRecipe(
+            density=0.3 if k < 10 else 0.05, magnitude=0.35 if k < 10 else 0.3, seed=3),
+            seed=3))[0]
+        D, rows, cols = selection_designs(panel, p)
+        calls, bic = [], granger._bic
+        monkeypatch.setattr(granger, "_bic", lambda *args: calls.append(1) or bic(*args))
+        got = _bic_select(D, rows, cols, cfg)
+        assert len(calls) == blocks
+        for block, point in zip(got, bic_select_per_point(D, rows, cols, cfg), strict=True):
+            assert block.shape == point.shape and block.tobytes() == point.tobytes()
+
+    @pytest.mark.parametrize("points", [1, 3, 50])
+    def test_blocks_of_any_length_break_ties_toward_the_larger_penalty(self, monkeypatch,
+                                                                        points):
+        """A response equal to a regressor has BIC -inf at many points (RSS rounds to 0). With
+        blocks of 1, 3 or all 50 points, it selects the first of them, as one pass per point
+        does."""
+        X = np.random.default_rng(0).standard_normal((3, 200))
+        D, cfg = np.vstack([X[1], X]), LassoConfig(grid=LassoGrid(n_points=50, ratio=1e-9))
+        monkeypatch.setattr(granger, "_BIC_BLOCK", 3 * points)  # 3 coefficients a point
+        got = _bic_select(D, [[0]], [[1, 2, 3]], cfg)
+        for block, point in zip(got, bic_select_per_point(D, [[0]], [[1, 2, 3]], cfg)):
+            assert block.tobytes() == point.tobytes()
 
     def test_row_orthogonal_to_every_regressor_gets_empty_model(self, rng):
         # D holds a response, a zero row, another response and three regressors
@@ -216,7 +276,8 @@ class TestBatchedSelection:
         """At lag CAP_LAG (21 regressors) some designs' last, dense points are beyond an
         exact solve and sweep; there lasso_paths sweeps on the Gram stack it is given, which
         it then overwrites. Every design's BIC at every point, the last read from its Gram
-        after that sweep, must be the one it has alone."""
+        after that sweep, must be the one it has alone. ``_bic`` scores a block of points at
+        once; the spy splits each block along its point axis."""
         D, rows, cols = selection_designs(simulated[0], CAP_LAG)
         sweeps, bics, paths, bic = [], [], granger.lasso_paths, granger._bic
 
@@ -225,8 +286,13 @@ class TestBatchedSelection:
                 sweeps.append(point[3])
                 yield point
 
+        def split(*args):
+            block = bic(*args)
+            bics.extend(block.copy())  # one (g, R) array per point, before any masking
+            return block
+
         monkeypatch.setattr(granger, "lasso_paths", spy)
-        monkeypatch.setattr(granger, "_bic", lambda *args: bics.append(bic(*args)) or bics[-1])
+        monkeypatch.setattr(granger, "_bic", split)
         lams, support, ok = _bic_select(D, rows, cols, COARSE)
         batch, last = bics[:], sweeps[-1]
         assert ok.all() and (last > 1).any() and len(set(last.tolist())) > 1

@@ -869,6 +869,53 @@ class TestLockstepFits:
             assert history[pts] == one[4]
             start += len(lams_d)
 
+    def test_fgls_stage2_in_gram_bounded_sets_of_whole_designs(self, monkeypatch):
+        # K = 24, p = 2: a point's stage-2 Grams take 24 * 48^2 floats, so a set within
+        # _GRAM_FLOATS (8 MB) holds 18 points. Designs of 10, 6, 8, 15, 0 and 3 points make
+        # sets of 10 + 6, 8 and 15 + 0 + 3; within exactly 16 points' Grams, of 10 + 6, 8,
+        # 15 + 0 and 3. No design is split, and each design's rows are the ones it gets in a
+        # call of its own, bit for bit
+        cfg = LassoConfig(grid=LassoGrid(n_points=15, ratio=0.03))
+        stage1 = [ar1_stage1_path(24, seed, cfg) for seed in (11, 12, 13)]
+        counts = [10, 6, 8, 15, 0, 3]
+        designs = [(Y, Z, A1[-c:][:c], lams[-c:][:c])  # each path's last c points
+                   for (Y, Z, A1, lams), c in zip(stage1 * 2, counts)]
+        A1 = np.concatenate([d[2] for d in designs])
+        lams = np.concatenate([d[3] for d in designs])
+        K, m = A1.shape[1:]
+        assert lasso_mod._GRAM_FLOATS // (K * m * m) == 18
+        alone = [_fgls_refit([design(Y, Z, len(pl))], A1_d, pl, cfg) for Y, Z, A1_d, pl in designs]
+        rows, paths = [], lasso_mod.lasso_paths
+
+        def spy(G, *args):
+            rows.append(len(G))
+            return paths(G, *args)
+
+        monkeypatch.setattr(lasso_mod, "lasso_paths", spy)
+        for budget, sets in [(lasso_mod._GRAM_FLOATS, [16, 8, 18]),
+                             (16 * K * m * m, [16, 8, 15, 3])]:
+            monkeypatch.setattr(lasso_mod, "_GRAM_FLOATS", budget)
+            rows.clear()
+            A, rho, sweeps, converged, history = _fgls_refit(
+                (design(Y, Z, len(pl)) for Y, Z, _, pl in designs), A1, lams, cfg)
+            assert rows == [n * K for n in sets]
+            assert set(np.cumsum(rows)) <= set(np.cumsum(counts) * K)  # sets end as designs do
+            start = 0
+            for c, one in zip(counts, alone):
+                pts = slice(start, start + c)
+                for stacked, solo in zip((A[pts], rho[pts], sweeps[pts], converged[pts]), one):
+                    assert_bitwise(stacked, solo)
+                assert history[pts] == one[4]
+                start += c
+
+    def test_fgls_stage2_of_designs_without_points_is_empty(self):
+        cfg = LassoConfig(grid=LassoGrid(n_points=3, ratio=1e-2))
+        Y, Z, A1, lams = ar1_stage1_path(2, 5, cfg)
+        A, rho, sweeps, converged, history = _fgls_refit(
+            [design(Y, Z, 0), design(Y, Z, 0)], A1[:0], lams[:0], cfg)
+        assert A.shape == (0,) + A1.shape[1:] and rho.shape == sweeps.shape == (0, 2)
+        assert converged.shape == (0, 2) and history == []
+
     def test_fgls_stage2_peak_memory_is_its_gram_stack(self):
         # stage 2 holds one (m, m) Gram per (point, equation) row and compacts it in
         # place: no copy of the stack, so the traced peak stays near its size
